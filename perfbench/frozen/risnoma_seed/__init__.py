@@ -1,0 +1,53 @@
+"""Spectral- and energy-efficient user pairing for RIS-assisted uplink
+NOMA under imperfect phase compensation."""
+
+from .channel import (
+    ArrayGeometry,
+    EffectiveCsi,
+    LinkBudget,
+    PhaseModel,
+    RatePair,
+    array_response,
+    asr,
+    db_to_linear,
+    ee,
+    effective_csi,
+    linear_to_db,
+    phase_error_gain_mc,
+    rate_noma,
+    rate_oma,
+    sinc_sq,
+)
+from .eepa import (
+    ConvergenceError,
+    DinkelbachResult,
+    EepaCriterion,
+    dinkelbach_allocate,
+    grid_oracle_ee,
+    inner_maximize,
+    pairing_criterion_eepa,
+)
+from .mpa import (
+    Mode,
+    MpaBounds,
+    PairDecision,
+    RateTargets,
+    TargetPolicy,
+    allocate_mpa,
+    alpha2_lower,
+    alpha2_upper,
+    kkt_candidates,
+    pairing_criterion_mpa,
+)
+from .pairing import PairingPlan, Scheme, UserRecord, build_pairs, run_scheme, srm_baseline
+from .syslevel import (
+    DeploymentConfig,
+    MetricsTable,
+    RadioConfig,
+    associate_and_budget,
+    drop_ppp,
+    path_gain,
+    run_campaign,
+)
+
+__version__ = "0.1.0"

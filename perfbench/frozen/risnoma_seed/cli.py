@@ -1,0 +1,254 @@
+"""Command-line front end.
+
+Angles on the command line and in config files are degrees; the library
+works in radians. A YAML config file can preset any option; explicit
+command-line flags override it, and --print-config echoes the fully
+resolved option set for reproducibility.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+"""
+
+import datetime
+import hashlib
+import json
+import math
+import sys
+
+import click
+import yaml
+
+from . import experiments as ex
+from .eepa import ConvergenceError
+from .mpa import TargetPolicy
+from .pairing import Scheme
+from .syslevel import DeploymentConfig, RadioConfig
+
+
+def _parse_schemes(text: str):
+    out = []
+    for name in text.split(","):
+        name = name.strip().lower()
+        if not name:
+            continue
+        try:
+            out.append(Scheme(name))
+        except ValueError:
+            raise ex.ConfigError(f"unknown scheme {name!r}, expected oma|mpa|eepa|srm")
+    return tuple(out)
+
+
+def _parse_policy(resolved: dict) -> TargetPolicy:
+    kind = resolved["targets_policy"]
+    if kind == "oma-ref":
+        return TargetPolicy.oma_at_reference(math.radians(resolved["delta_ref_deg"]))
+    if kind == "oma-current":
+        return TargetPolicy.oma_at_current()
+    if kind == "explicit":
+        return TargetPolicy.explicit(resolved["r1_min"], resolved["r2_min"])
+    raise ex.ConfigError(f"unknown targets policy {kind!r}")
+
+
+def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
+    kwargs = {
+        "kind": kind,
+        "seed": r["seed"],
+        "targets_policy": _parse_policy(r),
+    }
+    if "gammas_db" in r:
+        kwargs["gammas_db"] = ex.parse_float_list(r["gammas_db"])
+    if "delta_deg" in r:
+        kwargs["delta_deg"] = ex.parse_float_list(r["delta_deg"])
+    if "alpha2_step" in r:
+        kwargs["alpha2_step"] = r["alpha2_step"]
+    if "scheme" in r:
+        kwargs["schemes"] = _parse_schemes(r["scheme"])
+    if "elements" in r:
+        kwargs["mc_elements"] = tuple(int(x) for x in ex.parse_float_list(r["elements"]))
+    if "trials" in r:
+        kwargs["mc_trials"] = r["trials"]
+    if "cdf_delta_deg" in r and r["cdf_delta_deg"] is not None:
+        kwargs["cdf_delta_deg"] = r["cdf_delta_deg"]
+    if kind is ex.ExperimentKind.SYSLEVEL:
+        kwargs["deploy"] = DeploymentConfig(
+            bs_density=r["bs_density"],
+            user_density=r["user_density"],
+            area_km2=r["area_km2"],
+            seed=r["seed"],
+            drops=r["drops"],
+        )
+        kwargs["radio"] = RadioConfig(
+            bs_antennas=r["bs_antennas"],
+            ris_elements=r["ris_elements"],
+            transmit_power=10 ** ((r["tx_power_dbm"] - 30.0) / 10.0),
+            noise_power=10 ** ((r["noise_dbm"] - 30.0) / 10.0),
+            pathloss_intercept=r["pathloss_intercept_db"],
+            pathloss_exponent=r["pathloss_exponent"],
+            ris_offset_m=r["ris_offset_m"],
+        )
+    try:
+        return ex.ExperimentConfig(**kwargs)
+    except ValueError as e:
+        raise ex.ConfigError(str(e))
+
+
+def _resolve(ctx, kwargs, config_path):
+    """Defaults < config file < explicitly given command-line flags."""
+    resolved = dict(kwargs)
+    if config_path:
+        with open(config_path) as fh:
+            data = yaml.safe_load(fh) or {}
+        if not isinstance(data, dict):
+            raise ex.ConfigError("config file must hold a key/value mapping")
+        for key, value in data.items():
+            key = str(key).replace("-", "_")
+            if key not in resolved:
+                raise ex.ConfigError(f"unknown config key {key!r}")
+            source = ctx.get_parameter_source(key)
+            if source is None or source.name != "COMMANDLINE":
+                resolved[key] = value
+    return resolved
+
+
+def _meta(resolved: dict):
+    blob = json.dumps(resolved, sort_keys=True, default=str)
+    return {
+        "seed": resolved.get("seed", 0),
+        "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+
+
+def _emit(table, resolved, out, fmt):
+    from .tables import render_csv, render_json, write_table
+
+    meta = _meta(resolved)
+    if out:
+        write_table(table, out, fmt, meta)
+    else:
+        click.echo(render_csv(table, meta) if fmt == "csv" else render_json(table, meta), nl=False)
+
+
+def _run(ctx, kind, table_fn, kwargs):
+    config_path = kwargs.pop("config_path")
+    print_config = kwargs.pop("print_config")
+    out = kwargs.pop("out")
+    fmt = kwargs.pop("fmt")
+    try:
+        resolved = _resolve(ctx, kwargs, config_path)
+        cfg = _build_config(kind, resolved)
+    except (ex.ConfigError, yaml.YAMLError, OSError) as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(2)
+    if print_config:
+        click.echo(yaml.safe_dump(resolved, sort_keys=True), nl=False)
+        return
+    try:
+        result = table_fn(cfg)
+    except ConvergenceError as e:
+        click.echo(f"numerical failure: {e}", err=True)
+        sys.exit(3)
+    resolved_meta = dict(resolved)
+    if isinstance(result, tuple):  # syslevel: (means, cdf)
+        means, cdf = result
+        _emit(means, resolved_meta, out, fmt)
+        cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)
+        if cdf_out:
+            _emit(cdf, resolved_meta, cdf_out, fmt)
+    else:
+        _emit(result, resolved_meta, out, fmt)
+
+
+def common_options(fn):
+    for opt in reversed(
+        [
+            click.option("--config", "config_path", type=click.Path(), default=None,
+                         help="YAML config file; flags override its values."),
+            click.option("--out", type=click.Path(), default=None, help="Output path (stdout if omitted)."),
+            click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
+            click.option("--seed", type=int, default=0),
+            click.option("--targets-policy", type=click.Choice(["oma-ref", "oma-current", "explicit"]),
+                         default="oma-ref"),
+            click.option("--delta-ref-deg", type=float, default=0.0),
+            click.option("--r1-min", type=float, default=0.0),
+            click.option("--r2-min", type=float, default=0.0),
+            click.option("--print-config", is_flag=True, default=False),
+        ]
+    ):
+        fn = opt(fn)
+    return fn
+
+
+@click.group()
+def main():
+    """Spectral/energy-efficient user pairing for RIS-assisted uplink
+    NOMA under imperfect phase compensation."""
+
+
+@main.command("sweep-alpha2")
+@common_options
+@click.option("--gammas-db", default="8,5", help="Gamma1,Gamma2 in dB (strong first).")
+@click.option("--delta-deg", default="0,11")
+@click.option("--alpha2-step", type=float, default=0.001)
+@click.pass_context
+def sweep_alpha2(ctx, **kwargs):
+    """Rates versus the weak user's power fraction (alpha1 fixed at 1)."""
+    _run(ctx, ex.ExperimentKind.SWEEP_ALPHA2, ex.sweep_alpha2_table, kwargs)
+
+
+@main.command("sweep-delta")
+@common_options
+@click.option("--gammas-db", default="8,5")
+@click.option("--delta-deg", default="0:90:1")
+@click.pass_context
+def sweep_delta(ctx, **kwargs):
+    """Single-pair MPA decision and OMA references versus phase error."""
+    _run(ctx, ex.ExperimentKind.SWEEP_DELTA, ex.sweep_delta_table, kwargs)
+
+
+@main.command("pair-study")
+@common_options
+@click.option("--gammas-db", default="8,5")
+@click.option("--delta-deg", default="0")
+@click.option("--scheme", default="oma,mpa,eepa,srm")
+@click.pass_context
+def pair_study(ctx, **kwargs):
+    """Per-scheme decision dump for a single pair at one delta."""
+    _run(ctx, ex.ExperimentKind.PAIR_STUDY, ex.pair_study_table, kwargs)
+
+
+@main.command("syslevel")
+@common_options
+@click.option("--delta-deg", default="0:170:10")
+@click.option("--scheme", default="oma,mpa,eepa,srm")
+@click.option("--drops", type=int, default=200)
+@click.option("--bs-density", type=float, default=25.0)
+@click.option("--user-density", type=float, default=2000.0)
+@click.option("--area-km2", type=float, default=1.0)
+@click.option("--bs-antennas", type=int, default=8)
+@click.option("--ris-elements", type=int, default=32)
+@click.option("--tx-power-dbm", type=float, default=23.0)
+@click.option("--noise-dbm", type=float, default=-94.0)
+@click.option("--pathloss-intercept-db", type=float, default=32.4)
+@click.option("--pathloss-exponent", type=float, default=3.0)
+@click.option("--ris-offset-m", type=float, default=10.0)
+@click.option("--cdf-delta-deg", type=float, default=None)
+@click.option("--cdf-out", type=click.Path(), default=None)
+@click.pass_context
+def syslevel(ctx, **kwargs):
+    """Monte-Carlo system-level campaign over PPP deployments."""
+    _run(ctx, ex.ExperimentKind.SYSLEVEL, ex.syslevel_tables, kwargs)
+
+
+@main.command("validate-approx")
+@common_options
+@click.option("--elements", default="4,16,64,256,1024")
+@click.option("--delta-deg", default="5.73,28.65,57.3,114.59")
+@click.option("--trials", type=int, default=10000)
+@click.pass_context
+def validate_approx(ctx, **kwargs):
+    """Monte-Carlo check of the sinc^2 phase-error approximation."""
+    _run(ctx, ex.ExperimentKind.VALIDATE_APPROX, ex.validate_approx_table, kwargs)
+
+
+if __name__ == "__main__":
+    main()

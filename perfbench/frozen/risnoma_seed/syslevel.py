@@ -1,0 +1,305 @@
+"""System-level Monte-Carlo evaluation: PPP deployments on a toroidal
+window, log-distance path loss, max-power association with one RIS per
+serving BS, interference synthesis, and metric aggregation across drops.
+
+Per-pair decisions here are computed by vectorized kernels that mirror
+the scalar scheme implementations exactly (asserted by tests); the
+scalar path stays the reference for everything pair-sized.
+"""
+
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+
+from .channel import sinc_sq
+from .eepa import dinkelbach_batch
+from .mpa import EPS, PolicyKind, TargetPolicy
+from .pairing import Scheme
+
+__all__ = [
+    "DeploymentConfig",
+    "RadioConfig",
+    "DropResult",
+    "MetricsTable",
+    "drop_ppp",
+    "path_gain",
+    "associate_and_budget",
+    "run_campaign",
+]
+
+
+@dataclass(frozen=True)
+class DeploymentConfig:
+    bs_density: float = 25.0  # BS per km^2
+    user_density: float = 2000.0  # users per km^2
+    area_km2: float = 1.0
+    seed: int = 0
+    drops: int = 1
+
+    def __post_init__(self):
+        if self.bs_density <= 0 or self.user_density <= 0 or self.area_km2 <= 0:
+            raise ValueError("densities and area must be positive")
+        if self.drops < 1:
+            raise ValueError("drops must be >= 1")
+
+    @property
+    def side_m(self) -> float:
+        return math.sqrt(self.area_km2) * 1000.0
+
+
+@dataclass(frozen=True)
+class RadioConfig:
+    bs_antennas: int = 8
+    ris_elements: int = 32
+    transmit_power: float = 10 ** ((23.0 - 30.0) / 10.0)  # 23 dBm, watts
+    noise_power: float = 10 ** ((-94.0 - 30.0) / 10.0)  # -94 dBm, watts
+    pathloss_intercept: float = 32.4  # dB at 1 m
+    pathloss_exponent: float = 3.0
+    ris_offset_m: float = 10.0
+    min_distance_m: float = 1.0
+
+    def __post_init__(self):
+        if self.bs_antennas < 1 or self.ris_elements < 1:
+            raise ValueError("antenna/element counts must be >= 1")
+        if self.pathloss_exponent < 2.0:
+            raise ValueError("pathloss_exponent must be >= 2")
+        if self.transmit_power <= 0 or self.noise_power <= 0:
+            raise ValueError("powers must be positive")
+
+
+@dataclass
+class DropResult:
+    gammas: np.ndarray  # per-user effective CSI
+    serving: np.ndarray  # per-user serving BS index
+    pair_gamma_strong: np.ndarray
+    pair_gamma_weak: np.ndarray
+    lone_users: int
+
+
+@dataclass
+class MetricsTable:
+    """Aggregated campaign output: one row per (scheme, delta) plus the
+    ASR samples backing the empirical CDF at cdf_delta."""
+
+    rows: List[dict] = field(default_factory=list)
+    cdf: Dict[str, np.ndarray] = field(default_factory=dict)
+    cdf_delta: Optional[float] = None
+    n_pairs: int = 0
+    skipped_drops: int = 0
+    lone_users: int = 0
+
+
+def drop_ppp(density_per_km2: float, area_km2: float, seed) -> np.ndarray:
+    """Poisson point process on a square window; positions in meters.
+
+    seed may be an integer or a Generator (reused for chained draws).
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = int(rng.poisson(density_per_km2 * area_km2))
+    side = math.sqrt(area_km2) * 1000.0
+    return rng.uniform(0.0, side, size=(n, 2))
+
+
+def path_gain(distance_m, radio: RadioConfig):
+    """Log-distance power gain, linear scale; distances clamp at the
+    minimum coupling distance."""
+    d = np.maximum(np.asarray(distance_m, dtype=float), radio.min_distance_m)
+    gain_db = -(radio.pathloss_intercept + 10.0 * radio.pathloss_exponent * np.log10(d))
+    out = 10.0 ** (gain_db / 10.0)
+    return float(out) if np.isscalar(distance_m) else out
+
+
+def _torus_dist(users: np.ndarray, bss: np.ndarray, side: float) -> np.ndarray:
+    disp = users[:, None, :] - bss[None, :, :]
+    disp = (disp + side / 2.0) % side - side / 2.0
+    return np.hypot(disp[..., 0], disp[..., 1])
+
+
+def associate_and_budget(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side_m: float):
+    """Attach each user to its max-received-power BS (ties to the lower
+    BS index) and build the per-user link budget terms.
+
+    The RIS sits ris_offset_m from the serving BS on the BS-user bearing,
+    so the composite gain separates into user->RIS and RIS->BS hops.
+    Returns (gamma, serving, interference) arrays.
+    """
+    if len(bss) == 0:
+        raise ValueError("need at least one BS")
+    dist = _torus_dist(users, bss, side_m)
+    rx = radio.transmit_power * path_gain(dist, radio)
+    serving = np.argmax(rx, axis=1)  # argmax takes the first maximum
+    d_serving = dist[np.arange(len(users)), serving]
+    interference = rx.sum(axis=1) - rx[np.arange(len(users)), serving]
+    d_user_ris = np.abs(d_serving - radio.ris_offset_m)
+    composite = path_gain(d_user_ris, radio) * path_gain(radio.ris_offset_m, radio)
+    num = (
+        radio.transmit_power
+        * composite
+        * radio.ris_elements**2
+        * radio.bs_antennas
+    )
+    gamma = num / (interference + radio.noise_power)
+    return gamma, serving, interference
+
+
+def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -> Optional[DropResult]:
+    rng = np.random.default_rng([deploy.seed, drop_index])
+    bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+    users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+    if len(bss) == 0 or len(users) < 2:
+        return None
+    gamma, serving, _ = associate_and_budget(users, bss, radio, deploy.side_m)
+    strong, weak = [], []
+    lone = 0
+    for b in range(len(bss)):
+        g = np.sort(gamma[serving == b])[::-1]
+        n = len(g)
+        if n < 2:
+            lone += n
+            continue
+        half = n // 2
+        strong.append(g[:half])
+        weak.append(g[n - half :][::-1])
+        lone += n % 2
+    if not strong:
+        return None
+    return DropResult(
+        gammas=gamma,
+        serving=serving,
+        pair_gamma_strong=np.concatenate(strong),
+        pair_gamma_weak=np.concatenate(weak),
+        lone_users=lone,
+    )
+
+
+def _targets(policy: TargetPolicy, g1, g2, s: float):
+    if policy.kind is PolicyKind.OMA_AT_REFERENCE:
+        s_ref = sinc_sq(policy.delta_ref)
+        return 0.5 * np.log2(1.0 + g1 * s_ref), 0.5 * np.log2(1.0 + g2 * s_ref)
+    if policy.kind is PolicyKind.OMA_AT_CURRENT:
+        return 0.5 * np.log2(1.0 + g1 * s), 0.5 * np.log2(1.0 + g2 * s)
+    return (
+        np.full_like(g1, policy.r1_min),
+        np.full_like(g1, policy.r2_min),
+    )
+
+
+def _noma_rates(a1, a2, g1, g2, s: float):
+    r1 = np.log2(1.0 + a1 * g1 * s / (1.0 + a2 * g2 * s))
+    r2 = np.log2(1.0 + a2 * g2 * s)
+    return r1, r2
+
+
+def _scheme_arrays(scheme: Scheme, g1, g2, s: float, policy: TargetPolicy):
+    """Per-pair (r1, r2, ee) arrays for one scheme at one delta; mirrors
+    the scalar per-pair decisions."""
+    r1o = 0.5 * np.log2(1.0 + g1 * s)
+    r2o = 0.5 * np.log2(1.0 + g2 * s)
+    ee_oma = (r1o + r2o) / 2.0
+    if scheme is Scheme.OMA:
+        return r1o, r2o, ee_oma
+
+    if scheme is Scheme.SRM:
+        r1bar0, _ = _targets(TargetPolicy.oma_at_reference(0.0), g1, g2, 1.0)
+        pow1 = 2.0**r1bar0
+        ub0 = (g1 + 1.0 - pow1) / (g2 * (pow1 - 1.0))
+        a2 = np.clip(ub0, 0.0, 1.0)
+        r1, r2 = _noma_rates(1.0, a2, g1, g2, s)
+        return r1, r2, (r1 + r2) / (1.0 + a2)
+
+    r1bar, r2bar = _targets(policy, g1, g2, s)
+    pow1 = 2.0**r1bar
+    pow2 = 2.0**r2bar
+
+    if scheme is Scheme.MPA:
+        threshold = pow2 * (pow1 - 1.0) / g1
+        lb = (pow2 - 1.0) / (g2 * s)
+        feasible = (s >= threshold) & (lb <= 1.0 + EPS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ub = (g1 * s + 1.0 - pow1) / (g2 * s * (pow1 - 1.0))
+        a2 = np.clip(np.where(pow1 > 1.0, ub, 1.0), 0.0, 1.0)
+        r1n, r2n = _noma_rates(1.0, a2, g1, g2, s)
+        r1 = np.where(feasible, r1n, r1o)
+        r2 = np.where(feasible, r2n, r2o)
+        ee = np.where(feasible, (r1n + r2n) / (1.0 + a2), ee_oma)
+        return r1, r2, ee
+
+    if scheme is Scheme.EEPA:
+        with np.errstate(divide="ignore"):
+            denom = g1 / (pow1 - 1.0) - g2
+        th1 = np.where(pow1 > 1.0, np.where(denom > 0.0, 1.0 / denom, np.inf), 0.0)
+        th2 = (pow2 - 1.0) / g2
+        feasible = s >= np.maximum(th1, th2)
+        r1 = r1o.copy()
+        r2 = r2o.copy()
+        ee = ee_oma.copy()
+        idx = np.flatnonzero(feasible)
+        if idx.size:
+            a1, a2, lam = dinkelbach_batch(g1[idx], g2[idx], r1bar[idx], r2bar[idx], s)
+            r1n, r2n = _noma_rates(a1, a2, g1[idx], g2[idx], s)
+            r1[idx] = r1n
+            r2[idx] = r2n
+            ee[idx] = lam
+        return r1, r2, ee
+
+    raise ValueError(f"unknown scheme {scheme}")
+
+
+def run_campaign(
+    deploy: DeploymentConfig,
+    radio: RadioConfig,
+    schemes: Sequence[Scheme],
+    delta_sweep: Sequence[float],
+    targets_policy: Optional[TargetPolicy] = None,
+    cdf_delta: Optional[float] = None,
+) -> MetricsTable:
+    """Run the Monte-Carlo campaign and aggregate per (scheme, delta)
+    means with standard errors, plus the ASR CDF samples at cdf_delta.
+
+    Deterministic for a fixed deployment seed: drops derive their own
+    generators from (seed, drop index).
+    """
+    if not schemes:
+        raise ValueError("schemes must be non-empty")
+    if not len(delta_sweep):
+        raise ValueError("delta_sweep must be non-empty")
+    policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
+    if cdf_delta is None:
+        cdf_delta = float(delta_sweep[0])
+
+    strong, weak = [], []
+    skipped = 0
+    lone = 0
+    for k in range(deploy.drops):
+        drop = _build_drop(deploy, radio, k)
+        if drop is None:
+            skipped += 1
+            continue
+        strong.append(drop.pair_gamma_strong)
+        weak.append(drop.pair_gamma_weak)
+        lone += drop.lone_users
+    if not strong:
+        raise ValueError("no pairs produced by any drop")
+    g1 = np.concatenate(strong)
+    g2 = np.concatenate(weak)
+
+    table = MetricsTable(
+        cdf_delta=cdf_delta, n_pairs=len(g1), skipped_drops=skipped, lone_users=lone
+    )
+    for delta in delta_sweep:
+        s = sinc_sq(float(delta))
+        for scheme in schemes:
+            r1, r2, ee = _scheme_arrays(scheme, g1, g2, s, policy)
+            asr = r1 + r2
+            n = len(asr)
+            row = {"scheme": scheme.value, "delta": float(delta)}
+            for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):
+                row[f"mean_{name}"] = float(arr.mean())
+                row[f"se_{name}"] = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            row["n_pairs"] = n
+            table.rows.append(row)
+            if abs(float(delta) - cdf_delta) < 1e-12 and scheme.value not in table.cdf:
+                table.cdf[scheme.value] = np.sort(asr)
+    return table
