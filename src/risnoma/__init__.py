@@ -24,7 +24,6 @@ from .eepa import (
     EepaCriterion,
     dinkelbach_allocate,
     grid_oracle_ee,
-    inner_maximize,
     pairing_criterion_eepa,
 )
 from .mpa import (

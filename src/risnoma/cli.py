@@ -85,10 +85,7 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
             pathloss_exponent=r["pathloss_exponent"],
             ris_offset_m=r["ris_offset_m"],
         )
-    try:
-        return ex.ExperimentConfig(**kwargs)
-    except ValueError as e:
-        raise ex.ConfigError(str(e))
+    return ex.ExperimentConfig(**kwargs)
 
 
 def _resolve(ctx, kwargs, config_path):
@@ -128,6 +125,11 @@ def _emit(table, resolved, out, fmt):
         click.echo(render_csv(table, meta) if fmt == "csv" else render_json(table, meta), nl=False)
 
 
+def _config_error(e: Exception):
+    click.echo(f"config error: {e}", err=True)
+    sys.exit(2)
+
+
 def _run(ctx, kind, table_fn, kwargs):
     config_path = kwargs.pop("config_path")
     print_config = kwargs.pop("print_config")
@@ -136,9 +138,8 @@ def _run(ctx, kind, table_fn, kwargs):
     try:
         resolved = _resolve(ctx, kwargs, config_path)
         cfg = _build_config(kind, resolved)
-    except (ex.ConfigError, yaml.YAMLError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+    except (ValueError, yaml.YAMLError, OSError) as e:  # ConfigError is a ValueError
+        _config_error(e)
     if print_config:
         click.echo(yaml.safe_dump(resolved, sort_keys=True), nl=False)
         return
@@ -147,6 +148,8 @@ def _run(ctx, kind, table_fn, kwargs):
     except ConvergenceError as e:
         click.echo(f"numerical failure: {e}", err=True)
         sys.exit(3)
+    except ValueError as e:  # inputs the library rejects, e.g. a deployment with no pairs
+        _config_error(e)
     resolved_meta = dict(resolved)
     if isinstance(result, tuple):  # syslevel: (means, cdf)
         means, cdf = result

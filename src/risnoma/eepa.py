@@ -2,16 +2,19 @@
 Dinkelbach solver for the pseudo-concave ratio program, and the grid
 oracle used to verify it.
 
-The constraint polytope in (alpha1, alpha2) is tiny (four linear
-inequalities, two variables), so the Dinkelbach subproblem is solved by
-enumerating its edges: the subtractive objective is concave and its
-gradient can only vanish in the interior when Gamma1 = Gamma2, so the
-maximizer sits on the boundary.
+The feasible power fractions form the polygon
+{lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1} with hi = min(1, (1-eta)/kappa).
+Each Dinkelbach subproblem maximizes the concave log2(1 + (a1*G1 +
+a2*G2)*s) - lam*(a1 + a2) over it. Its gradient can only vanish in the
+interior when Gamma1 = Gamma2, so a maximizer sits on one of the four
+edges, and along each edge the maximum has a closed form (the edge
+step). One array-valued Dinkelbach loop serves both the scalar solver
+(on 0-d arrays) and the batch solver of system-level campaigns.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,17 +27,10 @@ __all__ = [
     "EepaCriterion",
     "DinkelbachResult",
     "pairing_criterion_eepa",
-    "feasible_polytope",
-    "polytope_vertices",
-    "polytope_is_empty",
-    "golden_section_max",
-    "inner_maximize",
     "dinkelbach_allocate",
     "grid_oracle_ee",
     "dinkelbach_batch",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ConvergenceError(RuntimeError):
@@ -97,113 +93,79 @@ def pairing_criterion_eepa(
     return EepaCriterion(th1, th2, delta_ub)
 
 
-def feasible_polytope(eta: float, kappa: float, alpha2_lb: float) -> list:
-    """Constraints as (c1, c2, b) rows meaning c1*a1 + c2*a2 <= b.
+def _edge_step(lam, g1, g2, s, eta, kappa, lb):
+    """Maximizer (a1, a2) of log2(1 + (a1*g1 + a2*g2)*s) - lam*(a1 + a2)
+    over the nonempty polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1}.
 
-    With eta, kappa, alpha2_lb >= 0 these four rows also enforce
-    non-negativity of both fractions.
+    Rows of the (4, ...) stacks are the edges a2 = lb, a2 = hi, a1 = 1
+    and a1 = kappa*a2 + eta, each walked from P0 to P1 with both
+    fractions non-decreasing. Along a row the objective reads
+    log2(a + b*t) - lam*(C + D*t) with b, D >= 0, so its maximum on
+    [0, 1] is the clipped stationary point 1/(lam*D*ln2) - a/b, or t = 1
+    when lam*D <= 0.
     """
-    return [
-        (-1.0, kappa, -eta),
-        (0.0, -1.0, -alpha2_lb),
-        (1.0, 0.0, 1.0),
-        (0.0, 1.0, 1.0),
-    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
+    lo_lb = np.minimum(eta + kappa * lb, 1.0)
+    lo_hi = np.minimum(eta + kappa * hi, 1.0)
+    one = np.ones_like(lo_lb)
+    p1 = np.stack([lo_lb, lo_hi, one, lo_lb])
+    p2 = np.stack([lb, hi, lb, lb])
+    d1 = np.stack([one, one, one, lo_hi]) - p1
+    d2 = np.stack([lb, hi, hi, hi]) - p2
+    a = 1.0 + (p1 * g1 + p2 * g2) * s
+    b = (d1 * g1 + d2 * g2) * s
+    c = lam * (d1 + d2) * math.log(2.0)
+    with np.errstate(all="ignore"):
+        t = np.where(c > 0.0, 1.0 / c - a / b, 1.0)
+    t = np.fmin(np.fmax(t, 0.0), 1.0)  # also maps inf - inf (b = 0, tiny c) to t = 0
+    a1 = p1 + t * d1
+    a2 = p2 + t * d2
+    val = np.log2(1.0 + (a1 * g1 + a2 * g2) * s) - lam * (a1 + a2)
+    k = np.argmax(val, axis=0, keepdims=True)
+    return np.take_along_axis(a1, k, 0)[0], np.take_along_axis(a2, k, 0)[0]
 
 
-def polytope_vertices(constraints: list, tol: float = EPS) -> list:
-    verts = []
-    n = len(constraints)
-    for i in range(n):
-        a1i, a2i, bi = constraints[i]
-        for j in range(i + 1, n):
-            a1j, a2j, bj = constraints[j]
-            det = a1i * a2j - a2i * a1j
-            if abs(det) < 1e-14:
-                continue
-            x = (bi * a2j - a2i * bj) / det
-            y = (a1i * bj - bi * a1j) / det
-            if all(c1 * x + c2 * y <= b + tol for c1, c2, b in constraints):
-                if not any(abs(x - vx) < 1e-12 and abs(y - vy) < 1e-12 for vx, vy in verts):
-                    verts.append((x, y))
-    return verts
+def _dinkelbach(g1, g2, s, eta, kappa, lb, tol, max_iter):
+    """Dinkelbach iteration on arrays of instances (0-d for one pair).
 
-
-def polytope_is_empty(constraints: list, tol: float = EPS) -> bool:
-    """Exact (vertex-enumeration) nonemptiness test, the sharper
-    alternative to the conservative worst-case criterion."""
-    return not polytope_vertices(constraints, tol)
-
-
-def golden_section_max(fn: Callable, p: tuple, q: tuple, tol: float = 1e-10) -> tuple:
-    """Maximize fn over the segment p->q by golden-section search.
-
-    Returns ((a1, a2), value); endpoints are included in the comparison.
-    Degenerate (zero-length) segments collapse to a point evaluation.
+    lambda starts at the EE of the minimal-power vertex and is updated
+    to f/g at each subproblem maximizer until the subtractive optimum
+    F(lambda) drops below tol; converged instances are frozen. Returns
+    (alpha1, alpha2, lambda_star, iterations, residual, history) with
+    history the per-iteration (lambda, F(lambda)) arrays.
     """
-    length = math.hypot(q[0] - p[0], q[1] - p[1])
-
-    def at(t):
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-    if length < tol:
-        return p, fn(*p)
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = fn(*at(c))
-    fd = fn(*at(d))
-    while (b - a) * length > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(*at(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(*at(d))
-    best_t = c if fc >= fd else d
-    cands = [(at(best_t), max(fc, fd)), (p, fn(*p)), (q, fn(*q))]
-    return max(cands, key=lambda x: x[1])
-
-
-def _edges(constraints: list, verts: list, tol: float = 1e-8) -> list:
-    edges = []
-    for c1, c2, b in constraints:
-        on = [v for v in verts if abs(c1 * v[0] + c2 * v[1] - b) <= tol]
-        if len(on) < 2:
-            continue
-        # extreme points along the line direction (-c2, c1)
-        key = lambda v: -c2 * v[0] + c1 * v[1]
-        edges.append((min(on, key=key), max(on, key=key)))
-    return edges
-
-
-def inner_maximize(
-    lam: float,
-    constraints: list,
-    csi1: EffectiveCsi,
-    csi2: EffectiveCsi,
-    phase: PhaseModel,
-) -> tuple:
-    """Maximize f(a) - lam*g(a) with f the pair sum rate and g the total
-    power, over the constraint polytope: vertex evaluation plus
-    golden-section search along every edge."""
-    verts = polytope_vertices(constraints)
-    if not verts:
+    if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
         raise EmptyPolytopeError("no feasible power fractions")
-    g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
+    lb = np.minimum(lb, 1.0)
 
-    def obj(a1, a2):
-        return math.log2(1.0 + (a1 * g1 + a2 * g2) * s) - lam * (a1 + a2)
+    def f(a1, a2):
+        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
 
-    best_pt = max(verts, key=lambda v: obj(*v))
-    best_val = obj(*best_pt)
-    for p, q in _edges(constraints, verts):
-        pt, val = golden_section_max(obj, p, q)
-        if val > best_val:
-            best_pt, best_val = pt, val
-    return best_pt
+    a1 = np.minimum(eta + kappa * lb, 1.0)
+    a2 = lb
+    gv = a1 + a2
+    with np.errstate(invalid="ignore"):
+        lam = np.where(gv > 0.0, f(a1, a2) / gv, 0.0)
+    done = np.zeros(lam.shape, dtype=bool)
+    iterations = np.zeros(lam.shape, dtype=int)
+    history = []
+    for it in range(1, max_iter + 1):
+        n1, n2 = _edge_step(lam, g1, g2, s, eta, kappa, lb)
+        a1 = np.where(done, a1, n1)
+        a2 = np.where(done, a2, n2)
+        fv = f(a1, a2)
+        gv = a1 + a2
+        resid = fv - lam * gv
+        history.append((lam, resid))
+        iterations = np.where(done, iterations, it)
+        done = done | (resid <= tol)
+        with np.errstate(invalid="ignore"):
+            ratio = fv / gv  # gv = 0 only at f = 0, where resid = 0 and lam stays
+        if done.all():
+            return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
+        lam = np.where(done, lam, ratio)
+    raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {tol:.1e} after {max_iter} iterations")
 
 
 def dinkelbach_allocate(
@@ -214,36 +176,24 @@ def dinkelbach_allocate(
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> DinkelbachResult:
-    """Dinkelbach iteration for the EE ratio program.
+    """Dinkelbach iteration for the EE ratio program of one pair.
 
-    lambda starts at the EE of the minimal-power feasible vertex and is
-    updated to f/g at each subproblem maximizer until the subtractive
-    optimum F(lambda) drops below tol.
+    Raises EmptyPolytopeError when the rate floors admit no power
+    fractions, ConvergenceError when the residual stays above tol.
     """
-    eta, kappa = eta_kappa(targets, csi1, csi2, phase)
+    eta, kappa = np.array(eta_kappa(targets, csi1, csi2, phase))  # numpy floats: kappa may be 0
     lb = alpha2_lower(targets, csi2, phase)
-    constraints = feasible_polytope(eta, kappa, lb)
-    g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
-
-    def f(a1, a2):
-        return math.log2(1.0 + (a1 * g1 + a2 * g2) * s)
-
-    a1_0 = min(max(eta + kappa * lb, 0.0), 1.0)
-    a2_0 = lb
-    power0 = a1_0 + a2_0
-    lam = f(a1_0, a2_0) / power0 if power0 > 0.0 else 0.0
-    history = []
-    for it in range(1, max_iter + 1):
-        a1, a2 = inner_maximize(lam, constraints, csi1, csi2, phase)
-        fv = f(a1, a2)
-        gv = a1 + a2
-        resid = fv - lam * gv
-        history.append((lam, resid))
-        if resid <= tol:
-            lam_star = fv / gv if gv > 0.0 else lam
-            return DinkelbachResult(a1, a2, lam_star, it, resid, tuple(history))
-        lam = fv / gv
-    raise ConvergenceError(f"Dinkelbach residual {resid:.3e} > {tol:.1e} after {max_iter} iterations")
+    a1, a2, lam, iterations, resid, history = _dinkelbach(
+        csi1.gamma, csi2.gamma, phase.degradation, eta, kappa, lb, tol, max_iter
+    )
+    return DinkelbachResult(
+        float(a1),
+        float(a2),
+        float(lam),
+        int(iterations),
+        float(resid),
+        tuple((float(lam_k), float(f_k)) for lam_k, f_k in history),
+    )
 
 
 def grid_oracle_ee(
@@ -283,78 +233,6 @@ def grid_oracle_ee(
     return float(a1[k]), float(a2[k]), float(val[k])
 
 
-# ---------------------------------------------------------------------------
-# Vectorized solver for system-level campaigns. Mirrors the scalar path
-# exactly (same polytope geometry, golden-section edge search, Dinkelbach
-# update); instances must already satisfy the EEPA pairing criterion, which
-# guarantees eta + kappa <= 1 and alpha2_lb <= 1 so the polytope is the box
-# {lb <= a2 <= 1, kappa*a2 + eta <= a1 <= 1}.
-# ---------------------------------------------------------------------------
-
-
-def _golden_edge_batch(obj, lo1, lo2, hi1, hi2, n_iter: int = 64):
-    """Vectorized golden-section maximization along per-instance segments
-    (lo1, lo2) -> (hi1, hi2). Returns (a1, a2, value) including endpoints."""
-    a = np.zeros_like(lo1)
-    b = np.ones_like(lo1)
-
-    def at(t):
-        return lo1 + t * (hi1 - lo1), lo2 + t * (hi2 - lo2)
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = obj(*at(c))
-    fd = obj(*at(d))
-    for _ in range(n_iter):
-        left = fc >= fd  # maximum bracketed in [a, d]
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        new_c = np.where(left, b - _INVPHI * (b - a), d)
-        new_d = np.where(left, c, a + _INVPHI * (b - a))
-        eval_c = obj(*at(new_c))
-        eval_d = obj(*at(new_d))
-        fc, fd = np.where(left, eval_c, fd), np.where(left, fc, eval_d)
-        c, d = new_c, new_d
-    t_best = np.where(fc >= fd, c, d)
-    a1, a2 = at(t_best)
-    val = obj(a1, a2)
-    for t_end in (np.zeros_like(a), np.ones_like(a)):
-        e1, e2 = at(t_end)
-        ev = obj(e1, e2)
-        take = ev > val
-        a1 = np.where(take, e1, a1)
-        a2 = np.where(take, e2, a2)
-        val = np.where(take, ev, val)
-    return a1, a2, val
-
-
-def _inner_batch(lam, eta, kappa, lb, g1, g2, s):
-    def obj(a1, a2):
-        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s) - lam * (a1 + a2)
-
-    lo_at = lambda a2: np.clip(eta + kappa * a2, 0.0, 1.0)
-    one = np.ones_like(eta)
-    segments = [
-        (lo_at(lb), lb, one, lb),          # a2 = lb
-        (lo_at(one), one, one, one),       # a2 = 1
-        (one, lb, one, one),               # a1 = 1
-        (lo_at(lb), lb, lo_at(one), one),  # a1 = kappa*a2 + eta
-    ]
-    best = None
-    for lo1, lo2, hi1, hi2 in segments:
-        a1, a2, val = _golden_edge_batch(obj, lo1, lo2, hi1, hi2)
-        if best is None:
-            best = (a1, a2, val)
-        else:
-            take = val > best[2]
-            best = (
-                np.where(take, a1, best[0]),
-                np.where(take, a2, best[1]),
-                np.where(take, val, best[2]),
-            )
-    return best[0], best[1]
-
-
 def dinkelbach_batch(
     gamma1: np.ndarray,
     gamma2: np.ndarray,
@@ -364,40 +242,16 @@ def dinkelbach_batch(
     tol: float = 1e-8,
     max_iter: int = 100,
 ):
-    """Vectorized Dinkelbach over EEPA-feasible instances.
+    """Vectorized Dinkelbach over the instances of one degradation s,
+    by the same iteration as dinkelbach_allocate.
 
-    Returns (alpha1, alpha2, lambda_star) arrays. Raises ConvergenceError
-    if any instance fails to converge.
+    Returns (alpha1, alpha2, lambda_star) arrays. Raises
+    EmptyPolytopeError if any instance has no feasible power fractions
+    and ConvergenceError if any instance fails to converge.
     """
     g1 = np.asarray(gamma1, dtype=float)
     g2 = np.asarray(gamma2, dtype=float)
     a = 2.0 ** np.asarray(r1_min, dtype=float) - 1.0
-    eta = a / (g1 * s)
-    kappa = a * g2 / g1
     lb = (2.0 ** np.asarray(r2_min, dtype=float) - 1.0) / (g2 * s)
-    if np.any(eta + kappa > 1.0 + 1e-6) or np.any(lb > 1.0 + 1e-6):
-        raise ValueError("dinkelbach_batch requires EEPA-feasible instances")
-    lb = np.clip(lb, 0.0, 1.0)
-
-    def f(a1, a2):
-        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
-
-    a1_0 = np.clip(eta + kappa * lb, 0.0, 1.0)
-    power0 = a1_0 + lb
-    lam = np.where(power0 > 0.0, f(a1_0, lb) / np.where(power0 > 0.0, power0, 1.0), 0.0)
-    a1 = a1_0.copy()
-    a2 = lb.copy()
-    done = np.zeros_like(lam, dtype=bool)
-    for _ in range(max_iter):
-        n1, n2 = _inner_batch(lam, eta, kappa, lb, g1, g2, s)
-        a1 = np.where(done, a1, n1)
-        a2 = np.where(done, a2, n2)
-        fv = f(a1, a2)
-        gv = a1 + a2
-        resid = fv - lam * gv
-        done = done | (resid <= tol)
-        if bool(done.all()):
-            lam_star = np.where(gv > 0.0, fv / np.where(gv > 0.0, gv, 1.0), lam)
-            return a1, a2, lam_star
-        lam = np.where(done, lam, fv / gv)
-    raise ConvergenceError("batch Dinkelbach did not converge on every instance")
+    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, a / (g1 * s), a * g2 / g1, lb, tol, max_iter)
+    return a1, a2, lam

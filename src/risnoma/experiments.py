@@ -17,7 +17,7 @@ from .channel import (
     rate_oma,
     sinc_sq,
 )
-from .eepa import dinkelbach_allocate, pairing_criterion_eepa
+from .eepa import pairing_criterion_eepa
 from .mpa import PolicyKind, TargetPolicy, allocate_mpa, mpa_bounds, oma_decision
 from .pairing import Scheme, UserRecord, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("alpha2_step must lie in (0, 0.1]")
         if len(self.gammas_db) != 2:
             raise ConfigError("gammas_db must hold exactly two values (strong, weak)")
+        if not all(math.isfinite(g) for g in self.gammas_db):
+            raise ConfigError("gammas_db must be finite")
         if self.gammas_db[0] < self.gammas_db[1]:
             raise ConfigError("strong user's gamma must come first")
         if self.mc_trials < 1 or any(n < 1 for n in self.mc_elements):
@@ -211,15 +213,12 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
         plan = run_scheme(users, scheme, phase, cfg.targets_policy)
         dec = plan.decisions[0]
         delta_ub = ""
-        iterations = ""
         if scheme is Scheme.MPA:
             b = mpa_bounds(targets, csi1, csi2, phase)
             delta_ub = math.degrees(b.delta_ub) if b.delta_ub is not None else ""
         elif scheme is Scheme.EEPA:
             crit = pairing_criterion_eepa(targets, csi1, csi2, phase)
             delta_ub = math.degrees(crit.delta_ub) if crit.delta_ub is not None else ""
-            if crit.feasible_at(phase.delta):
-                iterations = dinkelbach_allocate(targets, csi1, csi2, phase).iterations
         table.append(
             scheme=scheme.value,
             mode=dec.mode.value,
@@ -230,7 +229,7 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
             asr=dec.asr,
             ee=dec.ee,
             delta_ub_deg=delta_ub,
-            iterations=iterations,
+            iterations=dec.iterations if dec.iterations is not None else "",
         )
     return table
 

@@ -106,6 +106,7 @@ class PairDecision:
     ee: float
     strong_index: int = 0
     weak_index: int = 1
+    iterations: Optional[int] = None  # Dinkelbach iterations, EEPA NOMA only
 
 
 @dataclass(frozen=True)

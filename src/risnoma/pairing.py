@@ -69,6 +69,8 @@ def _decide_eepa(strong, weak, phase, policy):
     if not crit.feasible_at(phase.delta):
         return oma_decision(strong.csi, weak.csi, phase, strong.id, weak.id)
     res = dinkelbach_allocate(targets, strong.csi, weak.csi, phase)
+    if res.lambda_star <= 0.0:  # rates underflow to 0: no EE to gain from NOMA
+        return oma_decision(strong.csi, weak.csi, phase, strong.id, weak.id)
     rates = rate_noma(res.alpha1, res.alpha2, strong.csi, weak.csi, phase)
     return PairDecision(
         Mode.NOMA,
@@ -79,6 +81,7 @@ def _decide_eepa(strong, weak, phase, policy):
         res.lambda_star,
         strong.id,
         weak.id,
+        res.iterations,
     )
 
 

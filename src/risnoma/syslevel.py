@@ -3,9 +3,9 @@ window, log-distance path loss, max-power association with one RIS per
 serving BS, uplink interference from the other cells' co-scheduled
 pairs, and metric aggregation across drops.
 
-Per-pair decisions here are computed by vectorized kernels that mirror
-the scalar scheme implementations exactly (asserted by tests); the
-scalar path stays the reference for everything pair-sized.
+Per-pair decisions here come from one vectorized kernel per scheme,
+which tests check against pairing.run_scheme pair by pair; EEPA's,
+dinkelbach_batch, runs the same Dinkelbach loop as the per-pair solver.
 """
 
 import math
@@ -219,8 +219,8 @@ def _noma_rates(a1, a2, g1, g2, s: float):
 
 
 def _scheme_arrays(scheme: Scheme, g1, g2, s: float, policy: TargetPolicy):
-    """Per-pair (r1, r2, ee) arrays for one scheme at one delta; mirrors
-    the scalar per-pair decisions."""
+    """Per-pair (r1, r2, ee) arrays for one scheme at one delta, the
+    decisions of pairing.run_scheme on every pair at once."""
     r1o = 0.5 * np.log2(1.0 + g1 * s)
     r2o = 0.5 * np.log2(1.0 + g2 * s)
     ee_oma = (r1o + r2o) / 2.0
@@ -264,6 +264,8 @@ def _scheme_arrays(scheme: Scheme, g1, g2, s: float, policy: TargetPolicy):
         idx = np.flatnonzero(feasible)
         if idx.size:
             a1, a2, lam = dinkelbach_batch(g1[idx], g2[idx], r1bar[idx], r2bar[idx], s)
+            noma = lam > 0.0  # lambda* = 0: rates underflow, OMA fallback
+            idx, a1, a2, lam = idx[noma], a1[noma], a2[noma], lam[noma]
             r1n, r2n = _noma_rates(a1, a2, g1[idx], g2[idx], s)
             r1[idx] = r1n
             r2[idx] = r2n

@@ -163,6 +163,32 @@ class TestPairStudyCommand:
         assert by_scheme["eepa"]["iterations"] != ""
         assert float(by_scheme["mpa"]["alpha1"]) == 1.0
 
+    def test_eepa_solved_once(self, runner, monkeypatch):
+        from risnoma import pairing
+
+        calls = []
+        solve = pairing.dinkelbach_allocate
+
+        def counted(*args, **kwargs):
+            calls.append(solve(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(pairing, "dinkelbach_allocate", counted)
+        result = runner.invoke(main, ["pair-study", "--gammas-db", "20,3", "--delta-deg", "30"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        eepa = next(r for r in rows if r["scheme"] == "eepa")
+        assert len(calls) == 1
+        assert int(eepa["iterations"]) == calls[0].iterations == 3
+
+    def test_eepa_zero_ee_falls_back_to_oma(self, runner):
+        # the OMA-rate targets underflow to 0, and so does every rate
+        result = runner.invoke(main, ["pair-study", "--gammas-db=-400,-500"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        eepa = next(r for r in rows if r["scheme"] == "eepa")
+        assert (eepa["mode"], eepa["ee"], eepa["iterations"]) == ("oma", "0.0", "")
+
 
 class TestSyslevelCommand:
     ARGS = [
@@ -265,6 +291,21 @@ class TestConfigHandling:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["syslevel", "--pathloss-exponent", "1"],
+            ["pair-study", "--gammas-db", "8,nan"],
+            ["syslevel", "--drops", "1", "--bs-density", "0.001", "--user-density", "1"],
+        ],
+    )
+    def test_invalid_input_one_line_exit_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
 
     def test_numerical_failure_exit_3(self, runner, monkeypatch):
         def boom(cfg):

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from risnoma.channel import EffectiveCsi, PhaseModel, ee, rate_noma
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from risnoma.eepa import (
     EmptyPolytopeError,
+    _edge_step,
     dinkelbach_allocate,
     dinkelbach_batch,
-    feasible_polytope,
-    golden_section_max,
     grid_oracle_ee,
-    inner_maximize,
     pairing_criterion_eepa,
-    polytope_is_empty,
-    polytope_vertices,
 )
 from risnoma.mpa import RateTargets, TargetPolicy, allocate_mpa, alpha2_lower, eta_kappa
 
@@ -63,86 +62,158 @@ class TestCriterion:
             pairing_criterion_eepa(RateTargets(0.0, 0.0), EffectiveCsi(1.0), EffectiveCsi(2.0), P0)
 
 
+def edge_step(lam, eta, kappa, lb, g1, g2, s):
+    """The solver's inner maximizer on one instance, as floats."""
+    a1, a2 = _edge_step(lam, g1, g2, s, np.float64(eta), np.float64(kappa), lb)
+    return float(a1), float(a2)
+
+
+def instance_polygon(targets, csi1, csi2, phase):
+    eta, kappa = eta_kappa(targets, csi1, csi2, phase)
+    return eta, kappa, alpha2_lower(targets, csi2, phase)
+
+
+def inner_objective(lam, g1, g2, s):
+    return lambda x, y: np.log2(1 + (x * g1 + y * g2) * s) - lam * (x + y)
+
+
+# strong floor 2^r1 - 1 = 4, weak floor 2^r2 - 1 = 0.5 at Gamma = 10, 2:
+# eta = 0.4, kappa = 0.8, lb = 0.25, so eta + kappa > 1 >= eta + kappa*lb
+# and the upper edge is a2 = (1 - eta)/kappa = 0.75
+NON_BOX = (RateTargets(math.log2(5.0), math.log2(1.5)), EffectiveCsi(10.0), EffectiveCsi(2.0), P0)
+
+
 class TestPolytope:
     def test_box_vertices(self):
-        verts = polytope_vertices(feasible_polytope(0.0, 0.0, 0.0))
-        assert sorted(verts) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        # zero floors make the unit box; with Gamma1 > Gamma2 the strong
+        # fraction fills first, so the maximizer walks (0,0) -> (1,0) ->
+        # (1,1) as lam falls past the slopes at those vertices
+        g1, g2 = 10.0, 2.0
+        ln2 = math.log(2.0)
+        cases = [
+            (1.01 * g1 / ln2, (0.0, 0.0)),
+            (0.5 * (g1 + g2) / ((1 + g1) * ln2), (1.0, 0.0)),
+            (0.99 * g2 / ((1 + g1 + g2) * ln2), (1.0, 1.0)),
+        ]
+        for lam, vertex in cases:
+            assert edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0) == pytest.approx(vertex, abs=1e-12)
 
     def test_empty(self):
-        # eta > 1 pushes the strong-user constraint above the box
-        assert polytope_is_empty(feasible_polytope(1.5, 0.5, 0.2))
+        # eta > 1 pushes the strong-user line above the box
+        with pytest.raises(EmptyPolytopeError):
+            dinkelbach_allocate(RateTargets(5.0, 0.5), EffectiveCsi(10.0), EffectiveCsi(2.0), P0)
 
     def test_degenerate_point(self):
-        # lb = 1 and eta + kappa = 1 collapse to the single corner (1, 1)
-        verts = polytope_vertices(feasible_polytope(0.5, 0.5, 1.0))
-        assert len(verts) == 1
-        assert verts[0] == pytest.approx((1.0, 1.0))
+        # lb = 1 and eta + kappa = 1 collapse the polygon to the corner (1, 1)
+        for lam in (0.0, 0.3, 50.0):
+            assert edge_step(lam, 0.5, 0.5, 1.0, 4.0, 2.0, 1.0) == pytest.approx((1.0, 1.0))
+        # floors 2^r - 1 = 4/3 and 2 at Gamma = 4, 2: eta = 1/3, kappa = 2/3, lb = 1
+        targets = RateTargets(math.log2(7.0 / 3.0), math.log2(3.0))
+        res = dinkelbach_allocate(targets, EffectiveCsi(4.0), EffectiveCsi(2.0), P0)
+        assert (res.alpha1, res.alpha2) == pytest.approx((1.0, 1.0))
+        assert res.lambda_star == pytest.approx(math.log2(7.0) / 2.0)
 
 
-class TestGoldenSection:
+class TestEdgeStep:
     def test_interior_maximum(self):
-        fn = lambda x, y: -((x - 0.3) ** 2) - (y - 0.0) ** 2
-        (x, y), val = golden_section_max(fn, (0.0, 0.0), (1.0, 0.0))
-        assert x == pytest.approx(0.3, abs=1e-8)
+        # on a1 = 1 (zero floors) the stationary point of
+        # log2(1 + g1 + a2*g2) - lam*(1 + a2) is a2 = 1/(lam ln2) - (1 + g1)/g2
+        g1, g2, a2_star = 4.0, 3.0, 0.4
+        lam = 1.0 / (math.log(2.0) * (a2_star + (1.0 + g1) / g2))
+        a1, a2 = edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0)
+        assert (a1, a2) == pytest.approx((1.0, a2_star), abs=1e-12)
 
     def test_endpoint_maximum(self):
-        fn = lambda x, y: x + y
-        (x, y), _ = golden_section_max(fn, (0.0, 0.0), (1.0, 1.0))
-        assert (x, y) == (1.0, 1.0)
+        # past the clip, the stationary point lies beyond a2 = 1: the edge
+        # maximum sits at its endpoint
+        assert edge_step(0.1, 0.0, 0.0, 0.0, 4.0, 3.0, 1.0) == (1.0, 1.0)
 
     def test_degenerate_segment(self):
-        pt, val = golden_section_max(lambda x, y: x, (0.5, 0.5), (0.5, 0.5))
-        assert pt == (0.5, 0.5)
+        # the non-box polygon's edge a2 = hi is the single point (1, hi);
+        # with the power nearly free that corner is the maximizer
+        eta, kappa, lb = instance_polygon(*NON_BOX)
+        assert edge_step(1e-6, eta, kappa, lb, 10.0, 2.0, 1.0) == pytest.approx((1.0, 0.75), abs=1e-12)
 
 
 class TestInnerMaximize:
     def test_lambda_zero_maximizes_rate(self):
         targets, csi1, csi2, phase = sample_feasible(np.random.default_rng(1))
-        eta, kappa = eta_kappa(targets, csi1, csi2, phase)
-        lb = alpha2_lower(targets, csi2, phase)
-        cons = feasible_polytope(eta, kappa, lb)
-        a1, a2 = inner_maximize(0.0, cons, csi1, csi2, phase)
+        eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
+        a1, a2 = edge_step(0.0, eta, kappa, lb, csi1.gamma, csi2.gamma, phase.degradation)
         # with no power penalty the maximizer saturates both fractions
-        assert a1 == pytest.approx(1.0, abs=1e-8)
-        assert a2 == pytest.approx(1.0, abs=1e-8)
+        assert (a1, a2) == (1.0, 1.0)
 
     def test_large_lambda_minimizes_power(self):
         targets, csi1, csi2, phase = sample_feasible(np.random.default_rng(2))
-        eta, kappa = eta_kappa(targets, csi1, csi2, phase)
-        lb = alpha2_lower(targets, csi2, phase)
-        cons = feasible_polytope(eta, kappa, lb)
-        a1, a2 = inner_maximize(100.0, cons, csi1, csi2, phase)
-        assert a2 == pytest.approx(lb, abs=1e-8)
-        assert a1 == pytest.approx(eta + kappa * lb, abs=1e-8)
+        eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
+        a1, a2 = edge_step(100.0, eta, kappa, lb, csi1.gamma, csi2.gamma, phase.degradation)
+        assert a2 == pytest.approx(lb, abs=1e-12)
+        assert a1 == pytest.approx(eta + kappa * lb, abs=1e-12)
 
     def test_symmetric_instance(self):
-        csi = EffectiveCsi.from_db(10)
-        cons = feasible_polytope(0.0, 0.0, 0.0)
-        g = csi.gamma
-        a1, a2 = inner_maximize(1.0, cons, csi, csi, P0)
+        # Gamma1 = Gamma2: the objective depends on a1 + a2 only, and the
+        # best total power is 1/ln2 - 1/g
+        g = EffectiveCsi.from_db(10).gamma
+        a1, a2 = edge_step(1.0, 0.0, 0.0, 0.0, g, g, 1.0)
         obj = lambda x, y: math.log2(1 + (x + y) * g) - (x + y)
         assert obj(a1, a2) == pytest.approx(obj(a2, a1), abs=1e-12)
+        assert a1 + a2 == pytest.approx(1.0 / math.log(2.0) - 1.0 / g, abs=1e-12)
 
     def test_empty_polytope(self):
+        # the weak user's floor needs alpha2 > 1
         with pytest.raises(EmptyPolytopeError):
-            inner_maximize(1.0, feasible_polytope(1.5, 0.5, 0.2), EffectiveCsi(5.0), EffectiveCsi(2.0), P0)
+            dinkelbach_allocate(RateTargets(0.5, 3.0), EffectiveCsi(10.0), EffectiveCsi(2.0), P0)
 
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(3)
+        grid = np.linspace(0, 1, 501)
+        x, y = np.meshgrid(grid, grid, indexing="ij")
         for _ in range(20):
             targets, csi1, csi2, phase = sample_feasible(rng)
-            eta, kappa = eta_kappa(targets, csi1, csi2, phase)
-            lb = alpha2_lower(targets, csi2, phase)
-            cons = feasible_polytope(eta, kappa, lb)
-            lam = rng.uniform(0.0, 8.0)
-            a1, a2 = inner_maximize(lam, cons, csi1, csi2, phase)
+            eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
             g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
-            obj = lambda x, y: math.log2(1 + (x * g1 + y * g2) * s) - lam * (x + y)
-            grid = np.linspace(0, 1, 501)
-            x, y = np.meshgrid(grid, grid, indexing="ij")
-            feas = (x >= kappa * y + eta - 1e-9) & (y >= lb - 1e-9)
-            vals = np.where(feas, np.log2(1 + (x * g1 + y * g2) * s) - lam * (x + y), -np.inf)
-            assert obj(a1, a2) >= vals.max() - 1e-6
+            lam = rng.uniform(0.0, 8.0)
+            obj = inner_objective(lam, g1, g2, s)
+            a1, a2 = edge_step(lam, eta, kappa, lb, g1, g2, s)
+            feas = (x >= kappa * y + eta) & (y >= lb)
+            assert obj(a1, a2) >= np.where(feas, obj(x, y), -np.inf).max() - 1e-12
+
+    def test_non_box_polygon(self):
+        targets, csi1, csi2, phase = NON_BOX
+        eta, kappa, lb = instance_polygon(*NON_BOX)
+        assert eta + kappa > 1.0 >= eta + kappa * lb
+        res = dinkelbach_allocate(*NON_BOX)
+        assert res.alpha1 >= kappa * res.alpha2 + eta - 1e-12
+        assert lb - 1e-12 <= res.alpha2 <= (1.0 - eta) / kappa + 1e-12
+        _, _, ee_grid = grid_oracle_ee(*NON_BOX, step=1e-3)
+        assert res.lambda_star >= ee_grid - 1e-9
+        assert res.lambda_star - ee_grid <= 2e-3
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        g1_db=st.floats(8.0, 25.0),
+        gap_db=st.floats(5.0, 30.0),
+        delta_frac=st.floats(0.0, 0.98),
+        lam=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beats_random_feasible_points(self, g1_db, gap_db, delta_frac, lam, seed):
+        csi1, csi2 = EffectiveCsi.from_db(g1_db), EffectiveCsi.from_db(g1_db - gap_db)
+        targets = POLICY.resolve(csi1, csi2, P0)
+        crit = pairing_criterion_eepa(targets, csi1, csi2, P0)
+        assume(crit.delta_ub is not None and crit.delta_ub > 0)
+        phase = PhaseModel(delta_frac * crit.delta_ub)
+        eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
+        g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
+        obj = inner_objective(lam, g1, g2, s)
+        a1, a2 = edge_step(lam, eta, kappa, lb, g1, g2, s)
+        # random points of the polygon: a2 in [lb, 1], a1 above the strong-user line
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(lb, 1.0, 1000)
+        x = rng.uniform(np.minimum(kappa * y + eta, 1.0), 1.0)
+        assert obj(a1, a2) >= obj(x, y).max() - 1e-12
+        res = dinkelbach_allocate(targets, csi1, csi2, phase)
+        assert res.lambda_star >= allocate_mpa(targets, csi1, csi2, phase).ee - 1e-9
 
 
 class TestDinkelbach:

@@ -127,6 +127,14 @@ class TestRunScheme:
         assert d.alpha1 == pytest.approx(0.30397, abs=1e-4)
         assert d.alpha2 == pytest.approx(0.32893, abs=1e-4)
         assert d.ee == pytest.approx(5.59736, abs=1e-4)
+        assert d.iterations == 1
+
+    def test_eepa_falls_back_at_zero_ee(self):
+        # -400/-500 dB: the targets and every rate underflow to 0, so the
+        # Dinkelbach optimum lambda* = 0 and NOMA gains nothing
+        d = run_scheme(users_from_db([-400, -500]), Scheme.EEPA, PhaseModel(0.0)).decisions[0]
+        assert d.mode is Mode.OMA
+        assert (d.ee, d.iterations) == (0.0, None)
 
     def test_eepa_ee_at_least_mpa(self):
         # when EEPA pairs, its EE dominates the full-power MPA allocation

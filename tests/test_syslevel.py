@@ -204,6 +204,30 @@ class TestSchemeArrays:
             assert r2[k] == pytest.approx(d.rates.weak, abs=1e-7)
             assert ee[k] == pytest.approx(d.ee, abs=1e-6)
 
+    def test_eepa_zero_ee_falls_back_to_oma(self, monkeypatch):
+        # every other feasible pair gets lambda* = 0 from the solver: those
+        # must report OMA's rates and EE, the others the solver's
+        import risnoma.syslevel as syslevel
+
+        solve = syslevel.dinkelbach_batch
+
+        def zero_every_other(*args):
+            a1, a2, lam = solve(*args)
+            lam[::2] = 0.0
+            return a1, a2, lam
+
+        g1 = 10 ** (np.linspace(15, 25, 8) / 10)
+        g2 = 10 ** (np.linspace(-5, 5, 8) / 10)
+        s, policy = sinc_sq(0.3), TargetPolicy.oma_at_reference(0.0)
+        real = _scheme_arrays(Scheme.EEPA, g1, g2, s, policy)
+        oma = _scheme_arrays(Scheme.OMA, g1, g2, s, policy)
+        monkeypatch.setattr(syslevel, "dinkelbach_batch", zero_every_other)
+        patched = _scheme_arrays(Scheme.EEPA, g1, g2, s, policy)
+        assert np.all(real[2] != oma[2])  # all eight pairs are EEPA NOMA pairs
+        for got, want, ref in zip(patched, real, oma):
+            np.testing.assert_array_equal(got[::2], ref[::2])
+            np.testing.assert_array_equal(got[1::2], want[1::2])
+
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.5, 2.9])
     def test_srm_weak_rate_below_oma_closed_form(self, delta):
         # SRM's alpha2 = min(sqrt(1+G1)/G2, 1) puts the weak user below its
