@@ -77,10 +77,11 @@ def pairing_criterion_eepa(
     delta compares its sinc^2 against their maximum."""
     if not csi1.gamma >= csi2.gamma > 0.0:
         raise ValueError("requires Gamma1 >= Gamma2 > 0")
-    if targets.r1_min == 0.0:
+    a = 2.0**targets.r1_min - 1.0
+    if a == 0.0:  # a zero floor, or one below float resolution
         th1 = 0.0
     else:
-        denom = csi1.gamma / (2.0**targets.r1_min - 1.0) - csi2.gamma
+        denom = csi1.gamma / a - csi2.gamma
         th1 = 1.0 / denom if denom > 0.0 else math.inf
     th2 = (2.0**targets.r2_min - 1.0) / csi2.gamma
     threshold = max(th1, th2)

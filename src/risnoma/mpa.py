@@ -144,13 +144,13 @@ def alpha2_upper(
     """Largest weak-user power fraction that keeps the strong user (at
     alpha1=1) at or above its rate floor. Unbounded when r1_min=0; may be
     negative (pair infeasible) or exceed 1 (clamped by the allocation)."""
-    if targets.r1_min == 0.0:
+    pow1 = 2.0**targets.r1_min
+    if pow1 == 1.0:  # a zero floor, or one below float resolution
         return math.inf
     s = phase.degradation
     g2s = csi2.gamma * s
     if g2s <= 0.0:
         raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0")
-    pow1 = 2.0**targets.r1_min
     return (csi1.gamma * s + 1.0 - pow1) / (g2s * (pow1 - 1.0))
 
 
@@ -246,6 +246,7 @@ def allocate_mpa(
     The criterion only guarantees alpha2_ub >= alpha2_lb; the weak user's
     floor additionally needs alpha2_lb <= 1, which the source criterion
     leaves implicit, so it is checked here to keep NOMA decisions honest.
+    A NOMA sum rate of 0 (the rates underflow) also falls back to OMA.
     """
     crit = pairing_criterion_mpa(targets, csi1, phase)
     if not crit.feasible:
@@ -256,6 +257,8 @@ def allocate_mpa(
     a2 = min(alpha2_upper(targets, csi1, csi2, phase), 1.0)
     a2 = min(max(a2, 0.0), 1.0)
     rates = rate_noma(1.0, a2, csi1, csi2, phase)
+    if rates.strong + rates.weak <= 0.0:
+        return oma_decision(csi1, csi2, phase, strong_index, weak_index)
     return PairDecision(
         Mode.NOMA,
         1.0,

@@ -87,7 +87,8 @@ def _decide_eepa(strong, weak, phase, policy):
 
 def _decide_srm(strong, weak, phase):
     # phase-oblivious: allocation chosen as if delta were zero, rates
-    # evaluated at the true delta, never falling back to OMA
+    # evaluated at the true delta, never falling back to OMA, by design:
+    # not even when every rate underflows to 0, where MPA and EEPA do
     targets = TargetPolicy.oma_at_reference(0.0).resolve(strong.csi, weak.csi, _REF_PHASE)
     a2 = min(alpha2_upper(targets, strong.csi, weak.csi, _REF_PHASE), 1.0)
     rates = rate_noma(1.0, a2, strong.csi, weak.csi, phase)

@@ -3,6 +3,11 @@ window, log-distance path loss, max-power association with one RIS per
 serving BS, uplink interference from the other cells' co-scheduled
 pairs, and metric aggregation across drops.
 
+Association never forms a users x BS array: the window is cut into
+about one grid square per BS, and each user compares only its square's
+candidate BSs, which provably contain its nearest one. Memory per drop
+grows with users x candidates (a few dozen) plus BS^2, not users x BS.
+
 Per-pair decisions here come from one vectorized kernel per scheme,
 which tests check against pairing.run_scheme pair by pair; EEPA's,
 dinkelbach_batch, runs the same Dinkelbach loop as the per-pair solver.
@@ -73,7 +78,6 @@ class RadioConfig:
 @dataclass
 class DropResult:
     gammas: np.ndarray  # per-user effective CSI
-    serving: np.ndarray  # per-user serving BS index
     pair_gamma_strong: np.ndarray
     pair_gamma_weak: np.ndarray
     lone_users: int
@@ -112,10 +116,41 @@ def path_gain(distance_m, radio: RadioConfig):
     return float(out) if np.isscalar(distance_m) else out
 
 
-def _torus_dist(users: np.ndarray, bss: np.ndarray, side: float) -> np.ndarray:
-    disp = users[:, None, :] - bss[None, :, :]
-    disp = (disp + side / 2.0) % side - side / 2.0
+def _torus_dist(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """Distance on the side x side torus between the points of a and b,
+    broadcast against each other; the last axis holds (x, y)."""
+    disp = a - b
+    disp += side / 2.0
+    disp %= side
+    disp -= side / 2.0
     return np.hypot(disp[..., 0], disp[..., 1])
+
+
+def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: float):
+    """Split the window into g x g squares of width w, g = isqrt(#BS),
+    and give each user its square's candidates: the BSs that can be
+    nearest to some point of the square.
+
+    A user u lies within h = w/sqrt(2) of its square's centre c, and the
+    clamped distance D = max(d, min_distance_m) is 1-Lipschitz in either
+    point, so for u's nearest BS b* and any BS b,
+    D(c, b*) <= D(u, b*) + h <= D(u, b) + h <= D(c, b) + 2h.
+    Every BS nearest to, or tied for, some user of the square thus has
+    D(c, b) <= min_b D(c, b) + w sqrt(2); the relative slack absorbs
+    rounding. Returns cand, cand[u] user u's candidates in ascending BS
+    index, padded by repeating the first one.
+    """
+    g = math.isqrt(len(bss))
+    w = side / g
+    centre = (np.arange(g) + 0.5) * w
+    centres = np.stack(np.meshgrid(centre, centre, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    d = np.maximum(_torus_dist(centres, bss, side), radio.min_distance_m)
+    near = d <= ((d.min(axis=1) + w * math.sqrt(2.0)) * (1.0 + 1e-9))[:, None]
+    counts = near.sum(axis=1)
+    cand = np.argsort(~near, axis=1, kind="stable")[:, : counts.max()]
+    cand = np.where(np.arange(cand.shape[1]) < counts[:, None], cand, cand[:, :1])
+    square = np.floor(users / w).astype(np.int64) % g  # % g: users at the far edge wrap
+    return cand[square[:, 0] * g + square[:, 1]]
 
 
 def associate_and_budget(
@@ -123,6 +158,12 @@ def associate_and_budget(
 ):
     """Attach each user to its max-received-power BS (ties to the lower
     BS index) and build the per-user link budget terms.
+
+    Association is exact but never forms a users x BS array: each user
+    compares only the candidate BSs of its grid square, a superset of
+    every BS that can be nearest to a point of the square (see
+    _grid_candidates), taken in ascending index so that ties still go to
+    the lower index.
 
     The RIS sits ris_offset_m from the serving BS on the BS-user bearing,
     so the composite gain separates into user->RIS and RIS->BS hops.
@@ -140,10 +181,12 @@ def associate_and_budget(
     if len(bss) == 0:
         raise ValueError("need at least one BS")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dist = _torus_dist(users, bss, side_m)
-    rx = radio.transmit_power * path_gain(dist, radio)  # rx[u, b]: user u heard at BS b
-    serving = np.argmax(rx, axis=1)  # argmax takes the first maximum
-    d_serving = dist[np.arange(len(users)), serving]
+    cand = _grid_candidates(users, bss, radio, side_m)  # cand[u, j]: user u's j-th candidate
+    dist = _torus_dist(users[:, None, :], bss[cand], side_m)
+    best = np.argmax(radio.transmit_power * path_gain(dist, radio), axis=1)  # first maximum
+    rows = np.arange(len(users))
+    serving = cand[rows, best]
+    d_serving = dist[rows, best]
     d_user_ris = np.abs(d_serving - radio.ris_offset_m)
     composite = path_gain(d_user_ris, radio) * path_gain(radio.ris_offset_m, radio)
 
@@ -156,7 +199,8 @@ def associate_and_budget(
     strong = start[cells] + k[cells]
     weak = start[cells] + counts[cells] - 1 - k[cells]
     tx = order[np.concatenate([strong, weak])]
-    heard = rx[tx]  # each co-scheduled user at every BS
+    # each co-scheduled user heard at every BS
+    heard = radio.transmit_power * path_gain(_torus_dist(users[tx, None, :], bss, side_m), radio)
     heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0  # own cell is not interference
     interference = heard.sum(axis=0)[serving]
 
@@ -177,26 +221,21 @@ def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -
     if len(bss) == 0 or len(users) < 2:
         return None
     gamma, serving, _ = associate_and_budget(users, bss, radio, deploy.side_m, rng)
-    strong, weak = [], []
-    lone = 0
-    for b in range(len(bss)):
-        g = np.sort(gamma[serving == b])[::-1]
-        n = len(g)
-        if n < 2:
-            lone += n
-            continue
-        half = n // 2
-        strong.append(g[:half])
-        weak.append(g[n - half :][::-1])
-        lone += n % 2
-    if not strong:
+    # users grouped by cell, strongest first; pair k joins a cell's k-th
+    # strongest and k-th weakest user
+    ranked = gamma[np.lexsort((-gamma, serving))]
+    counts = np.bincount(serving, minlength=len(bss))
+    half = counts // 2
+    if not half.any():
         return None
+    cell = np.repeat(np.arange(len(bss)), half)
+    k = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
+    start = np.cumsum(counts) - counts
     return DropResult(
         gammas=gamma,
-        serving=serving,
-        pair_gamma_strong=np.concatenate(strong),
-        pair_gamma_weak=np.concatenate(weak),
-        lone_users=lone,
+        pair_gamma_strong=ranked[start[cell] + k],
+        pair_gamma_weak=ranked[start[cell] + counts[cell] - 1 - k],
+        lone_users=int((counts % 2).sum()),
     )
 
 
@@ -247,6 +286,7 @@ def _scheme_arrays(scheme: Scheme, g1, g2, s: float, policy: TargetPolicy):
             ub = (g1 * s + 1.0 - pow1) / (g2 * s * (pow1 - 1.0))
         a2 = np.clip(np.where(pow1 > 1.0, ub, 1.0), 0.0, 1.0)
         r1n, r2n = _noma_rates(1.0, a2, g1, g2, s)
+        feasible &= r1n + r2n > 0.0  # rates underflow to 0: OMA fallback
         r1 = np.where(feasible, r1n, r1o)
         r2 = np.where(feasible, r2n, r2o)
         ee = np.where(feasible, (r1n + r2n) / (1.0 + a2), ee_oma)

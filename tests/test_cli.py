@@ -189,6 +189,15 @@ class TestPairStudyCommand:
         eepa = next(r for r in rows if r["scheme"] == "eepa")
         assert (eepa["mode"], eepa["ee"], eepa["iterations"]) == ("oma", "0.0", "")
 
+    def test_mpa_zero_rate_falls_back_to_oma(self, runner):
+        # as for EEPA: every rate underflows to 0; SRM never falls back
+        result = runner.invoke(main, ["pair-study", "--gammas-db=-400,-500"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        by_scheme = {r["scheme"]: r for r in rows}
+        assert (by_scheme["mpa"]["mode"], by_scheme["mpa"]["asr"]) == ("oma", "0.0")
+        assert by_scheme["srm"]["mode"] == "noma"
+
 
 class TestSyslevelCommand:
     ARGS = [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, rate_oma
 from risnoma.mpa import Mode, TargetPolicy
@@ -168,3 +170,24 @@ class TestRunScheme:
                     targets = policy.resolve(strong.csi, weak.csi, phase)
                     assert d.rates.strong >= targets.r1_min - 1e-6
                     assert d.rates.weak >= targets.r2_min - 1e-6
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        g1_db=st.floats(-30.0, 40.0),
+        gap_db=st.floats(0.0, 40.0),
+        delta=st.floats(0.0, 3.1),
+        policy=st.one_of(
+            st.builds(TargetPolicy.oma_at_reference, st.floats(0.0, 1.5)),
+            st.just(TargetPolicy.oma_at_current()),
+            st.builds(TargetPolicy.explicit, st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+        ),
+    )
+    def test_noma_rates_meet_floors(self, g1_db, gap_db, delta, policy):
+        users = users_from_db([g1_db, g1_db - gap_db])
+        phase = PhaseModel(delta)
+        targets = policy.resolve(users[0].csi, users[1].csi, phase)
+        for scheme in (Scheme.MPA, Scheme.EEPA):
+            d = run_scheme(users, scheme, phase, policy).decisions[0]
+            if d.mode is Mode.NOMA:
+                assert d.rates.strong >= targets.r1_min - 1e-9
+                assert d.rates.weak >= targets.r2_min - 1e-9

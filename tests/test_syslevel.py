@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.mpa import TargetPolicy
@@ -18,6 +21,61 @@ from risnoma.syslevel import (
 )
 
 RADIO = RadioConfig()
+
+
+def dense_associate_and_budget(users, bss, radio, side, seed):
+    """associate_and_budget over the full users x BS distance matrix, the
+    reference the grid-square candidates must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    disp = users[:, None, :] - bss[None, :, :]
+    disp = (disp + side / 2.0) % side - side / 2.0
+    dist = np.hypot(disp[..., 0], disp[..., 1])
+    rx = radio.transmit_power * path_gain(dist, radio)
+    serving = np.argmax(rx, axis=1)
+    d_serving = dist[np.arange(len(users)), serving]
+    composite = path_gain(np.abs(d_serving - radio.ris_offset_m), radio) * path_gain(
+        radio.ris_offset_m, radio
+    )
+    order = np.lexsort((-composite, serving))
+    counts = np.bincount(serving, minlength=len(bss))
+    start = np.cumsum(counts) - counts
+    k = rng.integers(0, np.maximum(counts // 2, 1))
+    cells = np.flatnonzero(counts >= 2)
+    tx = order[np.concatenate([start[cells] + k[cells], start[cells] + counts[cells] - 1 - k[cells]])]
+    heard = rx[tx]
+    heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0
+    interference = heard.sum(axis=0)[serving]
+    num = radio.transmit_power * composite * radio.ris_elements**2 * radio.bs_antennas
+    return num / (interference + radio.noise_power), serving, interference
+
+
+@st.composite
+def layouts(draw):
+    """1-60 BSs uniform on the window, users uniform plus users on the
+    grid-square boundaries, at 0 and just below side, within
+    min_distance_m of two BSs (a clamped tie) and across the wrap."""
+    n_bs = draw(st.integers(1, 60))
+    side = draw(st.floats(1.0, 4000.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bss = rng.uniform(0.0, side, (n_bs, 2))
+    users = [rng.uniform(0.0, side, (draw(st.integers(0, 150)), 2))]
+    g = math.isqrt(n_bs)
+    edges = np.array([k * side / g for k in range(g)] + [np.nextafter(side, 0.0)])
+    n_edge = draw(st.integers(0, 40))
+    users.append(rng.choice(edges, (n_edge, 2)))
+    users.append(np.column_stack([rng.choice(edges, n_edge), rng.uniform(0.0, side, n_edge)]))
+    if n_bs >= 2 and draw(st.booleans()):
+        # BS j within 2 m of BS i, across the wrap if i is moved to the edge
+        i, j = rng.choice(n_bs, 2, replace=False)
+        if draw(st.booleans()):
+            bss[i, 0] = 0.4
+        offset = rng.uniform(-0.9, 0.9, 2)
+        bss[j] = (bss[i] + offset) % side
+        mid = (bss[i] + offset / 2.0) % side
+        users.append(mid + rng.uniform(-0.05, 0.05, (5, 2)))
+        users.append(np.array([bss[i], bss[j]]))
+    users = np.concatenate(users) % side  # points on the edge stay below side
+    return users, bss, side, draw(st.integers(0, 2**32 - 1))
 
 
 class TestDropPpp:
@@ -159,6 +217,29 @@ class TestAssociation:
         with pytest.raises(ValueError):
             associate_and_budget(np.zeros((1, 2)), np.zeros((0, 2)), RADIO, 1000.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(layout=layouts())
+    def test_matches_dense_reference(self, layout):
+        users, bss, side, seed = layout
+        got = associate_and_budget(users, bss, RADIO, side, seed)
+        want = dense_associate_and_budget(users, bss, RADIO, side, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_no_users_by_bs_array(self):
+        rng = np.random.default_rng(0)
+        side = 4000.0
+        users = rng.uniform(0.0, side, (20_000, 2))
+        bss = rng.uniform(0.0, side, (400, 2))
+        tracemalloc.start()
+        try:
+            associate_and_budget(users, bss, RADIO, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense users x BS displacement alone is 20k * 400 * 2 * 8 B = 128 MB
+        assert peak < 32e6
+
 
 class TestBuildDrop:
     def test_deterministic(self):
@@ -166,6 +247,29 @@ class TestBuildDrop:
         a = _build_drop(deploy, RADIO, 0)
         b = _build_drop(deploy, RADIO, 0)
         assert np.array_equal(a.pair_gamma_strong, b.pair_gamma_strong)
+
+    @pytest.mark.parametrize("user_density", [40.0, 2000.0])
+    def test_pairs_match_per_cell_loop(self, user_density):
+        # the per-BS loop is the reference: pair k of a cell joins its
+        # k-th strongest and k-th weakest user; 40 users per km^2 leaves
+        # cells empty, lone and odd
+        deploy = DeploymentConfig(user_density=user_density, seed=6, drops=4)
+        for index in range(deploy.drops):
+            drop = _build_drop(deploy, RADIO, index)
+            rng = np.random.default_rng([deploy.seed, index])
+            bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+            users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+            gamma, serving, _ = associate_and_budget(users, bss, RADIO, deploy.side_m, rng)
+            strong, weak, lone = [], [], 0
+            for b in range(len(bss)):
+                g = np.sort(gamma[serving == b])[::-1]
+                half = len(g) // 2
+                strong.append(g[:half])
+                weak.append(g[len(g) - half :][::-1])
+                lone += len(g) % 2
+            assert np.array_equal(drop.pair_gamma_strong, np.concatenate(strong))
+            assert np.array_equal(drop.pair_gamma_weak, np.concatenate(weak))
+            assert drop.lone_users == lone
 
     def test_pair_structure(self):
         drop = _build_drop(DeploymentConfig(seed=1, drops=1), RADIO, 0)
