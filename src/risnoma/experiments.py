@@ -273,11 +273,18 @@ def syslevel_tables(cfg: ExperimentConfig):
             se_ee=row["se_ee"],
             n_pairs=row["n_pairs"],
         )
-    cdf = Table(["scheme", "asr", "cdf"])
-    for scheme, samples in metrics.cdf.items():
-        n = len(samples)
-        for i, v in enumerate(samples):
-            cdf.append(scheme=scheme, asr=float(v), cdf=(i + 1) / n)
+    # each scheme's sorted samples in turn, at levels i / n for i = 1..n
+    # (one correctly rounded division each)
+    samples = list(metrics.cdf.values())
+    levels = [np.arange(1, len(a) + 1) / len(a) for a in samples]
+    cdf = Table(
+        ["scheme", "asr", "cdf"],
+        {
+            "scheme": [scheme for scheme, asr in metrics.cdf.items() for _ in range(len(asr))],
+            "asr": np.concatenate([np.empty(0), *samples]),
+            "cdf": np.concatenate([np.empty(0), *levels]),
+        },
+    )
     return means, cdf
 
 

@@ -77,7 +77,6 @@ class RadioConfig:
 
 @dataclass
 class DropResult:
-    gammas: np.ndarray  # per-user effective CSI
     pair_gamma_strong: np.ndarray
     pair_gamma_weak: np.ndarray
     lone_users: int
@@ -232,7 +231,6 @@ def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -
     k = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
     start = np.cumsum(counts) - counts
     return DropResult(
-        gammas=gamma,
         pair_gamma_strong=ranked[start[cell] + k],
         pair_gamma_weak=ranked[start[cell] + counts[cell] - 1 - k],
         lone_users=int((counts % 2).sum()),

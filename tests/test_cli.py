@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -99,6 +101,105 @@ class TestTables:
         doc = json.loads(render_json(t, {"seed": 1}))
         assert doc["meta"] == {"seed": 1}
         assert doc["rows"] == [{"a": 2}]
+
+
+def reference_csv(columns, rows, meta):
+    """The per-row csv.writer renderer the columnar one replaced."""
+    buf = io.StringIO()
+    for key in sorted(meta):
+        buf.write(f"# {key}: {meta[key]}\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
+    return buf.getvalue()
+
+
+def reference_json(columns, rows, meta):
+    rows = [{c: row[c] for c in columns} for row in rows]
+    return json.dumps({"meta": dict(sorted(meta.items())), "rows": rows}, indent=1) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-05, 0.1, 1 / 3, 5e-324, -2.5]
+EDGE_STRINGS = ["oma", "a,b", 'say "hi"', "cr\rx", "lf\ny", "crlf\r\n", "", " lead", "caf\u00e9"]
+
+
+class TestColumnarOutput:
+    """render_csv and render_json give the per-row renderers' text, for
+    tables built row by row and from numpy columns."""
+
+    META = {"seed": 3, "generated": "now", "note": "a,b"}
+
+    def check(self, table, columns, rows):
+        assert render_csv(table, self.META) == reference_csv(columns, rows, self.META)
+        assert render_json(table, self.META) == reference_json(columns, rows, self.META)
+        # repr tells nan, -0.0 and numpy scalars apart, where == does not
+        assert len(table.rows) == len(rows)
+        assert repr(list(table.rows)) == repr(rows)
+        if rows:
+            assert repr([table.rows[0], table.rows[-1]]) == repr([rows[0], rows[-1]])
+            assert repr(table.rows[::2]) == repr(rows[::2])
+
+    def appended(self, columns, rows):
+        t = Table(columns)
+        for row in rows:
+            t.append(**row)
+        return t
+
+    def test_mixed_columns(self):
+        n = len(EDGE_FLOATS)
+        columns = ["scheme", "x", "n", "delta_ub_deg", 'q"uoted,name']
+        rows = [
+            {
+                "scheme": EDGE_STRINGS[i % len(EDGE_STRINGS)],
+                "x": EDGE_FLOATS[i],
+                "n": 10**i - 7,
+                "delta_ub_deg": EDGE_FLOATS[-1 - i] if i % 3 else [None, ""][i % 2],
+                'q"uoted,name': i % 2 == 0,
+            }
+            for i in range(n)
+        ]
+        self.check(self.appended(columns, rows), columns, rows)
+        arrays = Table(
+            columns,
+            {
+                "scheme": [r["scheme"] for r in rows],
+                "x": np.array([r["x"] for r in rows]),
+                "n": np.array([r["n"] for r in rows]),
+                "delta_ub_deg": [r["delta_ub_deg"] for r in rows],
+                'q"uoted,name': np.array([r['q"uoted,name'] for r in rows]),
+            },
+        )
+        self.check(arrays, columns, rows)
+
+    @pytest.mark.parametrize("values", [["", "a", ""], [""], ["a,b", "", 'x"']])
+    def test_one_column_with_empty_field(self, values):
+        rows = [{"v": v} for v in values]
+        self.check(self.appended(["v"], rows), ["v"], rows)
+        self.check(Table(["v"], {"v": list(values)}), ["v"], rows)
+
+    def test_empty_column_name(self):
+        rows = [{"": 1.5}, {"": ""}]
+        self.check(self.appended([""], rows), [""], rows)
+
+    def test_no_rows(self):
+        columns = ["scheme", "asr", "cdf"]
+        self.check(self.appended(columns, []), columns, [])
+        empty = Table(columns, {"scheme": [], "asr": np.empty(0), "cdf": np.empty(0)})
+        self.check(empty, columns, [])
+
+    def test_random_floats_round_trip(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500)
+        rows = [{"scheme": "mpa", "asr": v} for v in values.tolist()]
+        table = Table(["scheme", "asr"], {"scheme": ["mpa"] * len(values), "asr": values})
+        self.check(table, ["scheme", "asr"], rows)
+        _, parsed = parse_csv(render_csv(table, {}))
+        assert np.array_equal(np.array([float(r["asr"]) for r in parsed]), values)
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(ValueError):
+            Table(["a", "b"], {"a": [1, 2], "b": np.zeros(3)})
 
 
 class TestSweepAlpha2Command:

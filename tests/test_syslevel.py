@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
+from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
 from risnoma.mpa import TargetPolicy
 from risnoma.pairing import Scheme, UserRecord, run_scheme
 from risnoma.syslevel import (
@@ -271,19 +272,27 @@ class TestBuildDrop:
             assert np.array_equal(drop.pair_gamma_weak, np.concatenate(weak))
             assert drop.lone_users == lone
 
+    @staticmethod
+    def user_gammas(deploy, index):
+        """Every user's effective CSI in drop `index`, drawn as `_build_drop` draws it."""
+        rng = np.random.default_rng([deploy.seed, index])
+        bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+        users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+        return associate_and_budget(users, bss, RADIO, deploy.side_m, rng)[0]
+
     def test_pair_structure(self):
-        drop = _build_drop(DeploymentConfig(seed=1, drops=1), RADIO, 0)
+        deploy = DeploymentConfig(seed=1, drops=1)
+        drop = _build_drop(deploy, RADIO, 0)
         assert np.all(drop.pair_gamma_strong >= drop.pair_gamma_weak)
         paired = 2 * len(drop.pair_gamma_strong)
-        assert paired + drop.lone_users == len(drop.gammas)
+        assert paired + drop.lone_users == len(self.user_gammas(deploy, 0))
 
     def test_csi_calibration(self):
         # the default deployment's user CSI must reach the single-digit-dB
         # range of the closed-form examples and beyond; only the few users
         # close to their serving RIS get there (19 of 2024 in 2-8 dB here);
         # the median user sits near -25 dB, the median pair at -19/-31 dB
-        drop = _build_drop(DeploymentConfig(seed=1, drops=1), RADIO, 0)
-        db = 10 * np.log10(drop.gammas)
+        db = 10 * np.log10(self.user_gammas(DeploymentConfig(seed=1, drops=1), 0))
         assert np.all(np.isfinite(db))
         assert np.any((db >= 2.0) & (db <= 8.0))
         assert db.max() > 8.0 and db.min() < 2.0
@@ -429,3 +438,30 @@ class TestConfigValidation:
 
     def test_side(self):
         assert DeploymentConfig(area_km2=4.0).side_m == pytest.approx(2000.0)
+
+
+class TestSyslevelTables:
+    def test_cdf_from_sorted_samples(self):
+        deploy = DeploymentConfig(bs_density=10, user_density=300, seed=2, drops=5)
+        schemes = (Scheme.OMA, Scheme.MPA, Scheme.SRM)
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SYSLEVEL,
+            delta_deg=(0.0, 20.0),
+            schemes=schemes,
+            deploy=deploy,
+            cdf_delta_deg=20.0,
+        )
+        _, cdf = syslevel_tables(cfg)
+        drops = [_build_drop(deploy, RADIO, k) for k in range(deploy.drops)]
+        g1 = np.concatenate([d.pair_gamma_strong for d in drops if d is not None])
+        g2 = np.concatenate([d.pair_gamma_weak for d in drops if d is not None])
+        n = len(g1)
+        assert len(cdf.rows) == len(schemes) * n
+        levels = np.array([(i + 1) / n for i in range(n)])
+        s = sinc_sq(math.radians(20.0))
+        for k, scheme in enumerate(schemes):
+            part = slice(k * n, (k + 1) * n)
+            assert cdf.data["scheme"][part] == [scheme.value] * n
+            assert np.array_equal(cdf.data["cdf"][part].view(np.int64), levels.view(np.int64))
+            r1, r2, _ = _scheme_arrays(scheme, g1, g2, s, TargetPolicy.oma_at_reference(0.0))
+            assert np.array_equal(cdf.data["asr"][part], np.sort(r1 + r2))
