@@ -2,12 +2,10 @@
 NOMA under imperfect phase compensation."""
 
 from .channel import (
-    ArrayGeometry,
     EffectiveCsi,
     LinkBudget,
     PhaseModel,
     RatePair,
-    array_response,
     asr,
     db_to_linear,
     ee,
@@ -23,22 +21,19 @@ from .eepa import (
     DinkelbachResult,
     EepaCriterion,
     dinkelbach_allocate,
-    grid_oracle_ee,
     pairing_criterion_eepa,
 )
 from .mpa import (
     Mode,
-    MpaBounds,
     PairDecision,
     RateTargets,
     TargetPolicy,
     allocate_mpa,
     alpha2_lower,
     alpha2_upper,
-    kkt_candidates,
     pairing_criterion_mpa,
 )
-from .pairing import PairingPlan, Scheme, UserRecord, build_pairs, run_scheme, srm_baseline
+from .pairing import Scheme, UserRecord, build_pairs, run_scheme
 from .syslevel import (
     DeploymentConfig,
     MetricsTable,

@@ -2,8 +2,9 @@
 
 Everything downstream works on the effective per-user CSI (a scalar
 SNR-like quantity, linear scale) and the phase-error degradation factor
-sinc^2(delta). Raw array responses exist only to validate the norm
-identity that collapses the channel into that scalar.
+sinc^2(delta). The effective CSI and the OMA and NOMA rates are each one
+numpy formula on floats or arrays, shared by the functions below and the
+schemes' array kernels.
 """
 
 import math
@@ -15,13 +16,11 @@ __all__ = [
     "PhaseModel",
     "LinkBudget",
     "EffectiveCsi",
-    "ArrayGeometry",
     "RatePair",
     "db_to_linear",
     "linear_to_db",
     "sinc_sq",
     "phase_error_gain_mc",
-    "array_response",
     "effective_csi",
     "rate_oma",
     "rate_noma",
@@ -110,28 +109,6 @@ class EffectiveCsi:
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform square planar array: element count (perfect square),
-    spacing over wavelength, and the azimuth/elevation steering angles."""
-
-    elements: int
-    spacing_over_wavelength: float
-    azimuth: float
-    elevation: float
-
-    def __post_init__(self):
-        side = math.isqrt(self.elements)
-        if self.elements < 1 or side * side != self.elements:
-            raise ValueError(f"elements must be a perfect square, got {self.elements}")
-        if self.spacing_over_wavelength <= 0:
-            raise ValueError("spacing_over_wavelength must be positive")
-
-    @property
-    def side(self) -> int:
-        return math.isqrt(self.elements)
-
-
-@dataclass(frozen=True)
 class RatePair:
     """Achievable rates (bits/s/Hz) of the strong and weak user."""
 
@@ -171,34 +148,33 @@ def phase_error_gain_mc(n_elements: int, delta: float, trials: int, seed: int) -
     return total / trials
 
 
-def array_response(geom: ArrayGeometry) -> np.ndarray:
-    """Array response vector of a uniform square planar array.
-
-    Element (x, y) carries phase 2*pi*(d/lambda)*(x sin(az) sin(az) + y cos(el)),
-    reproduced as printed in the source model. Entries are unit modulus, so
-    the squared norm equals the element count regardless of the exponent.
-    """
-    side = geom.side
-    x, y = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    phase = (
-        2.0
-        * math.pi
-        * geom.spacing_over_wavelength
-        * (x * math.sin(geom.azimuth) * math.sin(geom.azimuth) + y * math.cos(geom.elevation))
-    )
-    return np.exp(1j * phase).ravel()
+def _link_gamma(transmit_power, composite_gain, ris_elements, bs_antennas, interference, noise_power):
+    """Gamma = P_t * |alpha*beta|^2 * N^2 * M / (I + sigma^2), on floats or arrays."""
+    return transmit_power * composite_gain * ris_elements**2 * bs_antennas / (interference + noise_power)
 
 
 def effective_csi(link: LinkBudget) -> EffectiveCsi:
     """Gamma = P_t * |alpha*beta|^2 * N^2 * M / (I + sigma^2)."""
-    num = link.transmit_power * link.composite_gain * link.ris_elements**2 * link.bs_antennas
-    return EffectiveCsi(num / (link.interference + link.noise_power))
+    return EffectiveCsi(_link_gamma(**vars(link)))  # LinkBudget's fields are its parameters
+
+
+def _oma_rate(gamma, s):
+    """OMA rate 0.5 * log2(1 + Gamma * s) on floats or arrays; the half
+    accounts for the orthogonal resource split."""
+    return 0.5 * np.log2(1.0 + gamma * s)
+
+
+def _noma_rates(alpha1, alpha2, gamma1, gamma2, s):
+    """NOMA rates (strong, weak) on floats or arrays: SIC decodes the
+    strong user first, with the weak user's signal as interference, then
+    the weak user interference-free."""
+    weak = alpha2 * gamma2 * s
+    return np.log2(1.0 + alpha1 * gamma1 * s / (1.0 + weak)), np.log2(1.0 + weak)
 
 
 def rate_oma(csi: EffectiveCsi, phase: PhaseModel) -> float:
-    """OMA rate 0.5 * log2(1 + Gamma * sinc^2(delta)); the half accounts
-    for the orthogonal resource split."""
-    return 0.5 * math.log2(1.0 + csi.gamma * phase.degradation)
+    """OMA rate 0.5 * log2(1 + Gamma * sinc^2(delta))."""
+    return float(_oma_rate(csi.gamma, phase.degradation))
 
 
 def rate_noma(
@@ -208,18 +184,12 @@ def rate_noma(
     csi2: EffectiveCsi,
     phase: PhaseModel,
 ) -> RatePair:
-    """NOMA rates of a (strong, weak) pair under SIC at the receiver.
-
-    The strong user is decoded first, treating the weak user's signal as
-    interference; the weak user is decoded interference-free.
-    """
+    """NOMA rates of a (strong, weak) pair under SIC at the receiver."""
     for a in (alpha1, alpha2):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"power fractions must lie in [0, 1], got {a}")
-    s = phase.degradation
-    strong = math.log2(1.0 + alpha1 * csi1.gamma * s / (1.0 + alpha2 * csi2.gamma * s))
-    weak = math.log2(1.0 + alpha2 * csi2.gamma * s)
-    return RatePair(strong, weak)
+    strong, weak = _noma_rates(alpha1, alpha2, csi1.gamma, csi2.gamma, phase.degradation)
+    return RatePair(float(strong), float(weak))
 
 
 def asr(rates: RatePair) -> float:

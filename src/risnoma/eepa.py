@@ -1,6 +1,5 @@
-"""Energy-efficiency pairing: the conservative delta-thresholds, the
-Dinkelbach solver for the pseudo-concave ratio program, and the grid
-oracle used to verify it.
+"""Energy-efficiency pairing: the conservative delta-thresholds and the
+Dinkelbach solver for the pseudo-concave ratio program.
 
 The feasible power fractions form the polygon
 {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1} with hi = min(1, (1-eta)/kappa).
@@ -9,17 +8,20 @@ a2*G2)*s) - lam*(a1 + a2) over it. Its gradient can only vanish in the
 interior when Gamma1 = Gamma2, so a maximizer sits on one of the four
 edges, and along each edge the maximum has a closed form (the edge
 step). One array-valued Dinkelbach loop serves both the scalar solver
-(on 0-d arrays) and the batch solver of system-level campaigns.
+(one pair) and the batch solver of system-level campaigns.
+
+The EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks
+are one rule in _eepa_outcome, lambda* = 0: a pair the criterion rejects
+is left unsolved at 0, and a pair whose rates underflow solves to 0.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .channel import EffectiveCsi, PhaseModel, sinc_sq
-from .mpa import EPS, RateTargets, alpha2_lower, eta_kappa, invert_sinc_sq
+from .channel import EffectiveCsi, PhaseModel, _noma_rates, sinc_sq
+from .mpa import EPS, RateTargets, _alpha2_lb, _check_channel, _delta_ub, _eta_kappa, _or_oma
 
 __all__ = [
     "ConvergenceError",
@@ -28,7 +30,6 @@ __all__ = [
     "DinkelbachResult",
     "pairing_criterion_eepa",
     "dinkelbach_allocate",
-    "grid_oracle_ee",
     "dinkelbach_batch",
 ]
 
@@ -49,11 +50,14 @@ class EepaCriterion:
 
     sinc_sq_threshold_1: float
     sinc_sq_threshold_2: float
-    delta_ub: Optional[float]
 
     @property
     def sinc_sq_threshold(self) -> float:
         return max(self.sinc_sq_threshold_1, self.sinc_sq_threshold_2)
+
+    @property
+    def delta_ub(self):  # computed on reading: decisions need only the thresholds
+        return _delta_ub(self.sinc_sq_threshold)
 
     def feasible_at(self, delta: float) -> bool:
         return sinc_sq(delta) >= self.sinc_sq_threshold
@@ -70,6 +74,14 @@ class DinkelbachResult:
     history: tuple = ()
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a zero floor: p1 - 1 = 0
+def _eepa_thresholds(g1, g2, p1, p2):
+    """EEPA's two bounds on sinc^2(delta) for floors p = 2^r_min: the
+    strong user's floor at the worst case alpha2 = 1 (+inf when no delta
+    meets it), and the weak user's alpha2_lb <= 1."""
+    return 1.0 / np.fmax(g1 / (p1 - 1.0) - g2, 0.0), (p2 - 1.0) / g2
+
+
 def pairing_criterion_eepa(
     targets: RateTargets, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel
 ) -> EepaCriterion:
@@ -77,21 +89,9 @@ def pairing_criterion_eepa(
     delta compares its sinc^2 against their maximum."""
     if not csi1.gamma >= csi2.gamma > 0.0:
         raise ValueError("requires Gamma1 >= Gamma2 > 0")
-    a = 2.0**targets.r1_min - 1.0
-    if a == 0.0:  # a zero floor, or one below float resolution
-        th1 = 0.0
-    else:
-        denom = csi1.gamma / a - csi2.gamma
-        th1 = 1.0 / denom if denom > 0.0 else math.inf
-    th2 = (2.0**targets.r2_min - 1.0) / csi2.gamma
-    threshold = max(th1, th2)
-    if threshold <= 0.0 or threshold > 1.0:
-        delta_ub = None
-    elif threshold == 1.0:
-        delta_ub = 0.0
-    else:
-        delta_ub = invert_sinc_sq(threshold)
-    return EepaCriterion(th1, th2, delta_ub)
+    p1, p2 = np.power(2.0, (targets.r1_min, targets.r2_min))
+    th1, th2 = _eepa_thresholds(csi1.gamma, csi2.gamma, p1, p2)
+    return EepaCriterion(float(th1), float(th2))
 
 
 def _edge_step(lam, g1, g2, s, eta, kappa, lb):
@@ -127,7 +127,7 @@ def _edge_step(lam, g1, g2, s, eta, kappa, lb):
     return np.take_along_axis(a1, k, 0)[0], np.take_along_axis(a2, k, 0)[0]
 
 
-def _dinkelbach(g1, g2, s, eta, kappa, lb, tol, max_iter):
+def _dinkelbach(g1, g2, s, r1_min, r2_min, tol, max_iter):
     """Dinkelbach iteration on arrays of instances (0-d for one pair).
 
     lambda starts at the EE of the minimal-power vertex and is updated
@@ -136,6 +136,9 @@ def _dinkelbach(g1, g2, s, eta, kappa, lb, tol, max_iter):
     (alpha1, alpha2, lambda_star, iterations, residual, history) with
     history the per-iteration (lambda, F(lambda)) arrays.
     """
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    eta, kappa = _eta_kappa(g1, g2, s, p1)
+    lb = _alpha2_lb(g2, s, p2)
     if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
         raise EmptyPolytopeError("no feasible power fractions")
     lb = np.minimum(lb, 1.0)
@@ -182,10 +185,10 @@ def dinkelbach_allocate(
     Raises EmptyPolytopeError when the rate floors admit no power
     fractions, ConvergenceError when the residual stays above tol.
     """
-    eta, kappa = np.array(eta_kappa(targets, csi1, csi2, phase))  # numpy floats: kappa may be 0
-    lb = alpha2_lower(targets, csi2, phase)
+    _check_channel(csi1, phase, 1)
+    _check_channel(csi2, phase, 2)
     a1, a2, lam, iterations, resid, history = _dinkelbach(
-        csi1.gamma, csi2.gamma, phase.degradation, eta, kappa, lb, tol, max_iter
+        csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min, tol, max_iter
     )
     return DinkelbachResult(
         float(a1),
@@ -195,43 +198,6 @@ def dinkelbach_allocate(
         float(resid),
         tuple((float(lam_k), float(f_k)) for lam_k, f_k in history),
     )
-
-
-def grid_oracle_ee(
-    targets: RateTargets,
-    csi1: EffectiveCsi,
-    csi2: EffectiveCsi,
-    phase: PhaseModel,
-    step: float = 1e-3,
-) -> tuple:
-    """Exhaustive grid search maximizing EE over the feasible set.
-
-    Test-only brute-force reference for the Dinkelbach solver. The mesh
-    is augmented with the exact constraint-boundary values (the
-    alpha2-lower-bound row and the strong-user line alpha1 =
-    kappa*alpha2 + eta), since the EE optimum typically sits on the
-    boundary where a bare cell grid under-reports it by O(step).
-    """
-    if not 0.0 < step <= 0.1:
-        raise ValueError("step must lie in (0, 0.1]")
-    eta, kappa = eta_kappa(targets, csi1, csi2, phase)
-    lb = alpha2_lower(targets, csi2, phase)
-    g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
-    n = round(1.0 / step)
-    grid = np.linspace(0.0, 1.0, n + 1)
-    a2_vals = grid if lb > 1.0 else np.unique(np.concatenate([grid, [lb]]))
-    a1_edge = np.clip(kappa * a2_vals + eta, 0.0, 1.0)
-    a1 = np.concatenate([np.repeat(grid, a2_vals.size), a1_edge])
-    a2 = np.concatenate([np.tile(a2_vals, grid.size), a2_vals])
-    feas = (a1 >= kappa * a2 + eta - EPS) & (a2 >= lb - EPS) & (kappa * a2 + eta <= 1.0 + EPS)
-    total = a1 + a2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.log2(1.0 + (a1 * g1 + a2 * g2) * s) / total
-    val = np.where(feas & (total > 0.0), val, -np.inf)
-    if not np.any(np.isfinite(val)):
-        raise EmptyPolytopeError("no feasible grid point")
-    k = int(np.argmax(val))
-    return float(a1[k]), float(a2[k]), float(val[k])
 
 
 def dinkelbach_batch(
@@ -250,9 +216,25 @@ def dinkelbach_batch(
     EmptyPolytopeError if any instance has no feasible power fractions
     and ConvergenceError if any instance fails to converge.
     """
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    a = 2.0 ** np.asarray(r1_min, dtype=float) - 1.0
-    lb = (2.0 ** np.asarray(r2_min, dtype=float) - 1.0) / (g2 * s)
-    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, a / (g1 * s), a * g2 / g1, lb, tol, max_iter)
+    g1, g2, r1, r2 = (np.asarray(x, dtype=float) for x in (gamma1, gamma2, r1_min, r2_min))
+    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, r1, r2, tol, max_iter)
     return a1, a2, lam
+
+
+def _eepa_outcome(g1, g2, s, alpha1, alpha2, lambda_star):
+    """EEPA decisions from Dinkelbach's solutions: NOMA at the EE optimum
+    where lambda* > 0, OMA where lambda* = 0."""
+    r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
+    return _or_oma(lambda_star > 0.0, alpha1, alpha2, r1, r2, lambda_star, g1, g2, s)
+
+
+def _eepa_kernel(g1, g2, s, r1_min, r2_min):
+    """EEPA decisions: dinkelbach_batch solves the pairs that meet the
+    criterion at s, and _eepa_outcome decides every pair."""
+    feasible = s >= np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
+    solutions = np.zeros((3,) + np.shape(feasible))  # alpha1, alpha2, lambda*
+    if np.any(feasible):
+        solutions[:, feasible] = dinkelbach_batch(
+            g1[feasible], g2[feasible], r1_min[feasible], r2_min[feasible], s
+        )
+    return _eepa_outcome(g1, g2, s, *solutions)

@@ -18,7 +18,7 @@ from .channel import (
     sinc_sq,
 )
 from .eepa import pairing_criterion_eepa
-from .mpa import PolicyKind, TargetPolicy, allocate_mpa, mpa_bounds, oma_decision
+from .mpa import TargetPolicy, allocate_mpa, alpha2_lower, alpha2_upper, pairing_criterion_mpa
 from .pairing import Scheme, UserRecord, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
@@ -128,7 +128,8 @@ def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
     for d in cfg.delta_deg:
         phase = PhaseModel.from_degrees(d)
         targets = cfg.targets_policy.resolve(csi1, csi2, phase)
-        bounds = mpa_bounds(targets, csi1, csi2, phase)
+        lb = alpha2_lower(targets, csi2, phase)
+        ub = alpha2_upper(targets, csi1, csi2, phase)
         r1_oma = rate_oma(csi1, phase)
         r2_oma = rate_oma(csi2, phase)
         for a2 in grid:
@@ -143,8 +144,8 @@ def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
                 r2_oma=r2_oma,
                 r1_target=targets.r1_min,
                 r2_target=targets.r2_min,
-                alpha2_lb=bounds.alpha2_lb,
-                alpha2_ub=bounds.alpha2_ub,
+                alpha2_lb=lb,
+                alpha2_ub=ub,
             )
     return table
 
@@ -170,7 +171,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
     for d in cfg.delta_deg:
         phase = PhaseModel.from_degrees(d)
         targets = cfg.targets_policy.resolve(csi1, csi2, phase)
-        bounds = mpa_bounds(targets, csi1, csi2, phase)
+        delta_ub = pairing_criterion_mpa(targets, csi1, phase).delta_ub
         dec = allocate_mpa(targets, csi1, csi2, phase)
         r1_oma = rate_oma(csi1, phase)
         r2_oma = rate_oma(csi2, phase)
@@ -184,7 +185,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
             r1_oma=r1_oma,
             r2_oma=r2_oma,
             asr_oma=r1_oma + r2_oma,
-            delta_ub_deg=math.degrees(bounds.delta_ub) if bounds.delta_ub is not None else "",
+            delta_ub_deg=math.degrees(delta_ub) if delta_ub is not None else "",
         )
     return table
 
@@ -210,15 +211,12 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
         ]
     )
     for scheme in cfg.schemes:
-        plan = run_scheme(users, scheme, phase, cfg.targets_policy)
-        dec = plan.decisions[0]
-        delta_ub = ""
+        dec = run_scheme(users, scheme, phase, cfg.targets_policy)[0]
+        delta_ub = None
         if scheme is Scheme.MPA:
-            b = mpa_bounds(targets, csi1, csi2, phase)
-            delta_ub = math.degrees(b.delta_ub) if b.delta_ub is not None else ""
+            delta_ub = pairing_criterion_mpa(targets, csi1, phase).delta_ub
         elif scheme is Scheme.EEPA:
-            crit = pairing_criterion_eepa(targets, csi1, csi2, phase)
-            delta_ub = math.degrees(crit.delta_ub) if crit.delta_ub is not None else ""
+            delta_ub = pairing_criterion_eepa(targets, csi1, csi2, phase).delta_ub
         table.append(
             scheme=scheme.value,
             mode=dec.mode.value,
@@ -228,7 +226,7 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
             r2=dec.rates.weak,
             asr=dec.asr,
             ee=dec.ee,
-            delta_ub_deg=delta_ub,
+            delta_ub_deg=math.degrees(delta_ub) if delta_ub is not None else "",
             iterations=dec.iterations if dec.iterations is not None else "",
         )
     return table

@@ -1,13 +1,20 @@
 """Maximum-sum-rate pairing: power-fraction bounds, the pairing criterion
-on phase imperfection, the closed-form allocation, and the KKT candidate
-enumeration used to verify optimality."""
+on phase imperfection, and the closed-form allocation.
+
+Each bound and threshold is one numpy formula on floats or arrays; the
+OMA, MPA and SRM decisions are each one array kernel (see pairing.KERNELS)
+with the OMA fallback applied in _or_oma. The object-based functions
+validate one pair and evaluate the same formulas and kernels on it.
+"""
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .channel import EffectiveCsi, PhaseModel, RatePair, ee, rate_noma, rate_oma, sinc_sq
+import numpy as np
+
+from .channel import EffectiveCsi, PhaseModel, RatePair, _noma_rates, _oma_rate, sinc_sq
 
 __all__ = [
     "EPS",
@@ -16,18 +23,14 @@ __all__ = [
     "RateTargets",
     "Mode",
     "PairDecision",
-    "MpaBounds",
     "MpaCriterion",
     "alpha2_lower",
     "alpha2_upper",
     "eta_kappa",
     "invert_sinc_sq",
     "pairing_criterion_mpa",
-    "mpa_bounds",
     "oma_decision",
     "allocate_mpa",
-    "kkt_candidates",
-    "best_kkt_candidate",
 ]
 
 # absolute tolerance absorbing floating-point noise at analytic boundaries
@@ -66,13 +69,19 @@ class TargetPolicy:
     def explicit(cls, r1_min: float, r2_min: float) -> "TargetPolicy":
         return cls(PolicyKind.EXPLICIT, r1_min=r1_min, r2_min=r2_min)
 
-    def resolve(self, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> "RateTargets":
+    def rates(self, g1, g2, s):
+        """Floors (r1_min, r2_min) of pairs g1, g2 at degradation s, on floats or arrays."""
+        if self.kind is PolicyKind.EXPLICIT:
+            return np.full_like(g1, self.r1_min), np.full_like(g1, self.r2_min)
         if self.kind is PolicyKind.OMA_AT_REFERENCE:
-            ref = PhaseModel(self.delta_ref)
-            return RateTargets(rate_oma(csi1, ref), rate_oma(csi2, ref), self)
-        if self.kind is PolicyKind.OMA_AT_CURRENT:
-            return RateTargets(rate_oma(csi1, phase), rate_oma(csi2, phase), self)
-        return RateTargets(self.r1_min, self.r2_min, self)
+            s = sinc_sq(self.delta_ref)
+        return _oma_rate(g1, s), _oma_rate(g2, s)
+
+    def resolve(self, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> "RateTargets":
+        if self.kind is PolicyKind.EXPLICIT:  # the floors as given
+            return RateTargets(self.r1_min, self.r2_min, self)
+        r1, r2 = self.rates(csi1.gamma, csi2.gamma, phase.degradation)
+        return RateTargets(float(r1), float(r2), self)
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,8 @@ class RateTargets:
     policy: Optional[TargetPolicy] = None
 
     def __post_init__(self):
-        if self.r1_min < 0 or self.r2_min < 0:
-            raise ValueError("rate targets must be non-negative")
+        if not (0.0 <= self.r1_min < 1024.0 and 0.0 <= self.r2_min < 1024.0):
+            raise ValueError("rate targets must lie in [0, 1024) bits/s/Hz, where 2^r is finite")
 
 
 class Mode(Enum):
@@ -108,34 +117,63 @@ class PairDecision:
     weak_index: int = 1
     iterations: Optional[int] = None  # Dinkelbach iterations, EEPA NOMA only
 
-
-@dataclass(frozen=True)
-class MpaBounds:
-    alpha2_lb: float
-    alpha2_ub: float
-    eta: float
-    kappa: float
-    sinc_sq_threshold: float
-    delta_ub: Optional[float]
+    @classmethod
+    def from_kernel(cls, decision, strong_index=0, weak_index=1, iterations=None) -> "PairDecision":
+        """One pair's kernel output (noma, alpha1, alpha2, r1, r2, ee) as
+        a decision; iterations are kept for a NOMA decision only."""
+        noma, alpha1, alpha2, r1, r2, ee = decision
+        rates = RatePair(float(r1), float(r2))
+        mode, iterations = (Mode.NOMA, iterations) if noma else (Mode.OMA, None)
+        return cls(mode, float(alpha1), float(alpha2), rates, rates.strong + rates.weak,
+                   float(ee), strong_index, weak_index, iterations)
 
 
 @dataclass(frozen=True)
 class MpaCriterion:
     feasible: bool
     sinc_sq_threshold: float
-    delta_ub: Optional[float]
+
+    @property
+    def delta_ub(self) -> Optional[float]:  # computed on reading: decisions need only the threshold
+        return _delta_ub(self.sinc_sq_threshold)
+
+
+# Formulas on floats or arrays. They take the rate floors as p = 2^r_min,
+# the form every bound uses them in.
+
+
+def _alpha2_lb(g2, s, p2):
+    """Smallest weak-user power fraction meeting its floor."""
+    return (p2 - 1.0) / (g2 * s)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a zero floor, p1 = 1: +inf, or nan
+def _alpha2_ub(g1, g2, s, p1):
+    """Largest weak-user power fraction keeping the strong user, at
+    alpha1 = 1, on its floor."""
+    return (g1 * s + 1.0 - p1) / (g2 * s * (p1 - 1.0))
+
+
+def _eta_kappa(g1, g2, s, p1):
+    """Coefficients of the strong-user constraint alpha1 >= kappa*alpha2 + eta."""
+    return (p1 - 1.0) / (g1 * s), (p1 - 1.0) * g2 / g1
+
+
+def _mpa_threshold(g1, p1, p2):
+    """The MPA criterion's bound on sinc^2(delta)."""
+    return p2 * (p1 - 1.0) / g1
+
+
+def _check_channel(csi: EffectiveCsi, phase: PhaseModel, user: int) -> None:
+    if not csi.gamma * phase.degradation > 0.0:
+        raise ValueError(f"degenerate channel: Gamma{user} * sinc^2 = 0")
 
 
 def alpha2_lower(targets: RateTargets, csi2: EffectiveCsi, phase: PhaseModel) -> float:
     """Smallest weak-user power fraction meeting its rate floor; may
     exceed 1, which signals infeasibility handled by the caller."""
-    num = 2.0**targets.r2_min - 1.0
-    if num == 0.0:
-        return 0.0
-    g2s = csi2.gamma * phase.degradation
-    if g2s <= 0.0:
-        raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0 with a positive rate target")
-    return num / g2s
+    _check_channel(csi2, phase, 2)
+    return float(_alpha2_lb(csi2.gamma, phase.degradation, np.power(2.0, targets.r2_min)))
 
 
 def alpha2_upper(
@@ -144,27 +182,20 @@ def alpha2_upper(
     """Largest weak-user power fraction that keeps the strong user (at
     alpha1=1) at or above its rate floor. Unbounded when r1_min=0; may be
     negative (pair infeasible) or exceed 1 (clamped by the allocation)."""
-    pow1 = 2.0**targets.r1_min
-    if pow1 == 1.0:  # a zero floor, or one below float resolution
+    _check_channel(csi2, phase, 2)
+    p1 = np.power(2.0, targets.r1_min)
+    if p1 == 1.0:  # a zero floor, or one below float resolution
         return math.inf
-    s = phase.degradation
-    g2s = csi2.gamma * s
-    if g2s <= 0.0:
-        raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0")
-    return (csi1.gamma * s + 1.0 - pow1) / (g2s * (pow1 - 1.0))
+    return float(_alpha2_ub(csi1.gamma, csi2.gamma, phase.degradation, p1))
 
 
 def eta_kappa(
     targets: RateTargets, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel
 ) -> tuple:
     """Coefficients of the strong-user constraint alpha1 >= kappa*alpha2 + eta."""
-    a = 2.0**targets.r1_min - 1.0
-    g1s = csi1.gamma * phase.degradation
-    if g1s <= 0.0 and a > 0.0:
-        raise ValueError("degenerate channel: Gamma1 * sinc^2 = 0 with a positive rate target")
-    eta = a / g1s if a > 0.0 else 0.0
-    kappa = a * csi2.gamma / csi1.gamma if a > 0.0 else 0.0
-    return eta, kappa
+    _check_channel(csi1, phase, 1)
+    p1 = np.power(2.0, targets.r1_min)
+    return tuple(map(float, _eta_kappa(csi1.gamma, csi2.gamma, phase.degradation, p1)))
 
 
 def invert_sinc_sq(target: float, tol: float = 1e-10, max_iter: int = 200) -> float:
@@ -184,6 +215,14 @@ def invert_sinc_sq(target: float, tol: float = 1e-10, max_iter: int = 200) -> fl
     return 0.5 * (lo + hi)
 
 
+def _delta_ub(threshold: float) -> Optional[float]:
+    """Largest delta with sinc^2(delta) >= threshold; None when every
+    delta passes (threshold <= 0) or none does (threshold > 1)."""
+    if threshold <= 0.0 or threshold > 1.0:
+        return None
+    return 0.0 if threshold == 1.0 else invert_sinc_sq(threshold)
+
+
 def pairing_criterion_mpa(
     targets: RateTargets, csi1: EffectiveCsi, phase: PhaseModel
 ) -> MpaCriterion:
@@ -195,28 +234,54 @@ def pairing_criterion_mpa(
     """
     if csi1.gamma <= 0.0:
         raise ValueError("Gamma1 must be positive")
-    threshold = 2.0**targets.r2_min * (2.0**targets.r1_min - 1.0) / csi1.gamma
-    if threshold <= 0.0:
-        return MpaCriterion(True, threshold, None)
-    if threshold > 1.0:
-        return MpaCriterion(False, threshold, None)
-    delta_ub = 0.0 if threshold == 1.0 else invert_sinc_sq(threshold)
-    return MpaCriterion(phase.degradation >= threshold, threshold, delta_ub)
+    p1, p2 = np.power(2.0, (targets.r1_min, targets.r2_min))
+    threshold = float(_mpa_threshold(csi1.gamma, p1, p2))
+    return MpaCriterion(phase.degradation >= threshold, threshold)
 
 
-def mpa_bounds(
-    targets: RateTargets, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel
-) -> MpaBounds:
-    crit = pairing_criterion_mpa(targets, csi1, phase)
-    eta, kappa = eta_kappa(targets, csi1, csi2, phase)
-    return MpaBounds(
-        alpha2_lb=alpha2_lower(targets, csi2, phase),
-        alpha2_ub=alpha2_upper(targets, csi1, csi2, phase),
-        eta=eta,
-        kappa=kappa,
-        sinc_sq_threshold=crit.sinc_sq_threshold,
-        delta_ub=crit.delta_ub,
-    )
+def _oma_kernel(g1, g2, s, r1_min=None, r2_min=None):
+    """OMA: both users at full power on orthogonal resources, whatever the floors."""
+    r1, r2 = _oma_rate(g1, s), _oma_rate(g2, s)
+    return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0
+
+
+def _or_oma(noma, alpha1, alpha2, r1, r2, ee, g1, g2, s):
+    """The given NOMA decisions where noma holds, the OMA fallback elsewhere."""
+    _, _, _, r1_oma, r2_oma, ee_oma = _oma_kernel(g1, g2, s)
+    ones = 0.0 * r1_oma + 1.0  # in the pairs' shape; np.ones_like costs more on one pair
+    nomas = (alpha1 * ones, alpha2, r1, r2, ee)
+    return (noma, *np.where(noma, nomas, (ones, ones, r1_oma, r2_oma, ee_oma)))
+
+
+def _sum_rate_alpha2(g1, g2, s, p1):
+    """The sum-rate optimum's alpha2 at alpha1 = 1: the largest alpha2 in
+    [0, 1] keeping the strong user on its floor p1 (1 for a zero floor)."""
+    return np.fmax(np.fmin(_alpha2_ub(g1, g2, s, p1), 1.0), 0.0)
+
+
+def _full_power_noma(g1, g2, s, alpha2):
+    """NOMA decisions at alpha1 = 1 and the given alpha2."""
+    r1, r2 = _noma_rates(1.0, alpha2, g1, g2, s)
+    return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2)
+
+
+def _mpa_kernel(g1, g2, s, r1_min, r2_min):
+    """MPA: the sum-rate optimum where the criterion holds, the weak
+    user's floor fits (alpha2_lb <= 1) and the sum rate is positive (the
+    rates can underflow to 0); OMA elsewhere."""
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    _, alpha1, alpha2, r1, r2, ee = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
+    noma = (s >= _mpa_threshold(g1, p1, p2)) & (_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
+    return _or_oma(noma, alpha1, alpha2, r1, r2, ee, g1, g2, s)
+
+
+def _srm_kernel(g1, g2, s, r1_min=None, r2_min=None):
+    """SRM baseline: the sum-rate optimum for delta = 0 under OMA floors
+    at delta = 0, evaluated at the true delta. Phase-oblivious by design,
+    it ignores the given floors and never falls back to OMA, not even
+    when every rate underflows to 0."""
+    alpha2 = _sum_rate_alpha2(g1, g2, 1.0, np.power(2.0, _oma_rate(g1, 1.0)))
+    return _full_power_noma(g1, g2, s, alpha2)
 
 
 def oma_decision(
@@ -227,9 +292,8 @@ def oma_decision(
     weak_index: int = 1,
 ) -> PairDecision:
     """Fallback decision: both users on orthogonal resources at full power."""
-    rates = RatePair(rate_oma(csi1, phase), rate_oma(csi2, phase))
-    total = rates.strong + rates.weak
-    return PairDecision(Mode.OMA, 1.0, 1.0, rates, total, total / 2.0, strong_index, weak_index)
+    decision = _oma_kernel(csi1.gamma, csi2.gamma, phase.degradation)
+    return PairDecision.from_kernel(decision, strong_index, weak_index)
 
 
 def allocate_mpa(
@@ -248,57 +312,7 @@ def allocate_mpa(
     leaves implicit, so it is checked here to keep NOMA decisions honest.
     A NOMA sum rate of 0 (the rates underflow) also falls back to OMA.
     """
-    crit = pairing_criterion_mpa(targets, csi1, phase)
-    if not crit.feasible:
-        return oma_decision(csi1, csi2, phase, strong_index, weak_index)
-    lb = alpha2_lower(targets, csi2, phase)
-    if lb > 1.0 + EPS:
-        return oma_decision(csi1, csi2, phase, strong_index, weak_index)
-    a2 = min(alpha2_upper(targets, csi1, csi2, phase), 1.0)
-    a2 = min(max(a2, 0.0), 1.0)
-    rates = rate_noma(1.0, a2, csi1, csi2, phase)
-    if rates.strong + rates.weak <= 0.0:
-        return oma_decision(csi1, csi2, phase, strong_index, weak_index)
-    return PairDecision(
-        Mode.NOMA,
-        1.0,
-        a2,
-        rates,
-        rates.strong + rates.weak,
-        ee(rates, 1.0, a2),
-        strong_index,
-        weak_index,
-    )
-
-
-def kkt_candidates(eta: float, kappa: float, alpha2_lb: float) -> list:
-    """Stationary-point candidates of the reformulated sum-rate program,
-    filtered to those satisfying the constraint set (tolerance EPS)."""
-    cands = [
-        (alpha2_lb * kappa + eta, alpha2_lb),
-        (kappa + eta, 1.0),
-        (1.0, 1.0),
-        (1.0, alpha2_lb),
-    ]
-    if kappa > 0.0:
-        cands.append((1.0, (1.0 - eta) / kappa))
-
-    def ok(a1, a2):
-        return (
-            -EPS <= a1 <= 1.0 + EPS
-            and -EPS <= a2 <= 1.0 + EPS
-            and a2 >= alpha2_lb - EPS
-            and a1 >= kappa * a2 + eta - EPS
-        )
-
-    return [c for c in cands if ok(*c)]
-
-
-def best_kkt_candidate(candidates: list, csi1: EffectiveCsi, csi2: EffectiveCsi) -> tuple:
-    """Candidate maximizing alpha1*Gamma1 + alpha2*Gamma2; ties broken
-    toward the smaller total power."""
-    if not candidates:
-        raise ValueError("empty candidate set")
-    best_obj = max(a1 * csi1.gamma + a2 * csi2.gamma for a1, a2 in candidates)
-    tied = [c for c in candidates if c[0] * csi1.gamma + c[1] * csi2.gamma >= best_obj - 1e-12]
-    return min(tied, key=lambda c: c[0] + c[1])
+    _check_channel(csi1, phase, 1)
+    _check_channel(csi2, phase, 2)
+    decision = _mpa_kernel(csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min)
+    return PairDecision.from_kernel(decision, strong_index, weak_index)

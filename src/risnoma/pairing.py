@@ -1,26 +1,23 @@
 """Adaptive user pairing over a cell population: sort by effective CSI,
-pair strongest with weakest, dispatch each pair to the selected
-allocation scheme with OMA fallback, plus the phase-oblivious SRM
-baseline."""
+pair strongest with weakest, and decide each pair under the selected
+scheme with OMA fallback, plus the phase-oblivious SRM baseline.
+
+Each scheme's decision is one array kernel, KERNELS[scheme]: (g1, g2, s,
+r1_min, r2_min) -> (noma, alpha1, alpha2, r1, r2, ee) on arrays of pairs
+or shape-() values. run_scheme decides one pair at a time through them;
+for EEPA, dinkelbach_allocate solves and the kernel's rule decides.
+"""
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .channel import EffectiveCsi, PhaseModel, ee, rate_noma
-from .eepa import dinkelbach_allocate, pairing_criterion_eepa
-from .mpa import (
-    Mode,
-    PairDecision,
-    TargetPolicy,
-    allocate_mpa,
-    alpha2_upper,
-    oma_decision,
-)
+from .channel import EffectiveCsi, PhaseModel
+from .eepa import _eepa_kernel, _eepa_outcome, dinkelbach_allocate, pairing_criterion_eepa
+from .mpa import PairDecision, TargetPolicy, _check_channel, allocate_mpa, oma_decision
+from .mpa import _mpa_kernel, _oma_kernel, _srm_kernel
 
-__all__ = ["Scheme", "UserRecord", "PairingPlan", "build_pairs", "run_scheme", "srm_baseline"]
-
-_REF_PHASE = PhaseModel(0.0)
+__all__ = ["Scheme", "KERNELS", "UserRecord", "build_pairs", "run_scheme"]
 
 
 class Scheme(Enum):
@@ -30,17 +27,13 @@ class Scheme(Enum):
     OMA = "oma"
 
 
+KERNELS = {Scheme.MPA: _mpa_kernel, Scheme.EEPA: _eepa_kernel, Scheme.SRM: _srm_kernel, Scheme.OMA: _oma_kernel}
+
+
 @dataclass(frozen=True)
 class UserRecord:
     id: int
     csi: EffectiveCsi
-
-
-@dataclass(frozen=True)
-class PairingPlan:
-    decisions: Tuple[PairDecision, ...]
-    unpaired: Optional[UserRecord]
-    scheme: Scheme
 
 
 def build_pairs(users: List[UserRecord]):
@@ -58,50 +51,24 @@ def build_pairs(users: List[UserRecord]):
     return pairs, unpaired
 
 
-def _decide_mpa(strong, weak, phase, policy):
-    targets = policy.resolve(strong.csi, weak.csi, phase)
-    return allocate_mpa(targets, strong.csi, weak.csi, phase, strong.id, weak.id)
-
-
-def _decide_eepa(strong, weak, phase, policy):
-    targets = policy.resolve(strong.csi, weak.csi, phase)
-    crit = pairing_criterion_eepa(targets, strong.csi, weak.csi, phase)
-    if not crit.feasible_at(phase.delta):
-        return oma_decision(strong.csi, weak.csi, phase, strong.id, weak.id)
-    res = dinkelbach_allocate(targets, strong.csi, weak.csi, phase)
-    if res.lambda_star <= 0.0:  # rates underflow to 0: no EE to gain from NOMA
-        return oma_decision(strong.csi, weak.csi, phase, strong.id, weak.id)
-    rates = rate_noma(res.alpha1, res.alpha2, strong.csi, weak.csi, phase)
-    return PairDecision(
-        Mode.NOMA,
-        res.alpha1,
-        res.alpha2,
-        rates,
-        rates.strong + rates.weak,
-        res.lambda_star,
-        strong.id,
-        weak.id,
-        res.iterations,
-    )
-
-
-def _decide_srm(strong, weak, phase):
-    # phase-oblivious: allocation chosen as if delta were zero, rates
-    # evaluated at the true delta, never falling back to OMA, by design:
-    # not even when every rate underflows to 0, where MPA and EEPA do
-    targets = TargetPolicy.oma_at_reference(0.0).resolve(strong.csi, weak.csi, _REF_PHASE)
-    a2 = min(alpha2_upper(targets, strong.csi, weak.csi, _REF_PHASE), 1.0)
-    rates = rate_noma(1.0, a2, strong.csi, weak.csi, phase)
-    return PairDecision(
-        Mode.NOMA,
-        1.0,
-        a2,
-        rates,
-        rates.strong + rates.weak,
-        ee(rates, 1.0, a2),
-        strong.id,
-        weak.id,
-    )
+def _decide(scheme, strong, weak, phase, policy) -> PairDecision:
+    csi1, csi2, ids = strong.csi, weak.csi, (strong.id, weak.id)
+    if scheme is Scheme.OMA:
+        return oma_decision(csi1, csi2, phase, *ids)
+    if scheme is Scheme.SRM:
+        _check_channel(csi2, phase, 2)
+        return PairDecision.from_kernel(_srm_kernel(csi1.gamma, csi2.gamma, phase.degradation), *ids)
+    if scheme not in (Scheme.MPA, Scheme.EEPA):
+        raise ValueError(f"unknown scheme {scheme}")
+    targets = policy.resolve(csi1, csi2, phase)
+    if scheme is Scheme.MPA:
+        return allocate_mpa(targets, csi1, csi2, phase, *ids)
+    solution, iterations = (0.0, 0.0, 0.0), None  # unsolved: lambda* = 0, OMA
+    if phase.degradation >= pairing_criterion_eepa(targets, csi1, csi2, phase).sinc_sq_threshold:
+        res = dinkelbach_allocate(targets, csi1, csi2, phase)
+        solution, iterations = (res.alpha1, res.alpha2, res.lambda_star), res.iterations
+    decision = _eepa_outcome(csi1.gamma, csi2.gamma, phase.degradation, *solution)
+    return PairDecision.from_kernel(decision, *ids, iterations)
 
 
 def run_scheme(
@@ -109,27 +76,9 @@ def run_scheme(
     scheme: Scheme,
     phase: PhaseModel,
     targets_policy: Optional[TargetPolicy] = None,
-) -> PairingPlan:
-    """Build pairs and decide each one under the given scheme."""
+) -> List[PairDecision]:
+    """Build pairs and decide each one under the given scheme; the
+    decisions follow build_pairs' order."""
     policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
-    pairs, unpaired = build_pairs(users)
-    decisions = []
-    for strong, weak in pairs:
-        if scheme is Scheme.OMA:
-            d = oma_decision(strong.csi, weak.csi, phase, strong.id, weak.id)
-        elif scheme is Scheme.MPA:
-            d = _decide_mpa(strong, weak, phase, policy)
-        elif scheme is Scheme.EEPA:
-            d = _decide_eepa(strong, weak, phase, policy)
-        elif scheme is Scheme.SRM:
-            d = _decide_srm(strong, weak, phase)
-        else:
-            raise ValueError(f"unknown scheme {scheme}")
-        decisions.append(d)
-    return PairingPlan(tuple(decisions), unpaired, scheme)
-
-
-def srm_baseline(users: List[UserRecord], phase: PhaseModel) -> PairingPlan:
-    """Sum-rate-maximization baseline: perfect-phase MPA allocation
-    evaluated at the true phase error."""
-    return run_scheme(users, Scheme.SRM, phase)
+    pairs, _ = build_pairs(users)
+    return [_decide(scheme, strong, weak, phase, policy) for strong, weak in pairs]

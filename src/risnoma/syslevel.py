@@ -8,9 +8,9 @@ about one grid square per BS, and each user compares only its square's
 candidate BSs, which provably contain its nearest one. Memory per drop
 grows with users x candidates (a few dozen) plus BS^2, not users x BS.
 
-Per-pair decisions here come from one vectorized kernel per scheme,
-which tests check against pairing.run_scheme pair by pair; EEPA's,
-dinkelbach_batch, runs the same Dinkelbach loop as the per-pair solver.
+Per-pair decisions come from the schemes' array kernels
+(pairing.KERNELS), the same kernels that pairing.run_scheme evaluates
+on one pair at a time.
 """
 
 import math
@@ -19,15 +19,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .channel import sinc_sq
-from .eepa import dinkelbach_batch
-from .mpa import EPS, PolicyKind, TargetPolicy
-from .pairing import Scheme
+from .channel import _link_gamma, sinc_sq
+from .mpa import TargetPolicy
+from .pairing import KERNELS, Scheme
 
 __all__ = [
     "DeploymentConfig",
     "RadioConfig",
-    "DropResult",
     "MetricsTable",
     "drop_ppp",
     "path_gain",
@@ -203,13 +201,8 @@ def associate_and_budget(
     heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0  # own cell is not interference
     interference = heard.sum(axis=0)[serving]
 
-    num = (
-        radio.transmit_power
-        * composite
-        * radio.ris_elements**2
-        * radio.bs_antennas
-    )
-    gamma = num / (interference + radio.noise_power)
+    gamma = _link_gamma(radio.transmit_power, composite, radio.ris_elements,
+                        radio.bs_antennas, interference, radio.noise_power)
     return gamma, serving, interference
 
 
@@ -237,82 +230,6 @@ def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -
     )
 
 
-def _targets(policy: TargetPolicy, g1, g2, s: float):
-    if policy.kind is PolicyKind.OMA_AT_REFERENCE:
-        s_ref = sinc_sq(policy.delta_ref)
-        return 0.5 * np.log2(1.0 + g1 * s_ref), 0.5 * np.log2(1.0 + g2 * s_ref)
-    if policy.kind is PolicyKind.OMA_AT_CURRENT:
-        return 0.5 * np.log2(1.0 + g1 * s), 0.5 * np.log2(1.0 + g2 * s)
-    return (
-        np.full_like(g1, policy.r1_min),
-        np.full_like(g1, policy.r2_min),
-    )
-
-
-def _noma_rates(a1, a2, g1, g2, s: float):
-    r1 = np.log2(1.0 + a1 * g1 * s / (1.0 + a2 * g2 * s))
-    r2 = np.log2(1.0 + a2 * g2 * s)
-    return r1, r2
-
-
-def _scheme_arrays(scheme: Scheme, g1, g2, s: float, policy: TargetPolicy):
-    """Per-pair (r1, r2, ee) arrays for one scheme at one delta, the
-    decisions of pairing.run_scheme on every pair at once."""
-    r1o = 0.5 * np.log2(1.0 + g1 * s)
-    r2o = 0.5 * np.log2(1.0 + g2 * s)
-    ee_oma = (r1o + r2o) / 2.0
-    if scheme is Scheme.OMA:
-        return r1o, r2o, ee_oma
-
-    if scheme is Scheme.SRM:
-        r1bar0, _ = _targets(TargetPolicy.oma_at_reference(0.0), g1, g2, 1.0)
-        pow1 = 2.0**r1bar0
-        ub0 = (g1 + 1.0 - pow1) / (g2 * (pow1 - 1.0))
-        a2 = np.clip(ub0, 0.0, 1.0)
-        r1, r2 = _noma_rates(1.0, a2, g1, g2, s)
-        return r1, r2, (r1 + r2) / (1.0 + a2)
-
-    r1bar, r2bar = _targets(policy, g1, g2, s)
-    pow1 = 2.0**r1bar
-    pow2 = 2.0**r2bar
-
-    if scheme is Scheme.MPA:
-        threshold = pow2 * (pow1 - 1.0) / g1
-        lb = (pow2 - 1.0) / (g2 * s)
-        feasible = (s >= threshold) & (lb <= 1.0 + EPS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ub = (g1 * s + 1.0 - pow1) / (g2 * s * (pow1 - 1.0))
-        a2 = np.clip(np.where(pow1 > 1.0, ub, 1.0), 0.0, 1.0)
-        r1n, r2n = _noma_rates(1.0, a2, g1, g2, s)
-        feasible &= r1n + r2n > 0.0  # rates underflow to 0: OMA fallback
-        r1 = np.where(feasible, r1n, r1o)
-        r2 = np.where(feasible, r2n, r2o)
-        ee = np.where(feasible, (r1n + r2n) / (1.0 + a2), ee_oma)
-        return r1, r2, ee
-
-    if scheme is Scheme.EEPA:
-        with np.errstate(divide="ignore"):
-            denom = g1 / (pow1 - 1.0) - g2
-        th1 = np.where(pow1 > 1.0, np.where(denom > 0.0, 1.0 / denom, np.inf), 0.0)
-        th2 = (pow2 - 1.0) / g2
-        feasible = s >= np.maximum(th1, th2)
-        r1 = r1o.copy()
-        r2 = r2o.copy()
-        ee = ee_oma.copy()
-        idx = np.flatnonzero(feasible)
-        if idx.size:
-            a1, a2, lam = dinkelbach_batch(g1[idx], g2[idx], r1bar[idx], r2bar[idx], s)
-            noma = lam > 0.0  # lambda* = 0: rates underflow, OMA fallback
-            idx, a1, a2, lam = idx[noma], a1[noma], a2[noma], lam[noma]
-            r1n, r2n = _noma_rates(a1, a2, g1[idx], g2[idx], s)
-            r1[idx] = r1n
-            r2[idx] = r2n
-            ee[idx] = lam
-        return r1, r2, ee
-
-    raise ValueError(f"unknown scheme {scheme}")
-
-
 def run_campaign(
     deploy: DeploymentConfig,
     radio: RadioConfig,
@@ -325,7 +242,8 @@ def run_campaign(
     means with standard errors, plus the ASR CDF samples at cdf_delta.
 
     Deterministic for a fixed deployment seed: drops derive their own
-    generators from (seed, drop index).
+    generators from (seed, drop index). cdf_delta must lie within 1e-12
+    of a swept delta.
     """
     if not schemes:
         raise ValueError("schemes must be non-empty")
@@ -334,6 +252,9 @@ def run_campaign(
     policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
     if cdf_delta is None:
         cdf_delta = float(delta_sweep[0])
+    at_cdf = [abs(float(d) - cdf_delta) < 1e-12 for d in delta_sweep]
+    if not any(at_cdf):
+        raise ValueError(f"cdf_delta {math.degrees(cdf_delta):g} deg is not one of the swept deltas")
 
     strong, weak = [], []
     skipped = 0
@@ -354,10 +275,11 @@ def run_campaign(
     table = MetricsTable(
         cdf_delta=cdf_delta, n_pairs=len(g1), skipped_drops=skipped, lone_users=lone
     )
-    for delta in delta_sweep:
+    for delta, sample_cdf in zip(delta_sweep, at_cdf):
         s = sinc_sq(float(delta))
+        r1_min, r2_min = policy.rates(g1, g2, s)
         for scheme in schemes:
-            r1, r2, ee = _scheme_arrays(scheme, g1, g2, s, policy)
+            _, _, _, r1, r2, ee = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
             asr = r1 + r2
             n = len(asr)
             row = {"scheme": scheme.value, "delta": float(delta)}
@@ -366,6 +288,6 @@ def run_campaign(
                 row[f"se_{name}"] = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             row["n_pairs"] = n
             table.rows.append(row)
-            if abs(float(delta) - cdf_delta) < 1e-12 and scheme.value not in table.cdf:
+            if sample_cdf and scheme.value not in table.cdf:
                 table.cdf[scheme.value] = np.sort(asr)
     return table

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from risnoma.channel import EffectiveCsi, PhaseModel, phase_error_gain_mc, rate_noma, sinc_sq
 from risnoma.cli import main as cli_main
-from risnoma.eepa import dinkelbach_allocate, grid_oracle_ee, pairing_criterion_eepa
+from risnoma.eepa import dinkelbach_allocate, pairing_criterion_eepa
 from risnoma.experiments import ExperimentConfig, ExperimentKind, sweep_alpha2_table
 from risnoma.mpa import (
     Mode,
@@ -23,15 +23,13 @@ from risnoma.mpa import (
     allocate_mpa,
     alpha2_lower,
     alpha2_upper,
-    best_kkt_candidate,
     eta_kappa,
-    invert_sinc_sq,
-    kkt_candidates,
     oma_decision,
     pairing_criterion_mpa,
 )
-from risnoma.pairing import Scheme
-from risnoma.syslevel import DeploymentConfig, RadioConfig, _build_drop, _scheme_arrays, run_campaign
+from risnoma.pairing import KERNELS, Scheme
+from risnoma.syslevel import DeploymentConfig, RadioConfig, _build_drop, run_campaign
+from oracles import best_kkt_candidate, grid_oracle_ee, kkt_candidates
 
 POLICY = TargetPolicy.oma_at_reference(0.0)
 P0 = PhaseModel(0.0)
@@ -293,7 +291,8 @@ def test_acceptance_8_system_level_shape(request):
     srm_below = srm_mismatch = mpa_below = 0
     for d in sweep:
         s = sinc_sq(d)
-        r2 = {sch: _scheme_arrays(sch, g1, g2, s, POLICY)[1] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
+        targets = POLICY.rates(g1, g2, s)
+        r2 = {sch: KERNELS[sch](g1, g2, s, *targets)[4] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
         for sch, arr in r2.items():
             if abs(arr.mean() - get(sch.value, d, "mean_r2")) > 1e-12:
                 problems.append(f"(b) {sch.value} pairs differ from the campaign at {math.degrees(d):.0f} deg")

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from risnoma.channel import (
-    ArrayGeometry,
     EffectiveCsi,
     LinkBudget,
     PhaseModel,
     RatePair,
-    array_response,
     asr,
     db_to_linear,
     ee,
@@ -82,28 +80,6 @@ class TestPhaseErrorMc:
             phase_error_gain_mc(4, -1.0, 10, seed=0)
         with pytest.raises(ValueError):
             phase_error_gain_mc(4, 0.5, 0, seed=0)
-
-
-class TestArrayResponse:
-    def test_single_element(self):
-        v = array_response(ArrayGeometry(1, 0.5, 0.3, 1.1))
-        assert np.allclose(v, [1.0])
-
-    def test_vanishing_phase(self):
-        v = array_response(ArrayGeometry(4, 0.5, 0.0, math.pi / 2))
-        assert np.allclose(v, np.ones(4))
-
-    @pytest.mark.parametrize("elements", [1, 4, 9, 16, 64])
-    def test_norm_equals_elements(self, elements):
-        rng = np.random.default_rng(elements)
-        geom = ArrayGeometry(elements, 0.5, rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-        v = array_response(geom)
-        assert np.allclose(np.abs(v), 1.0)
-        assert np.linalg.norm(v) ** 2 == pytest.approx(elements, rel=1e-12)
-
-    def test_perfect_square_required(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(8, 0.5, 0.0, 0.0)
 
 
 class TestEffectiveCsi:

@@ -408,6 +408,7 @@ class TestConfigHandling:
             ["syslevel", "--pathloss-exponent", "1"],
             ["pair-study", "--gammas-db", "8,nan"],
             ["syslevel", "--drops", "1", "--bs-density", "0.001", "--user-density", "1"],
+            ["syslevel", "--drops", "2", "--delta-deg", "0:40:20", "--cdf-delta-deg", "5"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

@@ -12,10 +12,10 @@ from risnoma.eepa import (
     _edge_step,
     dinkelbach_allocate,
     dinkelbach_batch,
-    grid_oracle_ee,
     pairing_criterion_eepa,
 )
 from risnoma.mpa import RateTargets, TargetPolicy, allocate_mpa, alpha2_lower, eta_kappa
+from oracles import grid_oracle_ee
 
 P0 = PhaseModel(0.0)
 POLICY = TargetPolicy.oma_at_reference(0.0)

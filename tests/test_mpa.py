@@ -14,13 +14,11 @@ from risnoma.mpa import (
     allocate_mpa,
     alpha2_lower,
     alpha2_upper,
-    best_kkt_candidate,
     eta_kappa,
     invert_sinc_sq,
-    kkt_candidates,
-    mpa_bounds,
     pairing_criterion_mpa,
 )
+from oracles import best_kkt_candidate, kkt_candidates
 
 P0 = PhaseModel(0.0)
 POLICY = TargetPolicy.oma_at_reference(0.0)
@@ -255,8 +253,9 @@ class TestKkt:
 class TestBounds:
     def test_identity_ub_from_eta_kappa(self):
         csi1, csi2 = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5)
-        b = mpa_bounds(oma_targets(csi1, csi2), csi1, csi2, PhaseModel(0.2))
-        assert b.alpha2_ub == pytest.approx((1 - b.eta) / b.kappa, rel=1e-12)
+        targets, phase = oma_targets(csi1, csi2), PhaseModel(0.2)
+        eta, kappa = eta_kappa(targets, csi1, csi2, phase)
+        assert alpha2_upper(targets, csi1, csi2, phase) == pytest.approx((1 - eta) / kappa, rel=1e-12)
 
 
 POLICIES = st.one_of(

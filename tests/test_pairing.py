@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, rate_oma
 from risnoma.mpa import Mode, TargetPolicy
-from risnoma.pairing import Scheme, UserRecord, build_pairs, run_scheme, srm_baseline
+from risnoma.pairing import Scheme, UserRecord, build_pairs, run_scheme
 
 
 def users_from_db(gammas_db):
@@ -67,15 +67,13 @@ class TestBuildPairs:
 class TestRunScheme:
     def test_oma_scheme(self):
         phase = PhaseModel(0.3)
-        plan = run_scheme(users_from_db([8, 5]), Scheme.OMA, phase)
-        d = plan.decisions[0]
+        d = run_scheme(users_from_db([8, 5]), Scheme.OMA, phase)[0]
         assert d.mode is Mode.OMA
         assert d.rates.strong == pytest.approx(rate_oma(EffectiveCsi.from_db(8), phase))
         assert d.rates.weak == pytest.approx(rate_oma(EffectiveCsi.from_db(5), phase))
 
     def test_mpa_figure_pair(self):
-        plan = run_scheme(users_from_db([8, 5]), Scheme.MPA, PhaseModel(0.0))
-        d = plan.decisions[0]
+        d = run_scheme(users_from_db([8, 5]), Scheme.MPA, PhaseModel(0.0))[0]
         assert d.mode is Mode.NOMA
         assert d.alpha1 == 1.0
         assert d.alpha2 == pytest.approx(0.85497, abs=1e-4)
@@ -85,8 +83,8 @@ class TestRunScheme:
         phase = PhaseModel.from_degrees(80.0)
         plan_mpa = run_scheme(users_from_db([8, 5]), Scheme.MPA, phase)
         plan_oma = run_scheme(users_from_db([8, 5]), Scheme.OMA, phase)
-        assert plan_mpa.decisions[0].mode is Mode.OMA
-        assert plan_mpa.decisions[0] == plan_oma.decisions[0]
+        assert plan_mpa[0].mode is Mode.OMA
+        assert plan_mpa[0] == plan_oma[0]
 
     def test_srm_equals_mpa_at_zero_delta(self):
         rng = np.random.default_rng(13)
@@ -96,35 +94,29 @@ class TestRunScheme:
             p0 = PhaseModel(0.0)
             srm = run_scheme(users, Scheme.SRM, p0)
             mpa = run_scheme(users, Scheme.MPA, p0)
-            for a, b in zip(srm.decisions, mpa.decisions):
+            for a, b in zip(srm, mpa):
                 assert a.alpha1 == pytest.approx(b.alpha1, abs=1e-12)
                 assert a.alpha2 == pytest.approx(b.alpha2, abs=1e-12)
                 assert a.asr == pytest.approx(b.asr, abs=1e-9)
 
     def test_srm_never_falls_back(self):
-        plan = run_scheme(users_from_db([8, 5]), Scheme.SRM, PhaseModel.from_degrees(80.0))
-        assert plan.decisions[0].mode is Mode.NOMA
+        decisions = run_scheme(users_from_db([8, 5]), Scheme.SRM, PhaseModel.from_degrees(80.0))
+        assert decisions[0].mode is Mode.NOMA
 
     def test_srm_keeps_zero_delta_allocation(self):
         p0 = run_scheme(users_from_db([8, 5]), Scheme.SRM, PhaseModel(0.0))
         p1 = run_scheme(users_from_db([8, 5]), Scheme.SRM, PhaseModel.from_degrees(60.0))
-        assert p0.decisions[0].alpha2 == p1.decisions[0].alpha2
-        assert p1.decisions[0].asr < p0.decisions[0].asr
-
-    def test_srm_baseline_helper(self):
-        phase = PhaseModel(0.2)
-        users = users_from_db([8, 5, 3, 1])
-        assert srm_baseline(users, phase) == run_scheme(users, Scheme.SRM, phase)
+        assert p0[0].alpha2 == p1[0].alpha2
+        assert p1[0].asr < p0[0].asr
 
     def test_eepa_falls_back_for_close_pair(self):
         # Gamma=[8,5] dB with OMA-at-0 targets fails the worst-case
         # criterion even at delta=0
-        plan = run_scheme(users_from_db([8, 5]), Scheme.EEPA, PhaseModel(0.0))
-        assert plan.decisions[0].mode is Mode.OMA
+        decisions = run_scheme(users_from_db([8, 5]), Scheme.EEPA, PhaseModel(0.0))
+        assert decisions[0].mode is Mode.OMA
 
     def test_eepa_noma_for_separated_pair(self):
-        plan = run_scheme(users_from_db([15, 5]), Scheme.EEPA, PhaseModel(0.0))
-        d = plan.decisions[0]
+        d = run_scheme(users_from_db([15, 5]), Scheme.EEPA, PhaseModel(0.0))[0]
         assert d.mode is Mode.NOMA
         assert d.alpha1 == pytest.approx(0.30397, abs=1e-4)
         assert d.alpha2 == pytest.approx(0.32893, abs=1e-4)
@@ -134,7 +126,7 @@ class TestRunScheme:
     def test_eepa_falls_back_at_zero_ee(self):
         # -400/-500 dB: the targets and every rate underflow to 0, so the
         # Dinkelbach optimum lambda* = 0 and NOMA gains nothing
-        d = run_scheme(users_from_db([-400, -500]), Scheme.EEPA, PhaseModel(0.0)).decisions[0]
+        d = run_scheme(users_from_db([-400, -500]), Scheme.EEPA, PhaseModel(0.0))[0]
         assert d.mode is Mode.OMA
         assert (d.ee, d.iterations) == (0.0, None)
 
@@ -142,15 +134,14 @@ class TestRunScheme:
         # when EEPA pairs, its EE dominates the full-power MPA allocation
         users = users_from_db([15, 5])
         phase = PhaseModel(0.5)
-        eepa = run_scheme(users, Scheme.EEPA, phase).decisions[0]
-        mpa = run_scheme(users, Scheme.MPA, phase).decisions[0]
+        eepa = run_scheme(users, Scheme.EEPA, phase)[0]
+        mpa = run_scheme(users, Scheme.MPA, phase)[0]
         assert eepa.mode is Mode.NOMA
         assert eepa.ee >= mpa.ee - 1e-8
 
     def test_explicit_policy_respected(self):
         policy = TargetPolicy.explicit(0.5, 0.25)
-        plan = run_scheme(users_from_db([8, 5]), Scheme.MPA, PhaseModel(0.1), policy)
-        d = plan.decisions[0]
+        d = run_scheme(users_from_db([8, 5]), Scheme.MPA, PhaseModel(0.1), policy)[0]
         assert d.mode is Mode.NOMA
         assert d.rates.strong >= 0.5 - 1e-9
         assert d.rates.weak >= 0.25 - 1e-9
@@ -163,8 +154,8 @@ class TestRunScheme:
             users = users_from_db(rng.uniform(-2, 20, n))
             phase = PhaseModel(rng.uniform(0, 1.2))
             for scheme in (Scheme.MPA, Scheme.EEPA):
-                plan = run_scheme(users, scheme, phase, policy)
-                for d, (strong, weak) in zip(plan.decisions, build_pairs(users)[0]):
+                decisions = run_scheme(users, scheme, phase, policy)
+                for d, (strong, weak) in zip(decisions, build_pairs(users)[0]):
                     if d.mode is not Mode.NOMA:
                         continue
                     targets = policy.resolve(strong.csi, weak.csi, phase)
@@ -187,7 +178,7 @@ class TestRunScheme:
         phase = PhaseModel(delta)
         targets = policy.resolve(users[0].csi, users[1].csi, phase)
         for scheme in (Scheme.MPA, Scheme.EEPA):
-            d = run_scheme(users, scheme, phase, policy).decisions[0]
+            d = run_scheme(users, scheme, phase, policy)[0]
             if d.mode is Mode.NOMA:
                 assert d.rates.strong >= targets.r1_min - 1e-9
                 assert d.rates.weak >= targets.r2_min - 1e-9

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
-from risnoma.mpa import TargetPolicy
-from risnoma.pairing import Scheme, UserRecord, run_scheme
+from risnoma.mpa import PairDecision, TargetPolicy
+from risnoma.pairing import KERNELS, Scheme, UserRecord, run_scheme
 from risnoma.syslevel import (
     DeploymentConfig,
     RadioConfig,
     _build_drop,
-    _scheme_arrays,
     associate_and_budget,
     drop_ppp,
     path_gain,
@@ -298,31 +297,49 @@ class TestBuildDrop:
         assert db.max() > 8.0 and db.min() < 2.0
 
 
+POLICIES = (
+    TargetPolicy.oma_at_reference(0.0),
+    TargetPolicy.oma_at_current(),
+    TargetPolicy.explicit(0.8, 0.4),
+)
+
+
+def kernel_arrays(scheme, g1, g2, s, policy=TargetPolicy.oma_at_reference(0.0)):
+    """A scheme's kernel on every pair, each output broadcast to the pairs."""
+    out = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+    return [np.broadcast_to(x, np.shape(g1)) for x in out]
+
+
 class TestSchemeArrays:
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("delta", [0.0, 0.4, 1.2])
     def test_matches_scalar_path(self, scheme, delta):
+        # under each target policy, the kernel on all 60 pairs equals, bit
+        # for bit, the kernel on each pair's shape-() values, and
+        # run_scheme's decision for the pair is the latter's
         rng = np.random.default_rng(21)
         g1_db = rng.uniform(0, 25, 60)
         g2_db = g1_db - rng.uniform(0.5, 15, 60)
         g1 = 10 ** (g1_db / 10)
         g2 = 10 ** (g2_db / 10)
         phase = PhaseModel(delta)
-        policy = TargetPolicy.oma_at_reference(0.0)
-        r1, r2, ee = _scheme_arrays(scheme, g1, g2, phase.degradation, policy)
-        for k in range(len(g1)):
-            users = [UserRecord(0, EffectiveCsi(g1[k])), UserRecord(1, EffectiveCsi(g2[k]))]
-            d = run_scheme(users, scheme, phase, policy).decisions[0]
-            assert r1[k] == pytest.approx(d.rates.strong, abs=1e-7)
-            assert r2[k] == pytest.approx(d.rates.weak, abs=1e-7)
-            assert ee[k] == pytest.approx(d.ee, abs=1e-6)
+        s = phase.degradation
+        for policy in POLICIES:
+            r1_min, r2_min = policy.rates(g1, g2, s)
+            batch = np.array(kernel_arrays(scheme, g1, g2, s, policy), dtype=float)
+            for k in range(len(g1)):
+                one = KERNELS[scheme](g1[k], g2[k], s, r1_min[k], r2_min[k])
+                assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
+                users = [UserRecord(0, EffectiveCsi(g1[k])), UserRecord(1, EffectiveCsi(g2[k]))]
+                d = run_scheme(users, scheme, phase, policy)[0]
+                assert d == PairDecision.from_kernel(one, iterations=d.iterations)
 
     def test_eepa_zero_ee_falls_back_to_oma(self, monkeypatch):
         # every other feasible pair gets lambda* = 0 from the solver: those
-        # must report OMA's rates and EE, the others the solver's
-        import risnoma.syslevel as syslevel
+        # must report OMA's decision, the others the solver's
+        import risnoma.eepa as eepa
 
-        solve = syslevel.dinkelbach_batch
+        solve = eepa.dinkelbach_batch
 
         def zero_every_other(*args):
             a1, a2, lam = solve(*args)
@@ -331,12 +348,12 @@ class TestSchemeArrays:
 
         g1 = 10 ** (np.linspace(15, 25, 8) / 10)
         g2 = 10 ** (np.linspace(-5, 5, 8) / 10)
-        s, policy = sinc_sq(0.3), TargetPolicy.oma_at_reference(0.0)
-        real = _scheme_arrays(Scheme.EEPA, g1, g2, s, policy)
-        oma = _scheme_arrays(Scheme.OMA, g1, g2, s, policy)
-        monkeypatch.setattr(syslevel, "dinkelbach_batch", zero_every_other)
-        patched = _scheme_arrays(Scheme.EEPA, g1, g2, s, policy)
-        assert np.all(real[2] != oma[2])  # all eight pairs are EEPA NOMA pairs
+        s = sinc_sq(0.3)
+        real = kernel_arrays(Scheme.EEPA, g1, g2, s)
+        oma = kernel_arrays(Scheme.OMA, g1, g2, s)
+        monkeypatch.setattr(eepa, "dinkelbach_batch", zero_every_other)
+        patched = kernel_arrays(Scheme.EEPA, g1, g2, s)
+        assert np.all(real[0]) and np.all(real[5] != oma[5])  # eight EEPA NOMA pairs
         for got, want, ref in zip(patched, real, oma):
             np.testing.assert_array_equal(got[::2], ref[::2])
             np.testing.assert_array_equal(got[1::2], want[1::2])
@@ -351,9 +368,8 @@ class TestSchemeArrays:
         g1 = 10 ** (rng.uniform(0, 45, 2000) / 10)
         g2 = g1 * 10 ** (-rng.uniform(0, 12, 2000) / 10)
         s = sinc_sq(delta)
-        policy = TargetPolicy.oma_at_reference(0.0)
-        _, r2_srm, _ = _scheme_arrays(Scheme.SRM, g1, g2, s, policy)
-        _, r2_oma, _ = _scheme_arrays(Scheme.OMA, g1, g2, s, policy)
+        r2_srm = kernel_arrays(Scheme.SRM, g1, g2, s)[4]
+        r2_oma = kernel_arrays(Scheme.OMA, g1, g2, s)[4]
         margin = g2 - (2.0 * np.sqrt(1.0 + g1) + (1.0 + g1) * s)
         decisive = np.abs(margin) >= 1e-9
         below = r2_srm < r2_oma
@@ -419,6 +435,34 @@ class TestRunCampaign:
             run_campaign(deploy, RADIO, [], [0.0])
         with pytest.raises(ValueError):
             run_campaign(deploy, RADIO, [Scheme.OMA], [])
+        with pytest.raises(ValueError, match="cdf_delta"):
+            run_campaign(deploy, RADIO, [Scheme.OMA], [0.0, 0.5], cdf_delta=0.1)
+
+    def test_underflowing_gamma(self):
+        # at -200 dBm every Gamma1 lies below 1e-16: the OMA floor
+        # 2^r1min rounds to 1, alpha2_ub is unbounded, and SRM takes
+        # alpha2 = 1 on every pair, as the per-pair decision does
+        deploy = DeploymentConfig(seed=0, drops=1)
+        radio = RadioConfig(transmit_power=10 ** ((-200.0 - 30.0) / 10.0))
+        drop = _build_drop(deploy, radio, 0)
+        g1, g2 = drop.pair_gamma_strong, drop.pair_gamma_weak
+        assert g1.max() < 1e-16 and g2.min() > 0.0
+        table = run_campaign(deploy, radio, list(Scheme), [0.0, 0.5])
+        for row in table.rows:
+            assert all(math.isfinite(v) for k, v in row.items() if k.startswith(("mean_", "se_")))
+        phase = PhaseModel(0.5)
+        srm = [
+            run_scheme([UserRecord(0, EffectiveCsi(a)), UserRecord(1, EffectiveCsi(b))], Scheme.SRM, phase)[0]
+            for a, b in zip(g1, g2)
+        ]
+        assert all(d.alpha2 == 1.0 for d in srm)
+        row = next(r for r in table.rows if r["scheme"] == "srm" and r["delta"] == 0.5)
+        for key, values in (
+            ("mean_r1", [d.rates.strong for d in srm]),
+            ("mean_r2", [d.rates.weak for d in srm]),
+            ("mean_ee", [d.ee for d in srm]),
+        ):
+            assert row[key] == np.array(values).mean()
 
 
 class TestConfigValidation:
@@ -463,5 +507,5 @@ class TestSyslevelTables:
             part = slice(k * n, (k + 1) * n)
             assert cdf.data["scheme"][part] == [scheme.value] * n
             assert np.array_equal(cdf.data["cdf"][part].view(np.int64), levels.view(np.int64))
-            r1, r2, _ = _scheme_arrays(scheme, g1, g2, s, TargetPolicy.oma_at_reference(0.0))
+            _, _, _, r1, r2, _ = kernel_arrays(scheme, g1, g2, s)
             assert np.array_equal(cdf.data["asr"][part], np.sort(r1 + r2))
