@@ -30,7 +30,10 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db} dB overflows a float") from None
 
 
 def linear_to_db(value: float) -> float:

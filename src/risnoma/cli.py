@@ -18,6 +18,7 @@ import click
 import yaml
 
 from . import experiments as ex
+from .channel import db_to_linear
 from .eepa import ConvergenceError
 from .mpa import TargetPolicy
 from .pairing import Scheme
@@ -79,8 +80,8 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
         kwargs["radio"] = RadioConfig(
             bs_antennas=r["bs_antennas"],
             ris_elements=r["ris_elements"],
-            transmit_power=10 ** ((r["tx_power_dbm"] - 30.0) / 10.0),
-            noise_power=10 ** ((r["noise_dbm"] - 30.0) / 10.0),
+            transmit_power=db_to_linear(r["tx_power_dbm"] - 30.0),
+            noise_power=db_to_linear(r["noise_dbm"] - 30.0),
             pathloss_intercept=r["pathloss_intercept_db"],
             pathloss_exponent=r["pathloss_exponent"],
             ris_offset_m=r["ris_offset_m"],

@@ -4,11 +4,13 @@ Dinkelbach solver for the pseudo-concave ratio program.
 The feasible power fractions form the polygon
 {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1} with hi = min(1, (1-eta)/kappa).
 Each Dinkelbach subproblem maximizes the concave log2(1 + (a1*G1 +
-a2*G2)*s) - lam*(a1 + a2) over it. Its gradient can only vanish in the
-interior when Gamma1 = Gamma2, so a maximizer sits on one of the four
-edges, and along each edge the maximum has a closed form (the edge
-step). One array-valued Dinkelbach loop serves both the scalar solver
-(one pair) and the batch solver of system-level campaigns.
+a2*G2)*s) - lam*(a1 + a2) over it. Every pair has Gamma1 >= Gamma2, so
+moving power from the weak user to the strong one never lowers the
+objective: a maximizer lies on the path a2 = lb (the weak user at its
+rate floor), then a1 = 1, and along each of the two legs the maximum is
+a clipped closed form (the edge step). The EE optimum itself keeps the
+weak user at its floor. One array-valued Dinkelbach loop serves both the
+scalar solver (one pair) and the batch solver of system-level campaigns.
 
 The EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks
 are one rule in _eepa_outcome, lambda* = 0: a pair the criterion rejects
@@ -98,33 +100,18 @@ def _edge_step(lam, g1, g2, s, eta, kappa, lb):
     """Maximizer (a1, a2) of log2(1 + (a1*g1 + a2*g2)*s) - lam*(a1 + a2)
     over the nonempty polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1}.
 
-    Rows of the (4, ...) stacks are the edges a2 = lb, a2 = hi, a1 = 1
-    and a1 = kappa*a2 + eta, each walked from P0 to P1 with both
-    fractions non-decreasing. Along a row the objective reads
-    log2(a + b*t) - lam*(C + D*t) with b, D >= 0, so its maximum on
-    [0, 1] is the clipped stationary point 1/(lam*D*ln2) - a/b, or t = 1
-    when lam*D <= 0.
+    With g1 >= g2 a maximizer lies on the path a2 = lb, then a1 = 1.
+    Along each leg the objective is concave, with its stationary point
+    at 1/(lam*ln2) minus the leg's offset: the first leg's clipped point
+    is the maximizer unless it ends at a1 = 1, and then the second leg's
+    is. fmax/fmin map the nan of inf - inf (lam = 0, g*s = 0) to a leg's start.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
-    lo_lb = np.minimum(eta + kappa * lb, 1.0)
-    lo_hi = np.minimum(eta + kappa * hi, 1.0)
-    one = np.ones_like(lo_lb)
-    p1 = np.stack([lo_lb, lo_hi, one, lo_lb])
-    p2 = np.stack([lb, hi, lb, lb])
-    d1 = np.stack([one, one, one, lo_hi]) - p1
-    d2 = np.stack([lb, hi, hi, hi]) - p2
-    a = 1.0 + (p1 * g1 + p2 * g2) * s
-    b = (d1 * g1 + d2 * g2) * s
-    c = lam * (d1 + d2) * math.log(2.0)
-    with np.errstate(all="ignore"):
-        t = np.where(c > 0.0, 1.0 / c - a / b, 1.0)
-    t = np.fmin(np.fmax(t, 0.0), 1.0)  # also maps inf - inf (b = 0, tiny c) to t = 0
-    a1 = p1 + t * d1
-    a2 = p2 + t * d2
-    val = np.log2(1.0 + (a1 * g1 + a2 * g2) * s) - lam * (a1 + a2)
-    k = np.argmax(val, axis=0, keepdims=True)
-    return np.take_along_axis(a1, k, 0)[0], np.take_along_axis(a2, k, 0)[0]
+        peak = np.divide(1.0, lam * math.log(2.0))
+        a1 = np.fmin(np.fmax(peak - (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb), 1.0)
+        a2 = np.fmin(np.fmax(peak - (1.0 + g1 * s) / (g2 * s), lb), hi)
+    return a1, np.where(a1 == 1.0, a2, lb)
 
 
 def _dinkelbach(g1, g2, s, r1_min, r2_min, tol, max_iter):

@@ -43,8 +43,8 @@ class DeploymentConfig:
     drops: int = 1
 
     def __post_init__(self):
-        if self.bs_density <= 0 or self.user_density <= 0 or self.area_km2 <= 0:
-            raise ValueError("densities and area must be positive")
+        if not all(0.0 < x < math.inf for x in (self.bs_density, self.user_density, self.area_km2)):
+            raise ValueError("densities and area must be positive and finite")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
 
@@ -65,6 +65,10 @@ class RadioConfig:
     min_distance_m: float = 1.0
 
     def __post_init__(self):
+        fields = (self.transmit_power, self.noise_power, self.pathloss_intercept,
+                  self.pathloss_exponent, self.ris_offset_m, self.min_distance_m)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("radio powers, path loss and distances must be finite")
         if self.bs_antennas < 1 or self.ris_elements < 1:
             raise ValueError("antenna/element counts must be >= 1")
         if self.pathloss_exponent < 2.0:

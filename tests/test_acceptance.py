@@ -29,7 +29,7 @@ from risnoma.mpa import (
 )
 from risnoma.pairing import KERNELS, Scheme
 from risnoma.syslevel import DeploymentConfig, RadioConfig, _build_drop, run_campaign
-from oracles import best_kkt_candidate, grid_oracle_ee, kkt_candidates
+from oracles import best_kkt_candidate, grid_oracle_ee_rows, kkt_candidates
 
 POLICY = TargetPolicy.oma_at_reference(0.0)
 P0 = PhaseModel(0.0)
@@ -245,7 +245,7 @@ def test_acceptance_7_dinkelbach_correctness(request):
             problems.append("lambda sequence decreased")
         if res.residual > 1e-8 or res.iterations > 100:
             problems.append(f"residual {res.residual:.1e} after {res.iterations} iters")
-        _, _, ee_grid = grid_oracle_ee(targets, csi1, csi2, phase, step=1e-3)
+        _, _, ee_grid = grid_oracle_ee_rows(targets, csi1, csi2, phase, step=1e-3)
         if res.lambda_star < ee_grid - 1e-9:
             problems.append(f"solver below grid by {ee_grid - res.lambda_star:.1e}")
         worst_gap = max(worst_gap, abs(res.lambda_star - ee_grid))

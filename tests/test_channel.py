@@ -104,6 +104,10 @@ class TestEffectiveCsi:
             csi = EffectiveCsi.from_db(db)
             assert csi.gamma_db == pytest.approx(db, rel=1e-12)
 
+    def test_db_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            EffectiveCsi.from_db(3100.0)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             LinkBudget(1.0, 1.0, 4, 4, 0.0, 0.0)

@@ -409,6 +409,21 @@ class TestConfigHandling:
             ["pair-study", "--gammas-db", "8,nan"],
             ["syslevel", "--drops", "1", "--bs-density", "0.001", "--user-density", "1"],
             ["syslevel", "--drops", "2", "--delta-deg", "0:40:20", "--cdf-delta-deg", "5"],
+            ["pair-study", "--gammas-db=3100,0"],
+            ["sweep-delta", "--gammas-db=3100,0"],
+            ["sweep-alpha2", "--gammas-db=3100,0"],
+            ["syslevel", "--tx-power-dbm", "4000"],
+            ["syslevel", "--noise-dbm", "4000"],
+            ["syslevel", "--drops", "1", "--tx-power-dbm", "nan"],
+            ["syslevel", "--drops", "1", "--tx-power-dbm", "inf"],
+            ["syslevel", "--drops", "1", "--noise-dbm", "nan"],
+            ["syslevel", "--drops", "1", "--pathloss-exponent", "nan"],
+            ["syslevel", "--drops", "1", "--pathloss-intercept-db", "nan"],
+            ["syslevel", "--drops", "1", "--pathloss-intercept-db", "inf"],
+            ["syslevel", "--drops", "1", "--pathloss-intercept-db", "-inf"],
+            ["syslevel", "--drops", "1", "--ris-offset-m", "inf"],
+            ["syslevel", "--drops", "1", "--user-density", "nan"],
+            ["syslevel", "--drops", "1", "--area-km2", "inf"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from risnoma.channel import EffectiveCsi, PhaseModel, ee, rate_noma
+from risnoma.channel import EffectiveCsi, PhaseModel, ee, rate_noma, sinc_sq
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risnoma.eepa import (
     EmptyPolytopeError,
     _edge_step,
+    _eepa_kernel,
     dinkelbach_allocate,
     dinkelbach_batch,
     pairing_criterion_eepa,
 )
-from risnoma.mpa import RateTargets, TargetPolicy, allocate_mpa, alpha2_lower, eta_kappa
-from oracles import grid_oracle_ee
+from risnoma.mpa import (
+    RateTargets,
+    TargetPolicy,
+    _alpha2_lb,
+    allocate_mpa,
+    alpha2_lower,
+    eta_kappa,
+)
+from oracles import floor_edge_ee, floor_edge_u, grid_oracle_ee, grid_oracle_ee_rows
 
 P0 = PhaseModel(0.0)
 POLICY = TargetPolicy.oma_at_reference(0.0)
@@ -313,3 +321,62 @@ class TestBatch:
             dinkelbach_batch(
                 np.array([2.0]), np.array([1.9]), np.array([2.0]), np.array([2.0]), 1.0
             )
+
+
+class TestWeakUserFloor:
+    def test_lambda_star_matches_lambert_w(self):
+        # Gamma1 >= Gamma2 puts the EE optimum on the weak user's floor,
+        # where it has a closed form; abs=1e-12 covers low-EE instances
+        # (large delta) whose lambda* carries Dinkelbach's absolute stop
+        rng = np.random.default_rng(10)
+        for policy in (POLICY, TargetPolicy.oma_at_current()):
+            rows, lams = [], []
+            while len(rows) < 3000:
+                g1_db = rng.uniform(0, 20)
+                csi1, csi2 = EffectiveCsi.from_db(g1_db), EffectiveCsi.from_db(rng.uniform(0, g1_db))
+                phase = PhaseModel(rng.uniform(0, 0.9 * math.pi))
+                targets = policy.resolve(csi1, csi2, phase)
+                if not pairing_criterion_eepa(targets, csi1, csi2, phase).feasible_at(phase.delta):
+                    continue
+                polygon = instance_polygon(targets, csi1, csi2, phase)
+                rows.append((csi1.gamma, csi2.gamma, phase.degradation, *polygon))
+                lams.append(dinkelbach_allocate(targets, csi1, csi2, phase).lambda_star)
+            assert np.array(lams) == pytest.approx(floor_edge_ee(*np.array(rows).T), rel=1e-12, abs=1e-12)
+
+    def test_lambert_root(self):
+        # u*(ln u - 1) = k, from the branch point k = -1 (u = 1) upward
+        k = np.array([-1.0, -1.0 + 1e-12, -0.5, 0.0, 1.0, 1e6, 1e300])
+        u = floor_edge_u(k)
+        assert u[0] == 1.0 and u[3] == pytest.approx(math.e, rel=1e-15)
+        assert np.all(np.diff(u) > 0.0)
+        assert u * (np.log(u) - 1.0) == pytest.approx(k, rel=1e-14, abs=1e-15)
+
+    def test_kernel_noma_alpha2_is_the_floor(self):
+        # every EEPA NOMA decision gives the weak user exactly its floor
+        rng = np.random.default_rng(11)
+        g1 = 10.0 ** (rng.uniform(-3.0, 4.0, 20000))  # -30 to 40 dB
+        g2 = g1 * 10.0 ** (-rng.uniform(0.0, 4.0, g1.size))
+        policies = (POLICY, TargetPolicy.oma_at_reference(0.3), TargetPolicy.oma_at_current(),
+                    TargetPolicy.explicit(1.5, 0.7))
+        decisions = 0
+        for policy in policies:
+            for delta in np.radians(np.arange(0.0, 171.0, 10.0)):
+                s = sinc_sq(delta)
+                r1, r2 = policy.rates(g1, g2, s)
+                noma, _, alpha2, *_ = _eepa_kernel(g1, g2, s, r1, r2)
+                floor = np.minimum(_alpha2_lb(g2, s, np.power(2.0, r2)), 1.0)
+                assert np.array_equal(alpha2[noma], floor[noma])
+                decisions += np.count_nonzero(noma)
+        assert decisions > 10000
+
+
+class TestGridOracleRows:
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        instances = [sample_feasible(rng) for _ in range(200)] + [NON_BOX]
+        for instance in instances:
+            assert grid_oracle_ee_rows(*instance) == grid_oracle_ee(*instance)
+
+    def test_empty(self):
+        with pytest.raises(EmptyPolytopeError):
+            grid_oracle_ee_rows(RateTargets(5.0, 3.0), EffectiveCsi(2.0), EffectiveCsi(1.0), P0)

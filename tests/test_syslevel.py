@@ -471,6 +471,10 @@ class TestConfigValidation:
             DeploymentConfig(bs_density=0)
         with pytest.raises(ValueError):
             DeploymentConfig(drops=0)
+        for field in ("bs_density", "user_density", "area_km2"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    DeploymentConfig(**{field: value})
 
     def test_radio(self):
         with pytest.raises(ValueError):
@@ -479,6 +483,12 @@ class TestConfigValidation:
             RadioConfig(pathloss_exponent=1.5)
         with pytest.raises(ValueError):
             RadioConfig(noise_power=0.0)
+        fields = ("transmit_power", "noise_power", "pathloss_intercept", "pathloss_exponent",
+                  "ris_offset_m", "min_distance_m")
+        for field in fields:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    RadioConfig(**{field: value})
 
     def test_side(self):
         assert DeploymentConfig(area_km2=4.0).side_m == pytest.approx(2000.0)
