@@ -200,13 +200,14 @@ def eta_kappa(
 
 def invert_sinc_sq(target: float, tol: float = 1e-10, max_iter: int = 200) -> float:
     """Unique root of sinc^2(x) = target on (0, pi), by bisection on the
-    strictly decreasing sinc^2."""
+    strictly decreasing sinc^2. mid stays in (0, pi), so sinc^2 is
+    computed inline, without sinc_sq's domain check."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     lo, hi = 0.0, math.pi
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if sinc_sq(mid) >= target:
+        if (math.sin(mid) / mid) ** 2 >= target:
             lo = mid
         else:
             hi = mid

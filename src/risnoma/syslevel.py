@@ -5,7 +5,10 @@ pairs, and metric aggregation across drops.
 
 Association never forms a users x BS array: the window is cut into
 about one grid square per BS, and each user compares only its square's
-candidate BSs, which provably contain its nearest one. Memory per drop
+candidate BSs, which provably contain its nearest one. Path gain falls
+strictly with the clamped distance, so the max-power BS is the one at
+the least squared min-image distance; torus distance and path gain are
+then computed once per user, for the serving BS only. Memory per drop
 grows with users x candidates (a few dozen) plus BS^2, not users x BS.
 
 Per-pair decisions come from the schemes' array kernels
@@ -75,6 +78,10 @@ class RadioConfig:
             raise ValueError("pathloss_exponent must be >= 2")
         if self.transmit_power <= 0 or self.noise_power <= 0:
             raise ValueError("powers must be positive")
+        if self.min_distance_m <= 0:
+            raise ValueError("min_distance_m must be positive")
+        if self.ris_offset_m < 0:
+            raise ValueError("ris_offset_m must be >= 0")
 
 
 @dataclass
@@ -127,6 +134,13 @@ def _torus_dist(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     return np.hypot(disp[..., 0], disp[..., 1])
 
 
+def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
+    """Magnitude of a coordinate offset on the torus, min(|delta|,
+    side - |delta|), for offsets between points of [0, side]."""
+    delta = np.abs(delta)
+    return np.minimum(delta, side - delta, out=delta)
+
+
 def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: float):
     """Split the window into g x g squares of width w, g = isqrt(#BS),
     and give each user its square's candidates: the BSs that can be
@@ -138,8 +152,10 @@ def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, sid
     D(c, b*) <= D(u, b*) + h <= D(u, b) + h <= D(c, b) + 2h.
     Every BS nearest to, or tied for, some user of the square thus has
     D(c, b) <= min_b D(c, b) + w sqrt(2); the relative slack absorbs
-    rounding. Returns cand, cand[u] user u's candidates in ascending BS
-    index, padded by repeating the first one.
+    rounding. Received power falls strictly with D, so the max-power BS
+    is the least-D one and is among the candidates. Returns cand, cand[u]
+    user u's candidates in ascending BS index, padded by repeating the
+    first one.
     """
     g = math.isqrt(len(bss))
     w = side / g
@@ -154,6 +170,23 @@ def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, sid
     return cand[square[:, 0] * g + square[:, 1]]
 
 
+def _nearest_bs(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: float) -> np.ndarray:
+    """Each user's max-received-power BS, users and BSs inside the window.
+
+    Path gain falls strictly with the clamped distance D = max(d,
+    min_distance_m), so the max-power BS is the first of the user's grid
+    candidates (ascending index, so ties go to the lower index) at the
+    least D^2 = max(dx^2 + dy^2, min_distance_m^2), dx and dy the
+    min-image offsets. No distance or path gain is formed per candidate.
+    """
+    cand = _grid_candidates(users, bss, radio, side)  # cand[u, j]: user u's j-th candidate
+    bx, by = bss.T
+    dx = _min_image(users[:, :1] - bx[cand], side)
+    dy = _min_image(users[:, 1:] - by[cand], side)
+    best = np.argmin(np.maximum(dx * dx + dy * dy, radio.min_distance_m**2), axis=1)  # first minimum
+    return cand[np.arange(len(users)), best]
+
+
 def associate_and_budget(
     users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side_m: float, seed=0
 ):
@@ -163,8 +196,10 @@ def associate_and_budget(
     Association is exact but never forms a users x BS array: each user
     compares only the candidate BSs of its grid square, a superset of
     every BS that can be nearest to a point of the square (see
-    _grid_candidates), taken in ascending index so that ties still go to
-    the lower index.
+    _grid_candidates), by squared min-image distance (see _nearest_bs).
+    Torus distance and path gain are then computed once per user, for
+    its serving BS. Positions are first wrapped onto the window
+    (x % side_m), which leaves those inside it unchanged.
 
     The RIS sits ris_offset_m from the serving BS on the BS-user bearing,
     so the composite gain separates into user->RIS and RIS->BS hops.
@@ -182,12 +217,10 @@ def associate_and_budget(
     if len(bss) == 0:
         raise ValueError("need at least one BS")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cand = _grid_candidates(users, bss, radio, side_m)  # cand[u, j]: user u's j-th candidate
-    dist = _torus_dist(users[:, None, :], bss[cand], side_m)
-    best = np.argmax(radio.transmit_power * path_gain(dist, radio), axis=1)  # first maximum
-    rows = np.arange(len(users))
-    serving = cand[rows, best]
-    d_serving = dist[rows, best]
+    users = users % side_m  # x % side is x inside the window, so outputs keep their bits
+    bss = bss % side_m
+    serving = _nearest_bs(users, bss, radio, side_m)
+    d_serving = _torus_dist(users, bss[serving], side_m)
     d_user_ris = np.abs(d_serving - radio.ris_offset_m)
     composite = path_gain(d_user_ris, radio) * path_gain(radio.ris_offset_m, radio)
 

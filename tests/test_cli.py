@@ -422,6 +422,7 @@ class TestConfigHandling:
             ["syslevel", "--drops", "1", "--pathloss-intercept-db", "inf"],
             ["syslevel", "--drops", "1", "--pathloss-intercept-db", "-inf"],
             ["syslevel", "--drops", "1", "--ris-offset-m", "inf"],
+            ["syslevel", "--drops", "1", "--ris-offset-m", "-5"],
             ["syslevel", "--drops", "1", "--user-density", "nan"],
             ["syslevel", "--drops", "1", "--area-km2", "inf"],
         ],

@@ -170,6 +170,27 @@ class TestAssociation:
         # 20 m across the wrap beats 490 m in the interior
         assert serving[0] == 0
 
+    def test_tie_across_the_wrap_goes_to_lower_index(self):
+        # each user is 250 m from both BSs, once through the interior and
+        # once across the wrap
+        users = np.array([[250.0, 0.0], [750.0, 0.0]])
+        bss = np.array([[0.0, 0.0], [500.0, 0.0]])
+        _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        assert list(serving) == [0, 0]
+
+    def test_positions_outside_the_window_wrap(self):
+        # multiples of 1/8 m, so that shifting by a whole side is exact
+        rng = np.random.default_rng(3)
+        side = 1000.0
+        users = rng.integers(0, 8000, (400, 2)) / 8.0
+        bss = rng.integers(0, 8000, (30, 2)) / 8.0
+        want = associate_and_budget(users, bss, RADIO, side, 5)
+        mixed = rng.integers(-1, 2, users.shape) * side, rng.integers(-1, 2, bss.shape) * side
+        for shift_users, shift_bss in ((side, -side), (-side, side), mixed):
+            got = associate_and_budget(users + shift_users, bss + shift_bss, RADIO, side, 5)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
     def test_interference_sums_other_cells(self):
         # cells A and B hold one pair each, cell C one lone (silent) user;
         # interference is what the serving BS hears from the other cells'
@@ -483,6 +504,12 @@ class TestConfigValidation:
             RadioConfig(pathloss_exponent=1.5)
         with pytest.raises(ValueError):
             RadioConfig(noise_power=0.0)
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match="min_distance_m must be positive"):
+                RadioConfig(min_distance_m=value)
+        with pytest.raises(ValueError, match="ris_offset_m must be >= 0"):
+            RadioConfig(ris_offset_m=-5.0)
+        RadioConfig(ris_offset_m=0.0)  # an RIS at the BS is allowed
         fields = ("transmit_power", "noise_power", "pathloss_intercept", "pathloss_exponent",
                   "ris_offset_m", "min_distance_m")
         for field in fields:
