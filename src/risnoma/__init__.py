@@ -3,13 +3,11 @@ NOMA under imperfect phase compensation."""
 
 from .channel import (
     EffectiveCsi,
-    LinkBudget,
     PhaseModel,
     RatePair,
     asr,
     db_to_linear,
     ee,
-    effective_csi,
     linear_to_db,
     phase_error_gain_mc,
     rate_noma,

@@ -14,14 +14,12 @@ import numpy as np
 
 __all__ = [
     "PhaseModel",
-    "LinkBudget",
     "EffectiveCsi",
     "RatePair",
     "db_to_linear",
     "linear_to_db",
     "sinc_sq",
     "phase_error_gain_mc",
-    "effective_csi",
     "rate_oma",
     "rate_noma",
     "asr",
@@ -66,30 +64,6 @@ class PhaseModel:
     @classmethod
     def from_degrees(cls, delta_deg: float) -> "PhaseModel":
         return cls(math.radians(delta_deg))
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-user physical inputs from which the effective CSI is derived.
-
-    composite_gain is the dimensionless power gain |alpha*beta|^2, the
-    product of the user->RIS and RIS->BS channel gains.
-    """
-
-    transmit_power: float
-    composite_gain: float
-    ris_elements: int
-    bs_antennas: int
-    interference: float
-    noise_power: float
-
-    def __post_init__(self):
-        if self.transmit_power < 0 or self.composite_gain < 0 or self.interference < 0:
-            raise ValueError("power quantities must be non-negative")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be strictly positive")
-        if self.ris_elements < 1 or self.bs_antennas < 1:
-            raise ValueError("element counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,13 +126,10 @@ def phase_error_gain_mc(n_elements: int, delta: float, trials: int, seed: int) -
 
 
 def _link_gamma(transmit_power, composite_gain, ris_elements, bs_antennas, interference, noise_power):
-    """Gamma = P_t * |alpha*beta|^2 * N^2 * M / (I + sigma^2), on floats or arrays."""
+    """Effective CSI Gamma = P_t * |alpha*beta|^2 * N^2 * M / (I + sigma^2)
+    on floats or arrays; |alpha*beta|^2 is the composite power gain of
+    the user->RIS and RIS->BS hops."""
     return transmit_power * composite_gain * ris_elements**2 * bs_antennas / (interference + noise_power)
-
-
-def effective_csi(link: LinkBudget) -> EffectiveCsi:
-    """Gamma = P_t * |alpha*beta|^2 * N^2 * M / (I + sigma^2)."""
-    return EffectiveCsi(_link_gamma(**vars(link)))  # LinkBudget's fields are its parameters
 
 
 def _oma_rate(gamma, s):

@@ -35,6 +35,9 @@ __all__ = [
     "dinkelbach_batch",
 ]
 
+TOL = 1e-8  # Dinkelbach stops once F(lambda) <= TOL
+MAX_ITER = 100
+
 
 class ConvergenceError(RuntimeError):
     """Dinkelbach iteration failed to reach the residual tolerance."""
@@ -114,12 +117,13 @@ def _edge_step(lam, g1, g2, s, eta, kappa, lb):
     return a1, np.where(a1 == 1.0, a2, lb)
 
 
-def _dinkelbach(g1, g2, s, r1_min, r2_min, tol, max_iter):
+def _dinkelbach(g1, g2, s, r1_min, r2_min):
     """Dinkelbach iteration on arrays of instances (0-d for one pair).
 
     lambda starts at the EE of the minimal-power vertex and is updated
     to f/g at each subproblem maximizer until the subtractive optimum
-    F(lambda) drops below tol; converged instances are frozen. Returns
+    F(lambda) drops to TOL; converged instances keep their lambda, so
+    the edge step repeats their maximizer bit for bit. Returns
     (alpha1, alpha2, lambda_star, iterations, residual, history) with
     history the per-iteration (lambda, F(lambda)) arrays.
     """
@@ -141,22 +145,20 @@ def _dinkelbach(g1, g2, s, r1_min, r2_min, tol, max_iter):
     done = np.zeros(lam.shape, dtype=bool)
     iterations = np.zeros(lam.shape, dtype=int)
     history = []
-    for it in range(1, max_iter + 1):
-        n1, n2 = _edge_step(lam, g1, g2, s, eta, kappa, lb)
-        a1 = np.where(done, a1, n1)
-        a2 = np.where(done, a2, n2)
+    for it in range(1, MAX_ITER + 1):
+        a1, a2 = _edge_step(lam, g1, g2, s, eta, kappa, lb)
         fv = f(a1, a2)
         gv = a1 + a2
         resid = fv - lam * gv
         history.append((lam, resid))
         iterations = np.where(done, iterations, it)
-        done = done | (resid <= tol)
+        done = done | (resid <= TOL)
         with np.errstate(invalid="ignore"):
             ratio = fv / gv  # gv = 0 only at f = 0, where resid = 0 and lam stays
         if done.all():
             return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
         lam = np.where(done, lam, ratio)
-    raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {tol:.1e} after {max_iter} iterations")
+    raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {TOL:.1e} after {MAX_ITER} iterations")
 
 
 def dinkelbach_allocate(
@@ -164,18 +166,16 @@ def dinkelbach_allocate(
     csi1: EffectiveCsi,
     csi2: EffectiveCsi,
     phase: PhaseModel,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> DinkelbachResult:
     """Dinkelbach iteration for the EE ratio program of one pair.
 
     Raises EmptyPolytopeError when the rate floors admit no power
-    fractions, ConvergenceError when the residual stays above tol.
+    fractions, ConvergenceError when the residual stays above TOL.
     """
     _check_channel(csi1, phase, 1)
     _check_channel(csi2, phase, 2)
     a1, a2, lam, iterations, resid, history = _dinkelbach(
-        csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min, tol, max_iter
+        csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min
     )
     return DinkelbachResult(
         float(a1),
@@ -193,8 +193,6 @@ def dinkelbach_batch(
     r1_min: np.ndarray,
     r2_min: np.ndarray,
     s: float,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ):
     """Vectorized Dinkelbach over the instances of one degradation s,
     by the same iteration as dinkelbach_allocate.
@@ -204,7 +202,7 @@ def dinkelbach_batch(
     and ConvergenceError if any instance fails to converge.
     """
     g1, g2, r1, r2 = (np.asarray(x, dtype=float) for x in (gamma1, gamma2, r1_min, r2_min))
-    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, r1, r2, tol, max_iter)
+    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, r1, r2)
     return a1, a2, lam
 
 

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("delta grid must be sorted ascending")
         if not all(0.0 <= d < 180.0 for d in self.delta_deg):
             raise ConfigError("delta values must lie in [0, 180) degrees")
+        if self.kind is ExperimentKind.PAIR_STUDY and len(self.delta_deg) != 1:
+            raise ConfigError("a pair study takes exactly one delta")
         if len(self.schemes) == 0:
             raise ConfigError("scheme list must be non-empty")
         if not 0.0 < self.alpha2_step <= 0.1:
@@ -258,19 +260,7 @@ def syslevel_tables(cfg: ExperimentConfig):
         ]
     )
     for row in metrics.rows:
-        means.append(
-            scheme=row["scheme"],
-            delta_deg=math.degrees(row["delta"]),
-            mean_r1=row["mean_r1"],
-            se_r1=row["se_r1"],
-            mean_r2=row["mean_r2"],
-            se_r2=row["se_r2"],
-            mean_asr=row["mean_asr"],
-            se_asr=row["se_asr"],
-            mean_ee=row["mean_ee"],
-            se_ee=row["se_ee"],
-            n_pairs=row["n_pairs"],
-        )
+        means.append(delta_deg=math.degrees(row["delta"]), **row)
     # each scheme's sorted samples in turn, at levels i / n for i = 1..n
     # (one correctly rounded division each)
     samples = list(metrics.cdf.values())

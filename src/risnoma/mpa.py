@@ -57,6 +57,9 @@ class TargetPolicy:
     r1_min: float = 0.0
     r2_min: float = 0.0
 
+    def __post_init__(self):
+        _check_floors(self.r1_min, self.r2_min)
+
     @classmethod
     def oma_at_reference(cls, delta_ref: float = 0.0) -> "TargetPolicy":
         return cls(PolicyKind.OMA_AT_REFERENCE, delta_ref=delta_ref)
@@ -71,17 +74,22 @@ class TargetPolicy:
 
     def rates(self, g1, g2, s):
         """Floors (r1_min, r2_min) of pairs g1, g2 at degradation s, on floats or arrays."""
-        if self.kind is PolicyKind.EXPLICIT:
-            return np.full_like(g1, self.r1_min), np.full_like(g1, self.r2_min)
+        if self.kind is PolicyKind.EXPLICIT:  # np.full, not full_like: an int Gamma keeps float floors
+            shape = np.shape(g1)
+            return np.full(shape, self.r1_min, dtype=float), np.full(shape, self.r2_min, dtype=float)
         if self.kind is PolicyKind.OMA_AT_REFERENCE:
             s = sinc_sq(self.delta_ref)
         return _oma_rate(g1, s), _oma_rate(g2, s)
 
     def resolve(self, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> "RateTargets":
-        if self.kind is PolicyKind.EXPLICIT:  # the floors as given
-            return RateTargets(self.r1_min, self.r2_min, self)
+        """The floors of one pair."""
         r1, r2 = self.rates(csi1.gamma, csi2.gamma, phase.degradation)
-        return RateTargets(float(r1), float(r2), self)
+        return RateTargets(float(r1), float(r2))
+
+
+def _check_floors(r1_min, r2_min) -> None:
+    if not (0.0 <= r1_min < 1024.0 and 0.0 <= r2_min < 1024.0):
+        raise ValueError("rate targets must lie in [0, 1024) bits/s/Hz, where 2^r is finite")
 
 
 @dataclass(frozen=True)
@@ -90,11 +98,9 @@ class RateTargets:
 
     r1_min: float
     r2_min: float
-    policy: Optional[TargetPolicy] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.r1_min < 1024.0 and 0.0 <= self.r2_min < 1024.0):
-            raise ValueError("rate targets must lie in [0, 1024) bits/s/Hz, where 2^r is finite")
+        _check_floors(self.r1_min, self.r2_min)
 
 
 class Mode(Enum):
@@ -198,21 +204,19 @@ def eta_kappa(
     return tuple(map(float, _eta_kappa(csi1.gamma, csi2.gamma, phase.degradation, p1)))
 
 
-def invert_sinc_sq(target: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def invert_sinc_sq(target: float) -> float:
     """Unique root of sinc^2(x) = target on (0, pi), by bisection on the
-    strictly decreasing sinc^2. mid stays in (0, pi), so sinc^2 is
-    computed inline, without sinc_sq's domain check."""
+    strictly decreasing sinc^2 to a bracket below 1e-10. mid stays in
+    (0, pi), so sinc^2 is computed inline, without sinc_sq's domain check."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     lo, hi = 0.0, math.pi
-    for _ in range(max_iter):
+    while hi - lo >= 1e-10:
         mid = 0.5 * (lo + hi)
         if (math.sin(mid) / mid) ** 2 >= target:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
-            break
     return 0.5 * (lo + hi)
 
 

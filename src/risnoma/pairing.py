@@ -2,6 +2,9 @@
 pair strongest with weakest, and decide each pair under the selected
 scheme with OMA fallback, plus the phase-oblivious SRM baseline.
 
+The pairing rule is written once on arrays, cell_pairs, for every cell
+of a drop at a time; build_pairs is its object form for one cell.
+
 Each scheme's decision is one array kernel, KERNELS[scheme]: (g1, g2, s,
 r1_min, r2_min) -> (noma, alpha1, alpha2, r1, r2, ee) on arrays of pairs
 or shape-() values. run_scheme decides one pair at a time through them;
@@ -12,12 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
+import numpy as np
+
 from .channel import EffectiveCsi, PhaseModel
 from .eepa import _eepa_kernel, _eepa_outcome, dinkelbach_allocate, pairing_criterion_eepa
 from .mpa import PairDecision, TargetPolicy, _check_channel, allocate_mpa, oma_decision
 from .mpa import _mpa_kernel, _oma_kernel, _srm_kernel
 
-__all__ = ["Scheme", "KERNELS", "UserRecord", "build_pairs", "run_scheme"]
+__all__ = ["Scheme", "KERNELS", "UserRecord", "build_pairs", "cell_pairs", "run_scheme"]
 
 
 class Scheme(Enum):
@@ -49,6 +54,25 @@ def build_pairs(users: List[UserRecord]):
     pairs = [(ordered[i], ordered[len(ordered) - 1 - i]) for i in range(half)]
     unpaired = ordered[half] if len(ordered) % 2 else None
     return pairs, unpaired
+
+
+def cell_pairs(key: np.ndarray, cell: np.ndarray, n_cells: int):
+    """build_pairs for every cell at once, on arrays.
+
+    Users are grouped by cell (cell[u] in [0, n_cells)) and ranked by
+    key, largest first, ties to the lower index; pair k of a cell joins
+    its k-th strongest and k-th weakest user, and an odd cell leaves its
+    median user unpaired. Returns (strong, weak, first): the pairs' user
+    indices, cell by cell, and first[c] the index of cell c's first pair.
+    """
+    order = np.lexsort((-key, cell))  # stable: ties by index
+    counts = np.bincount(cell, minlength=n_cells)
+    half = counts // 2
+    first = np.cumsum(half) - half
+    pair_cell = np.repeat(np.arange(n_cells), half)
+    k = np.arange(len(pair_cell)) - first[pair_cell]
+    start = (np.cumsum(counts) - counts)[pair_cell]
+    return order[start + k], order[start + counts[pair_cell] - 1 - k], first
 
 
 def _decide(scheme, strong, weak, phase, policy) -> PairDecision:

@@ -11,7 +11,9 @@ the least squared min-image distance; torus distance and path gain are
 then computed once per user, for the serving BS only. Memory per drop
 grows with users x candidates (a few dozen) plus BS^2, not users x BS.
 
-Per-pair decisions come from the schemes' array kernels
+Users are paired per cell by pairing.cell_pairs, strongest with weakest
+by Gamma; the co-scheduled interferers are drawn by the same rule on the
+composite gain. Per-pair decisions come from the schemes' array kernels
 (pairing.KERNELS), the same kernels that pairing.run_scheme evaluates
 on one pair at a time.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from .channel import _link_gamma, sinc_sq
 from .mpa import TargetPolicy
-from .pairing import KERNELS, Scheme
+from .pairing import KERNELS, Scheme, cell_pairs
 
 __all__ = [
     "DeploymentConfig",
@@ -207,8 +209,8 @@ def associate_and_budget(
     Interference is what the user's serving BS receives on the user's
     resource block from the other cells (uplink model of Novlan, Dhillon
     & Andrews, IEEE TWC 2013). Assumption: every cell co-schedules one
-    NOMA pair per resource block, paired as in _build_drop (k-th
-    strongest with k-th weakest by composite gain), with k drawn
+    NOMA pair per resource block, its k-th pair by pairing.cell_pairs on
+    the composite gain (k-th strongest with k-th weakest), with k drawn
     uniformly per cell from seed (an integer or a Generator); a cell
     with fewer than two users forms no pair and is silent. All users of
     a cell therefore see the same interference.
@@ -224,15 +226,12 @@ def associate_and_budget(
     d_user_ris = np.abs(d_serving - radio.ris_offset_m)
     composite = path_gain(d_user_ris, radio) * path_gain(radio.ris_offset_m, radio)
 
-    # users grouped by cell, strongest first (lexsort is stable: ties by index)
-    order = np.lexsort((-composite, serving))
+    strong, weak, first = cell_pairs(composite, serving, len(bss))
     counts = np.bincount(serving, minlength=len(bss))
-    start = np.cumsum(counts) - counts
     k = rng.integers(0, np.maximum(counts // 2, 1))  # one draw per cell
     cells = np.flatnonzero(counts >= 2)
-    strong = start[cells] + k[cells]
-    weak = start[cells] + counts[cells] - 1 - k[cells]
-    tx = order[np.concatenate([strong, weak])]
+    pick = first[cells] + k[cells]
+    tx = np.concatenate([strong[pick], weak[pick]])
     # each co-scheduled user heard at every BS
     heard = radio.transmit_power * path_gain(_torus_dist(users[tx, None, :], bss, side_m), radio)
     heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0  # own cell is not interference
@@ -250,21 +249,10 @@ def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -
     if len(bss) == 0 or len(users) < 2:
         return None
     gamma, serving, _ = associate_and_budget(users, bss, radio, deploy.side_m, rng)
-    # users grouped by cell, strongest first; pair k joins a cell's k-th
-    # strongest and k-th weakest user
-    ranked = gamma[np.lexsort((-gamma, serving))]
-    counts = np.bincount(serving, minlength=len(bss))
-    half = counts // 2
-    if not half.any():
+    strong, weak, _ = cell_pairs(gamma, serving, len(bss))
+    if len(strong) == 0:
         return None
-    cell = np.repeat(np.arange(len(bss)), half)
-    k = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
-    start = np.cumsum(counts) - counts
-    return DropResult(
-        pair_gamma_strong=ranked[start[cell] + k],
-        pair_gamma_weak=ranked[start[cell] + counts[cell] - 1 - k],
-        lone_users=int((counts % 2).sum()),
-    )
+    return DropResult(gamma[strong], gamma[weak], lone_users=len(users) - 2 * len(strong))
 
 
 def run_campaign(

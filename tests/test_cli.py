@@ -425,6 +425,13 @@ class TestConfigHandling:
             ["syslevel", "--drops", "1", "--ris-offset-m", "-5"],
             ["syslevel", "--drops", "1", "--user-density", "nan"],
             ["syslevel", "--drops", "1", "--area-km2", "inf"],
+            ["syslevel", "--drops", "1", "--targets-policy", "explicit", "--r1-min", "-1"],
+            ["syslevel", "--drops", "1", "--targets-policy", "explicit", "--r1-min", "nan"],
+            ["syslevel", "--drops", "1", "--targets-policy", "explicit", "--r2-min", "2000"],
+            ["sweep-delta", "--targets-policy", "explicit", "--r2-min", "-1"],
+            ["sweep-alpha2", "--targets-policy", "explicit", "--r1-min", "inf"],
+            ["validate-approx", "--trials", "1", "--targets-policy", "explicit", "--r1-min", "-1"],
+            ["pair-study", "--delta-deg", "0,30,60"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

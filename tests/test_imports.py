@@ -1,8 +1,10 @@
 """Every name a source module imports is used there or listed in its
-__all__. The package's __init__ is exempt: its imports are the
-re-exports that make up the package namespace."""
+__all__, and every name in an __all__ is bound. The package's __init__
+is exempt from the first check: its imports are the re-exports that make
+up the package namespace, and each must be in its module's __all__."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,23 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    module = importlib.import_module(f"risnoma.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_package_reexports_are_public():
+    """Every name the package's __init__ imports from a module is in that
+    module's __all__."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"risnoma.{node.module}").__all__
+    ]
+    assert private == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from risnoma.channel import EffectiveCsi, PhaseModel, db_to_linear, rate_noma, rate_oma, sinc_sq
 from risnoma.mpa import (
     Mode,
-    PolicyKind,
     RateTargets,
     TargetPolicy,
     allocate_mpa,
@@ -54,13 +53,15 @@ class TestTargetPolicy:
         assert t.r1_min == pytest.approx(rate_oma(csi1, phase))
 
     def test_explicit(self):
-        t = TargetPolicy.explicit(1.2, 0.4).resolve(EffectiveCsi(1.0), EffectiveCsi(1.0), P0)
-        assert (t.r1_min, t.r2_min) == (1.2, 0.4)
-        assert t.policy.kind is PolicyKind.EXPLICIT
+        for csi in (EffectiveCsi(1.0), EffectiveCsi(1)):  # an int Gamma keeps the float floors
+            t = TargetPolicy.explicit(1.2, 0.4).resolve(csi, csi, P0)
+            assert (t.r1_min, t.r2_min) == (1.2, 0.4)
 
     def test_negative_targets_rejected(self):
         with pytest.raises(ValueError):
             RateTargets(-0.1, 0.0)
+        with pytest.raises(ValueError):
+            TargetPolicy.explicit(-0.1, 0)
 
 
 class TestAlpha2Lower:

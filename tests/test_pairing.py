@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, rate_oma
 from risnoma.mpa import Mode, TargetPolicy
-from risnoma.pairing import Scheme, UserRecord, build_pairs, run_scheme
+from risnoma.pairing import Scheme, UserRecord, build_pairs, cell_pairs, run_scheme
 
 
 def users_from_db(gammas_db):
@@ -62,6 +62,24 @@ class TestBuildPairs:
         for (s1, w1), (s2, w2) in zip(pairs, pairs[1:]):
             assert s1.csi.gamma >= s2.csi.gamma
             assert w1.csi.gamma <= w2.csi.gamma
+
+
+class TestCellPairs:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=40))
+    def test_matches_build_pairs_per_cell(self, users):
+        # integer keys force ties, which go to the lower index in both forms
+        cell = np.array([c for c, _ in users], dtype=np.int64)
+        key = np.array([float(k) for _, k in users])
+        strong, weak, first = cell_pairs(key, cell, 5)
+        expected, starts = [], []
+        for c in range(5):
+            members = [UserRecord(int(i), EffectiveCsi(key[i])) for i in np.flatnonzero(cell == c)]
+            starts.append(len(expected))
+            if len(members) >= 2:
+                expected += [(s.id, w.id) for s, w in build_pairs(members)[0]]
+        assert list(zip(strong.tolist(), weak.tolist())) == expected
+        assert first.tolist() == starts
 
 
 class TestRunScheme:
