@@ -41,7 +41,10 @@ def _parse_schemes(text: str):
 def _parse_policy(resolved: dict) -> TargetPolicy:
     kind = resolved["targets_policy"]
     if kind == "oma-ref":
-        return TargetPolicy.oma_at_reference(math.radians(resolved["delta_ref_deg"]))
+        try:
+            return TargetPolicy.oma_at_reference(math.radians(resolved["delta_ref_deg"]))
+        except ValueError:
+            raise ex.ConfigError(f"--delta-ref-deg {resolved['delta_ref_deg']} is outside [0, 180)") from None
     if kind == "oma-current":
         return TargetPolicy.oma_at_current()
     if kind == "explicit":
@@ -90,20 +93,28 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
 
 
 def _resolve(ctx, kwargs, config_path):
-    """Defaults < config file < explicitly given command-line flags."""
+    """Defaults < config file < explicitly given command-line flags. File
+    values are converted by their option's type; null only where the default is None."""
     resolved = dict(kwargs)
     if config_path:
         with open(config_path) as fh:
             data = yaml.safe_load(fh) or {}
         if not isinstance(data, dict):
             raise ex.ConfigError("config file must hold a key/value mapping")
+        params = {p.name: p for p in ctx.command.params}
         for key, value in data.items():
             key = str(key).replace("-", "_")
             if key not in resolved:
                 raise ex.ConfigError(f"unknown config key {key!r}")
             source = ctx.get_parameter_source(key)
-            if source is None or source.name != "COMMANDLINE":
-                resolved[key] = value
+            if source is not None and source.name == "COMMANDLINE":
+                continue
+            if value is None and params[key].default is not None:
+                raise ex.ConfigError(f"config key {key!r} must not be null")
+            try:
+                resolved[key] = params[key].type_cast_value(ctx, value)
+            except click.BadParameter as e:
+                raise ex.ConfigError(e.format_message()) from None
     return resolved
 
 

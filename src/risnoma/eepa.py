@@ -9,12 +9,12 @@ moving power from the weak user to the strong one never lowers the
 objective: a maximizer lies on the path a2 = lb (the weak user at its
 rate floor), then a1 = 1, and along each of the two legs the maximum is
 a clipped closed form (the edge step). The EE optimum itself keeps the
-weak user at its floor. One array-valued Dinkelbach loop serves both the
-scalar solver (one pair) and the batch solver of system-level campaigns.
+weak user at its floor. One array-valued Dinkelbach loop serves the
+scalar solver, the batch solver and the EEPA decision.
 
 The EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks
-are one rule in _eepa_outcome, lambda* = 0: a pair the criterion rejects
-is left unsolved at 0, and a pair whose rates underflow solves to 0.
+are one rule, lambda* = 0: a pair the criterion rejects is left unsolved
+at 0, and a pair whose rates underflow solves to 0.
 """
 
 import math
@@ -197,29 +197,27 @@ def dinkelbach_batch(
     """Vectorized Dinkelbach over the instances of one degradation s,
     by the same iteration as dinkelbach_allocate.
 
-    Returns (alpha1, alpha2, lambda_star) arrays. Raises
+    Returns (alpha1, alpha2, lambda_star, iterations) arrays. Raises
     EmptyPolytopeError if any instance has no feasible power fractions
     and ConvergenceError if any instance fails to converge.
     """
     g1, g2, r1, r2 = (np.asarray(x, dtype=float) for x in (gamma1, gamma2, r1_min, r2_min))
-    a1, a2, lam, *_ = _dinkelbach(g1, g2, s, r1, r2)
-    return a1, a2, lam
-
-
-def _eepa_outcome(g1, g2, s, alpha1, alpha2, lambda_star):
-    """EEPA decisions from Dinkelbach's solutions: NOMA at the EE optimum
-    where lambda* > 0, OMA where lambda* = 0."""
-    r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
-    return _or_oma(lambda_star > 0.0, alpha1, alpha2, r1, r2, lambda_star, g1, g2, s)
+    return _dinkelbach(g1, g2, s, r1, r2)[:4]
 
 
 def _eepa_kernel(g1, g2, s, r1_min, r2_min):
-    """EEPA decisions: dinkelbach_batch solves the pairs that meet the
-    criterion at s, and _eepa_outcome decides every pair."""
+    """EEPA decisions: Dinkelbach solves the pairs meeting the criterion at s, one pair on its
+    0-d values (masking costs more than its solve); NOMA where lambda* > 0, else OMA."""
     feasible = s >= np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
-    solutions = np.zeros((3,) + np.shape(feasible))  # alpha1, alpha2, lambda*
-    if np.any(feasible):
-        solutions[:, feasible] = dinkelbach_batch(
-            g1[feasible], g2[feasible], r1_min[feasible], r2_min[feasible], s
-        )
-    return _eepa_outcome(g1, g2, s, *solutions)
+    if np.ndim(feasible) == 0:
+        solution = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4] if feasible else (0.0, 0.0, 0.0, 0)
+        alpha1, alpha2, lam, iterations = solution
+    else:
+        alpha1, alpha2, lam = np.zeros((3,) + feasible.shape)
+        iterations = np.zeros(feasible.shape, dtype=int)
+        if feasible.any():
+            alpha1[feasible], alpha2[feasible], lam[feasible], iterations[feasible] = dinkelbach_batch(
+                *(x[feasible] for x in (g1, g2, r1_min, r2_min)), s
+            )
+    r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
+    return _or_oma(lam > 0.0, alpha1, alpha2, r1, r2, lam, iterations, g1, g2, s)

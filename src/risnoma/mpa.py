@@ -58,6 +58,8 @@ class TargetPolicy:
     r2_min: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.delta_ref < math.pi:
+            raise ValueError(f"delta_ref must lie in [0, pi), got {self.delta_ref}")
         _check_floors(self.r1_min, self.r2_min)
 
     @classmethod
@@ -124,14 +126,13 @@ class PairDecision:
     iterations: Optional[int] = None  # Dinkelbach iterations, EEPA NOMA only
 
     @classmethod
-    def from_kernel(cls, decision, strong_index=0, weak_index=1, iterations=None) -> "PairDecision":
-        """One pair's kernel output (noma, alpha1, alpha2, r1, r2, ee) as
-        a decision; iterations are kept for a NOMA decision only."""
-        noma, alpha1, alpha2, r1, r2, ee = decision
+    def from_kernel(cls, decision, strong_index=0, weak_index=1) -> "PairDecision":
+        """One pair's kernel output (noma, alpha1, alpha2, r1, r2, ee,
+        iterations) as a decision; 0 iterations (no solve) read as None."""
+        noma, alpha1, alpha2, r1, r2, ee, iterations = decision
         rates = RatePair(float(r1), float(r2))
-        mode, iterations = (Mode.NOMA, iterations) if noma else (Mode.OMA, None)
-        return cls(mode, float(alpha1), float(alpha2), rates, rates.strong + rates.weak,
-                   float(ee), strong_index, weak_index, iterations)
+        return cls(Mode.NOMA if noma else Mode.OMA, float(alpha1), float(alpha2), rates,
+                   rates.strong + rates.weak, float(ee), strong_index, weak_index, int(iterations) or None)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _alpha2_lb(g2, s, p2):
     return (p2 - 1.0) / (g2 * s)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a zero floor, p1 = 1: +inf, or nan
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p1 = 1: +inf or nan; subnormal Gamma2: +inf
 def _alpha2_ub(g1, g2, s, p1):
     """Largest weak-user power fraction keeping the strong user, at
     alpha1 = 1, on its floor."""
@@ -247,15 +248,15 @@ def pairing_criterion_mpa(
 def _oma_kernel(g1, g2, s, r1_min=None, r2_min=None):
     """OMA: both users at full power on orthogonal resources, whatever the floors."""
     r1, r2 = _oma_rate(g1, s), _oma_rate(g2, s)
-    return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0
+    return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0, 0
 
 
-def _or_oma(noma, alpha1, alpha2, r1, r2, ee, g1, g2, s):
+def _or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
     """The given NOMA decisions where noma holds, the OMA fallback elsewhere."""
-    _, _, _, r1_oma, r2_oma, ee_oma = _oma_kernel(g1, g2, s)
+    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma_kernel(g1, g2, s)
     ones = 0.0 * r1_oma + 1.0  # in the pairs' shape; np.ones_like costs more on one pair
     nomas = (alpha1 * ones, alpha2, r1, r2, ee)
-    return (noma, *np.where(noma, nomas, (ones, ones, r1_oma, r2_oma, ee_oma)))
+    return (noma, *np.where(noma, nomas, (ones, ones, r1_oma, r2_oma, ee_oma)), np.where(noma, iterations, 0))
 
 
 def _sum_rate_alpha2(g1, g2, s, p1):
@@ -267,7 +268,7 @@ def _sum_rate_alpha2(g1, g2, s, p1):
 def _full_power_noma(g1, g2, s, alpha2):
     """NOMA decisions at alpha1 = 1 and the given alpha2."""
     r1, r2 = _noma_rates(1.0, alpha2, g1, g2, s)
-    return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2)
+    return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2), 0
 
 
 def _mpa_kernel(g1, g2, s, r1_min, r2_min):
@@ -275,9 +276,9 @@ def _mpa_kernel(g1, g2, s, r1_min, r2_min):
     user's floor fits (alpha2_lb <= 1) and the sum rate is positive (the
     rates can underflow to 0); OMA elsewhere."""
     p1, p2 = np.power(2.0, (r1_min, r2_min))
-    _, alpha1, alpha2, r1, r2, ee = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
+    _, alpha1, alpha2, r1, r2, ee, _ = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
     noma = (s >= _mpa_threshold(g1, p1, p2)) & (_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
-    return _or_oma(noma, alpha1, alpha2, r1, r2, ee, g1, g2, s)
+    return _or_oma(noma, alpha1, alpha2, r1, r2, ee, 0, g1, g2, s)
 
 
 def _srm_kernel(g1, g2, s, r1_min=None, r2_min=None):

@@ -6,9 +6,9 @@ The pairing rule is written once on arrays, cell_pairs, for every cell
 of a drop at a time; build_pairs is its object form for one cell.
 
 Each scheme's decision is one array kernel, KERNELS[scheme]: (g1, g2, s,
-r1_min, r2_min) -> (noma, alpha1, alpha2, r1, r2, ee) on arrays of pairs
-or shape-() values. run_scheme decides one pair at a time through them;
-for EEPA, dinkelbach_allocate solves and the kernel's rule decides.
+r1_min, r2_min) -> (noma, alpha1, alpha2, r1, r2, ee, iterations) on arrays
+of pairs or shape-() values; iterations are Dinkelbach's where EEPA chose
+NOMA, else 0. run_campaign and run_scheme decide every pair through them.
 """
 
 from dataclasses import dataclass
@@ -18,9 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from .channel import EffectiveCsi, PhaseModel
-from .eepa import _eepa_kernel, _eepa_outcome, dinkelbach_allocate, pairing_criterion_eepa
-from .mpa import PairDecision, TargetPolicy, _check_channel, allocate_mpa, oma_decision
-from .mpa import _mpa_kernel, _oma_kernel, _srm_kernel
+from .eepa import _eepa_kernel
+from .mpa import PairDecision, TargetPolicy, _check_channel, _mpa_kernel, _oma_kernel, _srm_kernel
 
 __all__ = ["Scheme", "KERNELS", "UserRecord", "build_pairs", "cell_pairs", "run_scheme"]
 
@@ -75,34 +74,24 @@ def cell_pairs(key: np.ndarray, cell: np.ndarray, n_cells: int):
     return order[start + k], order[start + counts[pair_cell] - 1 - k], first
 
 
-def _decide(scheme, strong, weak, phase, policy) -> PairDecision:
-    csi1, csi2, ids = strong.csi, weak.csi, (strong.id, weak.id)
-    if scheme is Scheme.OMA:
-        return oma_decision(csi1, csi2, phase, *ids)
-    if scheme is Scheme.SRM:
-        _check_channel(csi2, phase, 2)
-        return PairDecision.from_kernel(_srm_kernel(csi1.gamma, csi2.gamma, phase.degradation), *ids)
-    if scheme not in (Scheme.MPA, Scheme.EEPA):
-        raise ValueError(f"unknown scheme {scheme}")
-    targets = policy.resolve(csi1, csi2, phase)
-    if scheme is Scheme.MPA:
-        return allocate_mpa(targets, csi1, csi2, phase, *ids)
-    solution, iterations = (0.0, 0.0, 0.0), None  # unsolved: lambda* = 0, OMA
-    if phase.degradation >= pairing_criterion_eepa(targets, csi1, csi2, phase).sinc_sq_threshold:
-        res = dinkelbach_allocate(targets, csi1, csi2, phase)
-        solution, iterations = (res.alpha1, res.alpha2, res.lambda_star), res.iterations
-    decision = _eepa_outcome(csi1.gamma, csi2.gamma, phase.degradation, *solution)
-    return PairDecision.from_kernel(decision, *ids, iterations)
-
-
 def run_scheme(
     users: List[UserRecord],
     scheme: Scheme,
     phase: PhaseModel,
     targets_policy: Optional[TargetPolicy] = None,
 ) -> List[PairDecision]:
-    """Build pairs and decide each one under the given scheme; the
-    decisions follow build_pairs' order."""
+    """Build pairs and decide each one with the scheme's kernel; the
+    decisions follow build_pairs' order. Every scheme but OMA needs
+    Gamma2 * sinc^2(delta) > 0."""
+    if scheme not in KERNELS:
+        raise ValueError(f"unknown scheme {scheme}")
     policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
-    pairs, _ = build_pairs(users)
-    return [_decide(scheme, strong, weak, phase, policy) for strong, weak in pairs]
+    s = phase.degradation
+    decisions = []
+    for strong, weak in build_pairs(users)[0]:
+        if scheme is not Scheme.OMA:
+            _check_channel(weak.csi, phase, 2)
+        g1, g2 = float(strong.csi.gamma), float(weak.csi.gamma)
+        decision = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+        decisions.append(PairDecision.from_kernel(decision, strong.id, weak.id))
+    return decisions

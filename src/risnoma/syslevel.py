@@ -304,7 +304,7 @@ def run_campaign(
         s = sinc_sq(float(delta))
         r1_min, r2_min = policy.rates(g1, g2, s)
         for scheme in schemes:
-            _, _, _, r1, r2, ee = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
+            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
             asr = r1 + r2
             n = len(asr)
             row = {"scheme": scheme.value, "delta": float(delta)}

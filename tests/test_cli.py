@@ -265,22 +265,23 @@ class TestPairStudyCommand:
         assert float(by_scheme["mpa"]["alpha1"]) == 1.0
 
     def test_eepa_solved_once(self, runner, monkeypatch):
-        from risnoma import pairing
+        from risnoma import eepa as eepa_module
 
         calls = []
-        solve = pairing.dinkelbach_allocate
+        solve = eepa_module._dinkelbach
 
         def counted(*args, **kwargs):
             calls.append(solve(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(pairing, "dinkelbach_allocate", counted)
+        monkeypatch.setattr(eepa_module, "_dinkelbach", counted)
         result = runner.invoke(main, ["pair-study", "--gammas-db", "20,3", "--delta-deg", "30"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         eepa = next(r for r in rows if r["scheme"] == "eepa")
         assert len(calls) == 1
-        assert int(eepa["iterations"]) == calls[0].iterations == 3
+        _, _, _, iterations, _, _ = calls[0]
+        assert int(eepa["iterations"]) == iterations == 3
 
     def test_eepa_zero_ee_falls_back_to_oma(self, runner):
         # the OMA-rate targets underflow to 0, and so does every rate
@@ -289,6 +290,20 @@ class TestPairStudyCommand:
         _, rows = parse_csv(result.output)
         eepa = next(r for r in rows if r["scheme"] == "eepa")
         assert (eepa["mode"], eepa["ee"], eepa["iterations"]) == ("oma", "0.0", "")
+
+    def test_subnormal_weak_gamma_without_warning(self, runner):
+        # Gamma2 = 5e-324: alpha2_ub's quotient overflows to its value, +inf,
+        # without a RuntimeWarning (the suite turns one into an error)
+        result = runner.invoke(main, ["pair-study", "--gammas-db=7,-3233"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        mpa = next(r for r in rows if r["scheme"] == "mpa")
+        assert (mpa["mode"], mpa["alpha2"], mpa["r2"]) == ("noma", "1.0", "0.0")
+        assert float(mpa["asr"]) == pytest.approx(2.587814373562031, rel=1e-15)
+        result = runner.invoke(main, ["sweep-alpha2", "--gammas-db=7,-3233"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert len(rows) == 2002 and {r["alpha2_ub"] for r in rows} == {"inf"}
 
     def test_mpa_zero_rate_falls_back_to_oma(self, runner):
         # as for EEPA: every rate underflows to 0; SRM never falls back
@@ -378,6 +393,36 @@ class TestConfigHandling:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("pair-study", "targets_policy: explicit\nr1_min: abc\n"),
+            ("syslevel", "drops: abc\n"),
+            ("syslevel", "drops: null\n"),
+            ("pair-study", "gammas_db: [8, 5]\n"),
+            ("pair-study", "scheme: 5\n"),
+        ],
+    )
+    def test_wrong_type_one_line_exit_2(self, runner, tmp_path, command, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    def test_values_take_the_option_type(self, runner, tmp_path):
+        # a YAML int on a float option resolves to a float; null is a value
+        # only where the option's default is None
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("tx_power_dbm: 23\ncdf_delta_deg: null\n")
+        result = runner.invoke(main, ["syslevel", "--config", str(cfg), "--print-config"])
+        assert result.exit_code == 0
+        doc = yaml.safe_load(result.output)
+        assert type(doc["tx_power_dbm"]) is float and doc["tx_power_dbm"] == 23.0
+        assert doc["cdf_delta_deg"] is None
+
     def test_print_config(self, runner):
         result = runner.invoke(
             main, ["sweep-alpha2", "--print-config", "--gammas-db", "8,2", "--seed", "7"]
@@ -432,6 +477,10 @@ class TestConfigHandling:
             ["sweep-alpha2", "--targets-policy", "explicit", "--r1-min", "inf"],
             ["validate-approx", "--trials", "1", "--targets-policy", "explicit", "--r1-min", "-1"],
             ["pair-study", "--delta-deg", "0,30,60"],
+            ["syslevel", "--drops", "1", "--delta-ref-deg", "200"],
+            ["validate-approx", "--trials", "1", "--delta-ref-deg", "500"],
+            ["pair-study", "--delta-ref-deg", "nan"],
+            ["sweep-delta", "--delta-ref-deg", "-1"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

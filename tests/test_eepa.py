@@ -288,11 +288,12 @@ class TestBatch:
         r2 = np.array([i[0].r2_min for i in insts])
         # group by identical degradation is impossible here, so run per-instance
         for k, (targets, csi1, csi2, phase) in enumerate(insts):
-            a1, a2, lam = dinkelbach_batch(
+            a1, a2, lam, iterations = dinkelbach_batch(
                 g1[k : k + 1], g2[k : k + 1], r1[k : k + 1], r2[k : k + 1], phase.degradation
             )
             res = dinkelbach_allocate(targets, csi1, csi2, phase)
             assert lam[0] == pytest.approx(res.lambda_star, abs=1e-7)
+            assert iterations[0] == res.iterations
 
     def test_vector_call(self):
         rng = np.random.default_rng(9)
@@ -311,7 +312,7 @@ class TestBatch:
         g2 = np.array([r[2].gamma for r in rows])
         r1 = np.array([r[0].r1_min for r in rows])
         r2 = np.array([r[0].r2_min for r in rows])
-        a1, a2, lam = dinkelbach_batch(g1, g2, r1, r2, phase.degradation)
+        a1, a2, lam, _ = dinkelbach_batch(g1, g2, r1, r2, phase.degradation)
         for k, (targets, csi1, csi2) in enumerate(rows):
             res = dinkelbach_allocate(targets, csi1, csi2, phase)
             assert lam[k] == pytest.approx(res.lambda_star, abs=1e-7)

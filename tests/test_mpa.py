@@ -57,6 +57,11 @@ class TestTargetPolicy:
             t = TargetPolicy.explicit(1.2, 0.4).resolve(csi, csi, P0)
             assert (t.r1_min, t.r2_min) == (1.2, 0.4)
 
+    def test_delta_ref_checked_at_construction(self):
+        for delta_ref in (math.pi, -0.1, math.nan):
+            with pytest.raises(ValueError, match="delta_ref"):
+                TargetPolicy.oma_at_reference(delta_ref)
+
     def test_negative_targets_rejected(self):
         with pytest.raises(ValueError):
             RateTargets(-0.1, 0.0)

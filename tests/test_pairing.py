@@ -90,6 +90,15 @@ class TestRunScheme:
         assert d.rates.strong == pytest.approx(rate_oma(EffectiveCsi.from_db(8), phase))
         assert d.rates.weak == pytest.approx(rate_oma(EffectiveCsi.from_db(5), phase))
 
+    def test_zero_weak_gamma(self):
+        # Gamma2 * sinc^2 = 0 is a degenerate channel to every scheme but OMA
+        users = [UserRecord(0, EffectiveCsi(2.0)), UserRecord(1, EffectiveCsi(0.0))]
+        for scheme in (Scheme.MPA, Scheme.SRM, Scheme.EEPA):
+            with pytest.raises(ValueError, match="degenerate channel"):
+                run_scheme(users, scheme, PhaseModel(0.0))
+        d = run_scheme(users, Scheme.OMA, PhaseModel(0.0))[0]
+        assert (d.mode, d.rates.weak) == (Mode.OMA, 0.0)
+
     def test_mpa_figure_pair(self):
         d = run_scheme(users_from_db([8, 5]), Scheme.MPA, PhaseModel(0.0))[0]
         assert d.mode is Mode.NOMA

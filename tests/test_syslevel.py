@@ -337,7 +337,7 @@ class TestSchemeArrays:
     def test_matches_scalar_path(self, scheme, delta):
         # under each target policy, the kernel on all 60 pairs equals, bit
         # for bit, the kernel on each pair's shape-() values, and
-        # run_scheme's decision for the pair is the latter's
+        # run_scheme's decision for the pair, iterations included, is the latter's
         rng = np.random.default_rng(21)
         g1_db = rng.uniform(0, 25, 60)
         g2_db = g1_db - rng.uniform(0.5, 15, 60)
@@ -352,8 +352,7 @@ class TestSchemeArrays:
                 one = KERNELS[scheme](g1[k], g2[k], s, r1_min[k], r2_min[k])
                 assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
                 users = [UserRecord(0, EffectiveCsi(g1[k])), UserRecord(1, EffectiveCsi(g2[k]))]
-                d = run_scheme(users, scheme, phase, policy)[0]
-                assert d == PairDecision.from_kernel(one, iterations=d.iterations)
+                assert run_scheme(users, scheme, phase, policy)[0] == PairDecision.from_kernel(one)
 
     def test_eepa_zero_ee_falls_back_to_oma(self, monkeypatch):
         # every other feasible pair gets lambda* = 0 from the solver: those
@@ -363,9 +362,9 @@ class TestSchemeArrays:
         solve = eepa.dinkelbach_batch
 
         def zero_every_other(*args):
-            a1, a2, lam = solve(*args)
+            a1, a2, lam, iterations = solve(*args)
             lam[::2] = 0.0
-            return a1, a2, lam
+            return a1, a2, lam, iterations
 
         g1 = 10 ** (np.linspace(15, 25, 8) / 10)
         g2 = 10 ** (np.linspace(-5, 5, 8) / 10)
@@ -544,5 +543,5 @@ class TestSyslevelTables:
             part = slice(k * n, (k + 1) * n)
             assert cdf.data["scheme"][part] == [scheme.value] * n
             assert np.array_equal(cdf.data["cdf"][part].view(np.int64), levels.view(np.int64))
-            _, _, _, r1, r2, _ = kernel_arrays(scheme, g1, g2, s)
+            _, _, _, r1, r2, _, _ = kernel_arrays(scheme, g1, g2, s)
             assert np.array_equal(cdf.data["asr"][part], np.sort(r1 + r2))
