@@ -5,9 +5,7 @@ from .channel import (
     EffectiveCsi,
     PhaseModel,
     RatePair,
-    asr,
     db_to_linear,
-    ee,
     linear_to_db,
     phase_error_gain_mc,
     rate_noma,

@@ -22,8 +22,6 @@ __all__ = [
     "phase_error_gain_mc",
     "rate_oma",
     "rate_noma",
-    "asr",
-    "ee",
 ]
 
 
@@ -164,16 +162,3 @@ def rate_noma(
             raise ValueError(f"power fractions must lie in [0, 1], got {a}")
     strong, weak = _noma_rates(alpha1, alpha2, csi1.gamma, csi2.gamma, phase.degradation)
     return RatePair(float(strong), float(weak))
-
-
-def asr(rates: RatePair) -> float:
-    """Achievable sum rate of the pair."""
-    return rates.strong + rates.weak
-
-
-def ee(rates: RatePair, alpha1: float, alpha2: float) -> float:
-    """Energy efficiency: sum rate per unit of total power fraction."""
-    total = alpha1 + alpha2
-    if total <= 0:
-        raise ZeroDivisionError("energy efficiency undefined for alpha1 + alpha2 = 0")
-    return (rates.strong + rates.weak) / total

@@ -1,6 +1,14 @@
 """Experiment runners behind the CLI subcommands: power-fraction sweeps,
 phase-error sweeps, single-pair studies, the system-level campaign, and
-the Monte-Carlo validation of the sinc^2 approximation."""
+the Monte-Carlo validation of the sinc^2 approximation.
+
+The two sweeps are built on arrays over their grid from the rate, bound
+and threshold formulas and one MPA kernel call (see pairing.KERNELS),
+after the input checks the one-pair API makes; only a delta upper bound,
+a bisection, is found row by row. The single-pair study decides each
+scheme with run_scheme and reads the MPA and EEPA criteria's delta upper
+bounds from their thresholds.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -9,17 +17,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import (
-    EffectiveCsi,
-    PhaseModel,
-    phase_error_gain_mc,
-    rate_noma,
-    rate_oma,
-    sinc_sq,
-)
-from .eepa import pairing_criterion_eepa
-from .mpa import TargetPolicy, allocate_mpa, alpha2_lower, alpha2_upper, pairing_criterion_mpa
-from .pairing import Scheme, UserRecord, run_scheme
+from .channel import EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear, phase_error_gain_mc, sinc_sq
+from .eepa import _eepa_thresholds
+from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold
+from .pairing import KERNELS, Scheme, UserRecord, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
 
@@ -102,102 +103,81 @@ def parse_float_list(text: str) -> Tuple[float, ...]:
         raise ConfigError(f"bad number list {text!r}") from e
 
 
-def _pair(cfg: ExperimentConfig):
-    return EffectiveCsi.from_db(cfg.gammas_db[0]), EffectiveCsi.from_db(cfg.gammas_db[1])
+def _pair_on_grid(cfg: ExperimentConfig):
+    """The pair's Gamma1 and Gamma2 and sinc^2(delta) at each delta of the
+    grid, as arrays over the grid. Rejects, as the one-pair API does, a
+    Gamma1 of 0 and a Gamma2 * sinc^2 of 0 at any delta."""
+    s = np.array([sinc_sq(math.radians(d)) for d in cfg.delta_deg])
+    g1, g2 = (np.full_like(s, db_to_linear(g)) for g in cfg.gammas_db)
+    if not g1[0] > 0.0:
+        raise ValueError("Gamma1 must be positive")
+    if not np.all(g2 * s > 0.0):
+        raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0")
+    return g1, g2, s
 
 
 def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
     """Rates versus the weak user's power fraction at alpha1=1, one block
     per configured delta, with OMA references and both alpha2 bounds."""
-    csi1, csi2 = _pair(cfg)
+    g1, g2, s = (x[:, None] for x in _pair_on_grid(cfg))  # a row per delta, a column per alpha2
     n = round(1.0 / cfg.alpha2_step)
-    grid = [i / n for i in range(n + 1)]
-    table = Table(
-        [
-            "delta_deg",
-            "alpha2",
-            "r1",
-            "r2",
-            "asr",
-            "r1_oma",
-            "r2_oma",
-            "r1_target",
-            "r2_target",
-            "alpha2_lb",
-            "alpha2_ub",
-        ]
-    )
-    for d in cfg.delta_deg:
-        phase = PhaseModel.from_degrees(d)
-        targets = cfg.targets_policy.resolve(csi1, csi2, phase)
-        lb = alpha2_lower(targets, csi2, phase)
-        ub = alpha2_upper(targets, csi1, csi2, phase)
-        r1_oma = rate_oma(csi1, phase)
-        r2_oma = rate_oma(csi2, phase)
-        for a2 in grid:
-            rates = rate_noma(1.0, a2, csi1, csi2, phase)
-            table.append(
-                delta_deg=d,
-                alpha2=a2,
-                r1=rates.strong,
-                r2=rates.weak,
-                asr=rates.strong + rates.weak,
-                r1_oma=r1_oma,
-                r2_oma=r2_oma,
-                r1_target=targets.r1_min,
-                r2_target=targets.r2_min,
-                alpha2_lb=lb,
-                alpha2_ub=ub,
-            )
-    return table
+    alpha2 = np.arange(n + 1) / n
+    r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    r1, r2 = _noma_rates(1.0, alpha2, g1, g2, s)
+    columns = {
+        "delta_deg": np.array(cfg.delta_deg, dtype=float)[:, None],
+        "alpha2": alpha2,
+        "r1": r1,
+        "r2": r2,
+        "asr": r1 + r2,
+        "r1_oma": _oma_rate(g1, s),
+        "r2_oma": _oma_rate(g2, s),
+        "r1_target": r1_min,
+        "r2_target": r2_min,
+        "alpha2_lb": _alpha2_lb(g2, s, p2),
+        # a zero floor, or one below float resolution, leaves alpha2 unbounded
+        "alpha2_ub": np.where(p1 == 1.0, np.inf, _alpha2_ub(g1, g2, s, p1)),
+    }
+    return Table(columns, {c: np.broadcast_to(v, r1.shape).ravel() for c, v in columns.items()})
+
+
+def _delta_ub_deg(threshold):
+    """The largest delta, in degrees, with sinc^2(delta) >= threshold; empty when there is none."""
+    delta_ub = _delta_ub(float(threshold))
+    return math.degrees(delta_ub) if delta_ub is not None else ""
 
 
 def sweep_delta_table(cfg: ExperimentConfig) -> Table:
     """Single-pair MPA decision versus phase imperfection, with the OMA
     reference rates and the criterion's delta upper bound."""
-    csi1, csi2 = _pair(cfg)
-    table = Table(
-        [
-            "delta_deg",
-            "mode",
-            "alpha2",
-            "r1",
-            "r2",
-            "asr",
-            "r1_oma",
-            "r2_oma",
-            "asr_oma",
-            "delta_ub_deg",
-        ]
-    )
-    for d in cfg.delta_deg:
-        phase = PhaseModel.from_degrees(d)
-        targets = cfg.targets_policy.resolve(csi1, csi2, phase)
-        delta_ub = pairing_criterion_mpa(targets, csi1, phase).delta_ub
-        dec = allocate_mpa(targets, csi1, csi2, phase)
-        r1_oma = rate_oma(csi1, phase)
-        r2_oma = rate_oma(csi2, phase)
-        table.append(
-            delta_deg=d,
-            mode=dec.mode.value,
-            alpha2=dec.alpha2,
-            r1=dec.rates.strong,
-            r2=dec.rates.weak,
-            asr=dec.asr,
-            r1_oma=r1_oma,
-            r2_oma=r2_oma,
-            asr_oma=r1_oma + r2_oma,
-            delta_ub_deg=math.degrees(delta_ub) if delta_ub is not None else "",
-        )
-    return table
+    g1, g2, s = _pair_on_grid(cfg)
+    r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
+    noma, _, alpha2, r1, r2, _, _ = KERNELS[Scheme.MPA](g1, g2, s, r1_min, r2_min)
+    r1_oma, r2_oma = _oma_rate(g1, s), _oma_rate(g2, s)
+    columns = {
+        "delta_deg": np.array(cfg.delta_deg, dtype=float),
+        "mode": np.where(noma, Mode.NOMA.value, Mode.OMA.value),
+        "alpha2": alpha2,
+        "r1": r1,
+        "r2": r2,
+        "asr": r1 + r2,
+        "r1_oma": r1_oma,
+        "r2_oma": r2_oma,
+        "asr_oma": r1_oma + r2_oma,
+        "delta_ub_deg": [_delta_ub_deg(t) for t in _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))],
+    }
+    return Table(columns, columns)
 
 
 def pair_study_table(cfg: ExperimentConfig) -> Table:
-    """Full per-scheme decision dump for one pair at one delta."""
-    csi1, csi2 = _pair(cfg)
+    """Full per-scheme decision dump for one pair at one delta, with the
+    MPA and EEPA criteria's delta upper bounds."""
+    csi1, csi2 = (EffectiveCsi.from_db(g) for g in cfg.gammas_db)
     phase = PhaseModel.from_degrees(cfg.delta_deg[0])
     users = [UserRecord(0, csi1), UserRecord(1, csi2)]
-    targets = cfg.targets_policy.resolve(csi1, csi2, phase)
+    g1, g2 = csi1.gamma, csi2.gamma
+    p1, p2 = np.power(2.0, cfg.targets_policy.rates(g1, g2, phase.degradation))
     table = Table(
         [
             "scheme",
@@ -213,12 +193,13 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
         ]
     )
     for scheme in cfg.schemes:
+        # run_scheme first: it rejects a degenerate pair before a threshold divides by its Gamma
         dec = run_scheme(users, scheme, phase, cfg.targets_policy)[0]
-        delta_ub = None
+        delta_ub = ""
         if scheme is Scheme.MPA:
-            delta_ub = pairing_criterion_mpa(targets, csi1, phase).delta_ub
+            delta_ub = _delta_ub_deg(_mpa_threshold(g1, p1, p2))
         elif scheme is Scheme.EEPA:
-            delta_ub = pairing_criterion_eepa(targets, csi1, csi2, phase).delta_ub
+            delta_ub = _delta_ub_deg(max(_eepa_thresholds(g1, g2, p1, p2)))
         table.append(
             scheme=scheme.value,
             mode=dec.mode.value,
@@ -228,7 +209,7 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
             r2=dec.rates.weak,
             asr=dec.asr,
             ee=dec.ee,
-            delta_ub_deg=math.degrees(delta_ub) if delta_ub is not None else "",
+            delta_ub_deg=delta_ub,
             iterations=dec.iterations if dec.iterations is not None else "",
         )
     return table
@@ -259,8 +240,9 @@ def syslevel_tables(cfg: ExperimentConfig):
             "n_pairs",
         ]
     )
+    degrees = dict(zip(delta_rad, cfg.delta_deg))  # the configured values, not a radian round trip
     for row in metrics.rows:
-        means.append(delta_deg=math.degrees(row["delta"]), **row)
+        means.append(delta_deg=degrees[row["delta"]], **row)
     # each scheme's sorted samples in turn, at levels i / n for i = 1..n
     # (one correctly rounded division each)
     samples = list(metrics.cdf.values())

@@ -4,7 +4,10 @@ on phase imperfection, and the closed-form allocation.
 Each bound and threshold is one numpy formula on floats or arrays; the
 OMA, MPA and SRM decisions are each one array kernel (see pairing.KERNELS)
 with the OMA fallback applied in _or_oma. The object-based functions
-validate one pair and evaluate the same formulas and kernels on it.
+(alpha2_lower, alpha2_upper, eta_kappa, pairing_criterion_mpa and
+allocate_mpa) validate one pair and evaluate the same formulas and
+kernels on it; the CLI's tables and the campaign call the formulas and
+kernels on arrays directly.
 """
 
 import math
@@ -29,7 +32,6 @@ __all__ = [
     "eta_kappa",
     "invert_sinc_sq",
     "pairing_criterion_mpa",
-    "oma_decision",
     "allocate_mpa",
 ]
 
@@ -288,18 +290,6 @@ def _srm_kernel(g1, g2, s, r1_min=None, r2_min=None):
     when every rate underflows to 0."""
     alpha2 = _sum_rate_alpha2(g1, g2, 1.0, np.power(2.0, _oma_rate(g1, 1.0)))
     return _full_power_noma(g1, g2, s, alpha2)
-
-
-def oma_decision(
-    csi1: EffectiveCsi,
-    csi2: EffectiveCsi,
-    phase: PhaseModel,
-    strong_index: int = 0,
-    weak_index: int = 1,
-) -> PairDecision:
-    """Fallback decision: both users on orthogonal resources at full power."""
-    decision = _oma_kernel(csi1.gamma, csi2.gamma, phase.degradation)
-    return PairDecision.from_kernel(decision, strong_index, weak_index)
 
 
 def allocate_mpa(

@@ -1,14 +1,14 @@
 """Brute-force, closed-form and enumeration references for the
 allocation tests: the EE grid oracle behind the Dinkelbach checks (dense,
 and the same mesh searched row by row), the Lambert-W optimum on the
-weak user's floor, and the KKT candidate enumeration behind the MPA
-optimality checks."""
+weak user's floor, the KKT candidate enumeration behind the MPA
+optimality checks, and the OMA decision the MPA fallback must equal."""
 
 import numpy as np
 
-from risnoma.channel import EffectiveCsi, PhaseModel
+from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma
 from risnoma.eepa import EmptyPolytopeError
-from risnoma.mpa import EPS, RateTargets, alpha2_lower, eta_kappa
+from risnoma.mpa import EPS, Mode, PairDecision, RateTargets, alpha2_lower, eta_kappa
 
 
 def grid_oracle_ee(
@@ -171,3 +171,11 @@ def best_kkt_candidate(candidates: list, csi1: EffectiveCsi, csi2: EffectiveCsi)
     best_obj = max(a1 * csi1.gamma + a2 * csi2.gamma for a1, a2 in candidates)
     tied = [c for c in candidates if c[0] * csi1.gamma + c[1] * csi2.gamma >= best_obj - 1e-12]
     return min(tied, key=lambda c: c[0] + c[1])
+
+
+def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> PairDecision:
+    """The OMA decision: both users at full power on orthogonal resources,
+    each at its OMA rate, the EE the sum rate over the total power of 2."""
+    rates = RatePair(rate_oma(csi1, phase), rate_oma(csi2, phase))
+    asr = rates.strong + rates.weak
+    return PairDecision(Mode.OMA, 1.0, 1.0, rates, asr, asr / 2.0)

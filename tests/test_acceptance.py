@@ -24,12 +24,11 @@ from risnoma.mpa import (
     alpha2_lower,
     alpha2_upper,
     eta_kappa,
-    oma_decision,
     pairing_criterion_mpa,
 )
 from risnoma.pairing import KERNELS, Scheme
 from risnoma.syslevel import DeploymentConfig, RadioConfig, _build_drop, run_campaign
-from oracles import best_kkt_candidate, grid_oracle_ee_rows, kkt_candidates
+from oracles import best_kkt_candidate, grid_oracle_ee_rows, kkt_candidates, oma_decision
 
 POLICY = TargetPolicy.oma_at_reference(0.0)
 P0 = PhaseModel(0.0)

@@ -6,11 +6,8 @@ import pytest
 from risnoma.channel import (
     EffectiveCsi,
     PhaseModel,
-    RatePair,
     _link_gamma,
-    asr,
     db_to_linear,
-    ee,
     phase_error_gain_mc,
     rate_noma,
     rate_oma,
@@ -133,19 +130,12 @@ class TestRates:
             rate_noma(bad, 0.5, EffectiveCsi(1.0), EffectiveCsi(1.0), PhaseModel(0.0))
 
     def test_asr_zero(self):
-        assert asr(RatePair(0.0, 0.0)) == 0.0
+        r = rate_noma(1.0, 1.0, EffectiveCsi(0.0), EffectiveCsi(0.0), PhaseModel(0.0))
+        assert r.strong + r.weak == 0.0
 
     def test_asr_figure_point(self):
         rates = rate_noma(1.0, 0.85497, EffectiveCsi.from_db(8), EffectiveCsi.from_db(5), PhaseModel(0.0))
-        assert asr(rates) == pytest.approx(3.32384, abs=1e-4)
-
-    def test_ee_full_power(self):
-        rates = RatePair(1.5, 0.5)
-        assert ee(rates, 1.0, 1.0) == pytest.approx(asr(rates) / 2)
-
-    def test_ee_zero_power(self):
-        with pytest.raises(ZeroDivisionError):
-            ee(RatePair(1.0, 1.0), 0.0, 0.0)
+        assert rates.strong + rates.weak == pytest.approx(3.32384, abs=1e-4)
 
 
 class TestInvariants:
@@ -158,7 +148,7 @@ class TestInvariants:
             phase = PhaseModel(rng.uniform(0, math.pi - 1e-3))
             r = rate_noma(a1, a2, EffectiveCsi(g1), EffectiveCsi(g2), phase)
             expected = math.log2(1 + (a1 * g1 + a2 * g2) * phase.degradation)
-            assert asr(r) == pytest.approx(expected, abs=1e-9)
+            assert r.strong + r.weak == pytest.approx(expected, abs=1e-9)
 
     def test_monotonicity_in_alphas(self):
         csi1, csi2 = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5)
@@ -177,7 +167,8 @@ class TestInvariants:
         csi1, csi2 = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5)
         deltas = np.linspace(0, math.pi - 1e-3, 200)
         omas = [rate_oma(csi1, PhaseModel(float(d))) for d in deltas]
-        nomas = [asr(rate_noma(1.0, 0.7, csi1, csi2, PhaseModel(float(d)))) for d in deltas]
+        rates = [rate_noma(1.0, 0.7, csi1, csi2, PhaseModel(float(d))) for d in deltas]
+        nomas = [r.strong + r.weak for r in rates]
         assert all(a >= b - 1e-12 for a, b in zip(omas, omas[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(nomas, nomas[1:]))
 

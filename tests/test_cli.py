@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,15 @@ class TestPairStudyCommand:
         _, rows = parse_csv(result.output)
         assert len(rows) == 2002 and {r["alpha2_ub"] for r in rows} == {"inf"}
 
+    def test_oma_alone_takes_a_zero_weak_gamma(self, runner):
+        # only OMA decides a pair with Gamma2 = 0; it has no criterion to divide by Gamma2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["pair-study", "--gammas-db=0,-4000", "--scheme", "oma"])
+        assert result.exit_code == 0 and result.exception is None
+        _, rows = parse_csv(result.output)
+        assert [(r["scheme"], r["r2"], r["delta_ub_deg"]) for r in rows] == [("oma", "0.0", "")]
+
     def test_mpa_zero_rate_falls_back_to_oma(self, runner):
         # as for EEPA: every rate underflows to 0; SRM never falls back
         result = runner.invoke(main, ["pair-study", "--gammas-db=-400,-500"])
@@ -336,6 +346,14 @@ class TestSyslevelCommand:
         _, cdf_rows = parse_csv(cdf_path.read_text())
         assert set(r["scheme"] for r in cdf_rows) == {"oma", "mpa"}
         assert float(cdf_rows[-1]["cdf"]) == 1.0
+
+    def test_delta_deg_cells_are_the_configured_values(self, runner):
+        # not their radian round trip, which reads 29.999999999999996 and 59.99999999999999
+        args = [a if a != "0:40:20" else "0:60:30" for a in self.ARGS]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [r["delta_deg"] for r in rows] == ["0.0", "0.0", "30.0", "30.0", "60.0", "60.0"]
 
     def test_explicit_cdf_out(self, runner, tmp_path):
         out = tmp_path / "m.csv"
@@ -481,6 +499,10 @@ class TestConfigHandling:
             ["validate-approx", "--trials", "1", "--delta-ref-deg", "500"],
             ["pair-study", "--delta-ref-deg", "nan"],
             ["sweep-delta", "--delta-ref-deg", "-1"],
+            ["sweep-alpha2", "--gammas-db=7,-3233", "--delta-deg", "0,179"],
+            ["sweep-delta", "--gammas-db=7,-3233", "--delta-deg", "0,179"],
+            ["sweep-delta", "--gammas-db=-4000,-4000"],
+            ["pair-study", "--gammas-db=0,-4000"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

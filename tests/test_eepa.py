@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from risnoma.channel import EffectiveCsi, PhaseModel, ee, rate_noma, sinc_sq
+from risnoma.channel import EffectiveCsi, PhaseModel, rate_noma, sinc_sq
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -249,7 +249,7 @@ class TestDinkelbach:
             assert res.alpha1 <= 1 + 1e-9 and res.alpha2 <= 1 + 1e-9
             rates = rate_noma(min(res.alpha1, 1.0), min(res.alpha2, 1.0), csi1, csi2, phase)
             assert res.lambda_star == pytest.approx(
-                ee(rates, res.alpha1, res.alpha2), abs=1e-8
+                (rates.strong + rates.weak) / (res.alpha1 + res.alpha2), abs=1e-8
             )
 
     def test_beats_grid_oracle(self):

@@ -89,6 +89,7 @@ class TestRunScheme:
         assert d.mode is Mode.OMA
         assert d.rates.strong == pytest.approx(rate_oma(EffectiveCsi.from_db(8), phase))
         assert d.rates.weak == pytest.approx(rate_oma(EffectiveCsi.from_db(5), phase))
+        assert d.ee == d.asr / 2  # full power: the sum rate over a total power of 2
 
     def test_zero_weak_gamma(self):
         # Gamma2 * sinc^2 = 0 is a degenerate channel to every scheme but OMA
