@@ -13,6 +13,7 @@ from risnoma.channel import (
     rate_oma,
     sinc_sq,
 )
+from risnoma.mpa import _full_power_noma
 
 
 class TestSincSq:
@@ -136,6 +137,13 @@ class TestRates:
     def test_asr_figure_point(self):
         rates = rate_noma(1.0, 0.85497, EffectiveCsi.from_db(8), EffectiveCsi.from_db(5), PhaseModel(0.0))
         assert rates.strong + rates.weak == pytest.approx(3.32384, abs=1e-4)
+
+    def test_ee_full_power(self):
+        # at alpha1 = alpha2 = 1 the EE is the sum rate over a total power of 2
+        csi1, csi2, phase = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5), PhaseModel(0.3)
+        *_, ee, _ = _full_power_noma(csi1.gamma, csi2.gamma, phase.degradation, 1.0)
+        rates = rate_noma(1.0, 1.0, csi1, csi2, phase)
+        assert ee == pytest.approx((rates.strong + rates.weak) / 2)
 
 
 class TestInvariants:
