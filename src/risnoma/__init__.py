@@ -6,7 +6,6 @@ from .channel import (
     PhaseModel,
     RatePair,
     db_to_linear,
-    linear_to_db,
     phase_error_gain_mc,
     rate_noma,
     rate_oma,
@@ -15,7 +14,6 @@ from .channel import (
 from .eepa import (
     ConvergenceError,
     DinkelbachResult,
-    EepaCriterion,
     dinkelbach_allocate,
     pairing_criterion_eepa,
 )

@@ -17,7 +17,6 @@ __all__ = [
     "EffectiveCsi",
     "RatePair",
     "db_to_linear",
-    "linear_to_db",
     "sinc_sq",
     "phase_error_gain_mc",
     "rate_oma",
@@ -30,12 +29,6 @@ def db_to_linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
         raise ValueError(f"{value_db} dB overflows a float") from None
-
-
-def linear_to_db(value: float) -> float:
-    if value <= 0:
-        raise ValueError("dB conversion requires a positive linear value")
-    return 10.0 * math.log10(value)
 
 
 def sinc_sq(delta: float) -> float:
@@ -77,10 +70,6 @@ class EffectiveCsi:
     @classmethod
     def from_db(cls, gamma_db: float) -> "EffectiveCsi":
         return cls(db_to_linear(gamma_db))
-
-    @property
-    def gamma_db(self) -> float:
-        return linear_to_db(self.gamma)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,10 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
     if "scheme" in r:
         kwargs["schemes"] = _parse_schemes(r["scheme"])
     if "elements" in r:
-        kwargs["mc_elements"] = tuple(int(x) for x in ex.parse_float_list(r["elements"]))
+        elements = ex.parse_float_list(r["elements"])
+        if not all(n.is_integer() for n in elements):
+            raise ex.ConfigError(f"element counts must be whole numbers, got {r['elements']!r}")
+        kwargs["mc_elements"] = tuple(int(n) for n in elements)
     if "trials" in r:
         kwargs["mc_trials"] = r["trials"]
     if "cdf_delta_deg" in r and r["cdf_delta_deg"] is not None:

@@ -12,9 +12,11 @@ a clipped closed form (the edge step). The EE optimum itself keeps the
 weak user at its floor. One array-valued Dinkelbach loop serves the
 scalar solver, the batch solver and the EEPA decision.
 
-The EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks
-are one rule, lambda* = 0: a pair the criterion rejects is left unsolved
-at 0, and a pair whose rates underflow solves to 0.
+The pairing criterion has MPA's form (a mpa.Criterion): pair when
+sinc^2(delta) reaches the larger of two conservative thresholds. The
+EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks are
+one rule, lambda* = 0: a pair the criterion rejects is left unsolved at
+0, and a pair whose rates underflow solves to 0.
 """
 
 import math
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EffectiveCsi, PhaseModel, _noma_rates, sinc_sq
-from .mpa import EPS, RateTargets, _alpha2_lb, _check_channel, _delta_ub, _eta_kappa, _or_oma
+from .channel import EffectiveCsi, PhaseModel, _noma_rates
+from .mpa import EPS, Criterion, RateTargets, _alpha2_lb, _check_channel, _eta_kappa, _or_oma
 
 __all__ = [
     "ConvergenceError",
     "EmptyPolytopeError",
-    "EepaCriterion",
     "DinkelbachResult",
     "pairing_criterion_eepa",
     "dinkelbach_allocate",
@@ -48,27 +49,6 @@ class EmptyPolytopeError(ValueError):
 
 
 @dataclass(frozen=True)
-class EepaCriterion:
-    """Conservative pairing criterion: two sinc^2 thresholds, one from
-    the worst-case alpha2=1 strong-user bound and one from the weak
-    user's lower bound fitting inside [0, 1]."""
-
-    sinc_sq_threshold_1: float
-    sinc_sq_threshold_2: float
-
-    @property
-    def sinc_sq_threshold(self) -> float:
-        return max(self.sinc_sq_threshold_1, self.sinc_sq_threshold_2)
-
-    @property
-    def delta_ub(self):  # computed on reading: decisions need only the thresholds
-        return _delta_ub(self.sinc_sq_threshold)
-
-    def feasible_at(self, delta: float) -> bool:
-        return sinc_sq(delta) >= self.sinc_sq_threshold
-
-
-@dataclass(frozen=True)
 class DinkelbachResult:
     alpha1: float
     alpha2: float
@@ -79,7 +59,7 @@ class DinkelbachResult:
     history: tuple = ()
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a zero floor: p1 - 1 = 0
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero floor: p1 - 1 = 0; subnormal Gamma2
 def _eepa_thresholds(g1, g2, p1, p2):
     """EEPA's two bounds on sinc^2(delta) for floors p = 2^r_min: the
     strong user's floor at the worst case alpha2 = 1 (+inf when no delta
@@ -89,14 +69,14 @@ def _eepa_thresholds(g1, g2, p1, p2):
 
 def pairing_criterion_eepa(
     targets: RateTargets, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel
-) -> EepaCriterion:
-    """Both thresholds are independent of delta; feasibility at a given
-    delta compares its sinc^2 against their maximum."""
+) -> Criterion:
+    """EEPA's conservative pairing criterion at the given phase: sinc^2(delta)
+    at or above the larger of its two thresholds, both independent of delta."""
     if not csi1.gamma >= csi2.gamma > 0.0:
         raise ValueError("requires Gamma1 >= Gamma2 > 0")
     p1, p2 = np.power(2.0, (targets.r1_min, targets.r2_min))
-    th1, th2 = _eepa_thresholds(csi1.gamma, csi2.gamma, p1, p2)
-    return EepaCriterion(float(th1), float(th2))
+    threshold = float(max(_eepa_thresholds(csi1.gamma, csi2.gamma, p1, p2)))
+    return Criterion(phase.degradation >= threshold, threshold)
 
 
 def _edge_step(lam, g1, g2, s, eta, kappa, lb):

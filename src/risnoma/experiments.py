@@ -56,7 +56,7 @@ class ExperimentConfig:
     delta_deg: Tuple[float, ...] = (0.0,)
     alpha2_step: float = 0.001
     schemes: Tuple[Scheme, ...] = (Scheme.OMA, Scheme.MPA, Scheme.EEPA, Scheme.SRM)
-    targets_policy: TargetPolicy = field(default_factory=lambda: TargetPolicy.oma_at_reference(0.0))
+    targets_policy: TargetPolicy = field(default_factory=TargetPolicy)
     deploy: DeploymentConfig = field(default_factory=DeploymentConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     cdf_delta_deg: Optional[float] = None
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("a pair study takes exactly one delta")
         if len(self.schemes) == 0:
             raise ConfigError("scheme list must be non-empty")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("scheme list must not repeat a scheme")
         if not 0.0 < self.alpha2_step <= 0.1:
             raise ConfigError("alpha2_step must lie in (0, 0.1]")
         if len(self.gammas_db) != 2:

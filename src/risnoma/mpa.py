@@ -8,6 +8,10 @@ with the OMA fallback applied in _or_oma. The object-based functions
 allocate_mpa) validate one pair and evaluate the same formulas and
 kernels on it; the CLI's tables and the campaign call the formulas and
 kernels on arrays directly.
+
+Both pairing rules, MPA's here and EEPA's (eepa.pairing_criterion_eepa),
+pair when sinc^2(delta) reaches a threshold; each returns a Criterion,
+whose delta_ub is the largest delta meeting it.
 """
 
 import math
@@ -26,11 +30,10 @@ __all__ = [
     "RateTargets",
     "Mode",
     "PairDecision",
-    "MpaCriterion",
+    "Criterion",
     "alpha2_lower",
     "alpha2_upper",
     "eta_kappa",
-    "invert_sinc_sq",
     "pairing_criterion_mpa",
     "allocate_mpa",
 ]
@@ -54,7 +57,7 @@ class TargetPolicy:
     the pairing criterion and the pair falls back to OMA.
     """
 
-    kind: PolicyKind
+    kind: PolicyKind = PolicyKind.OMA_AT_REFERENCE
     delta_ref: float = 0.0
     r1_min: float = 0.0
     r2_min: float = 0.0
@@ -138,7 +141,10 @@ class PairDecision:
 
 
 @dataclass(frozen=True)
-class MpaCriterion:
+class Criterion:
+    """A pairing criterion evaluated at one phase: pair when
+    sinc^2(delta) >= sinc_sq_threshold."""
+
     feasible: bool
     sinc_sq_threshold: float
 
@@ -151,6 +157,7 @@ class MpaCriterion:
 # the form every bound uses them in.
 
 
+@np.errstate(over="ignore")  # subnormal Gamma2: +inf
 def _alpha2_lb(g2, s, p2):
     """Smallest weak-user power fraction meeting its floor."""
     return (p2 - 1.0) / (g2 * s)
@@ -207,44 +214,38 @@ def eta_kappa(
     return tuple(map(float, _eta_kappa(csi1.gamma, csi2.gamma, phase.degradation, p1)))
 
 
-def invert_sinc_sq(target: float) -> float:
-    """Unique root of sinc^2(x) = target on (0, pi), by bisection on the
-    strictly decreasing sinc^2 to a bracket below 1e-10. mid stays in
-    (0, pi), so sinc^2 is computed inline, without sinc_sq's domain check."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must lie in (0, 1), got {target}")
+def _delta_ub(threshold: float) -> Optional[float]:
+    """Largest delta with sinc^2(delta) >= threshold; None when every
+    delta passes (threshold <= 0) or none does (threshold > 1).
+
+    Bisection on sinc^2, strictly decreasing on (0, pi), to a bracket
+    below 1e-10. mid stays in (0, pi), so sinc^2 is computed inline,
+    without sinc_sq's domain check.
+    """
+    if not 0.0 < threshold <= 1.0:
+        return None
+    if threshold == 1.0:
+        return 0.0
     lo, hi = 0.0, math.pi
     while hi - lo >= 1e-10:
         mid = 0.5 * (lo + hi)
-        if (math.sin(mid) / mid) ** 2 >= target:
+        if (math.sin(mid) / mid) ** 2 >= threshold:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _delta_ub(threshold: float) -> Optional[float]:
-    """Largest delta with sinc^2(delta) >= threshold; None when every
-    delta passes (threshold <= 0) or none does (threshold > 1)."""
-    if threshold <= 0.0 or threshold > 1.0:
-        return None
-    return 0.0 if threshold == 1.0 else invert_sinc_sq(threshold)
-
-
 def pairing_criterion_mpa(
     targets: RateTargets, csi1: EffectiveCsi, phase: PhaseModel
-) -> MpaCriterion:
-    """NOMA pairing criterion: sinc^2(delta) >= 2^r2min * (2^r1min - 1) / Gamma1.
-
-    delta_ub is the largest phase error still satisfying the criterion;
-    None when the criterion holds for every delta (threshold <= 0) or for
-    none (threshold > 1).
-    """
+) -> Criterion:
+    """MPA's pairing criterion at the given phase: sinc^2(delta) >=
+    2^r2min * (2^r1min - 1) / Gamma1."""
     if csi1.gamma <= 0.0:
         raise ValueError("Gamma1 must be positive")
     p1, p2 = np.power(2.0, (targets.r1_min, targets.r2_min))
     threshold = float(_mpa_threshold(csi1.gamma, p1, p2))
-    return MpaCriterion(phase.degradation >= threshold, threshold)
+    return Criterion(phase.degradation >= threshold, threshold)
 
 
 def _oma_kernel(g1, g2, s, r1_min=None, r2_min=None):
@@ -297,8 +298,6 @@ def allocate_mpa(
     csi1: EffectiveCsi,
     csi2: EffectiveCsi,
     phase: PhaseModel,
-    strong_index: int = 0,
-    weak_index: int = 1,
 ) -> PairDecision:
     """Sum-rate-optimal allocation: alpha1=1, alpha2=min(alpha2_ub, 1),
     falling back to OMA when the pairing criterion fails.
@@ -311,4 +310,4 @@ def allocate_mpa(
     _check_channel(csi1, phase, 1)
     _check_channel(csi2, phase, 2)
     decision = _mpa_kernel(csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min)
-    return PairDecision.from_kernel(decision, strong_index, weak_index)
+    return PairDecision.from_kernel(decision)

@@ -13,7 +13,7 @@ NOMA, else 0. run_campaign and run_scheme decide every pair through them.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -78,20 +78,19 @@ def run_scheme(
     users: List[UserRecord],
     scheme: Scheme,
     phase: PhaseModel,
-    targets_policy: Optional[TargetPolicy] = None,
+    targets_policy: TargetPolicy = TargetPolicy(),
 ) -> List[PairDecision]:
     """Build pairs and decide each one with the scheme's kernel; the
     decisions follow build_pairs' order. Every scheme but OMA needs
     Gamma2 * sinc^2(delta) > 0."""
     if scheme not in KERNELS:
         raise ValueError(f"unknown scheme {scheme}")
-    policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
     s = phase.degradation
     decisions = []
     for strong, weak in build_pairs(users)[0]:
         if scheme is not Scheme.OMA:
             _check_channel(weak.csi, phase, 2)
         g1, g2 = float(strong.csi.gamma), float(weak.csi.gamma)
-        decision = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+        decision = KERNELS[scheme](g1, g2, s, *targets_policy.rates(g1, g2, s))
         decisions.append(PairDecision.from_kernel(decision, strong.id, weak.id))
     return decisions

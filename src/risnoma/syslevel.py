@@ -260,7 +260,7 @@ def run_campaign(
     radio: RadioConfig,
     schemes: Sequence[Scheme],
     delta_sweep: Sequence[float],
-    targets_policy: Optional[TargetPolicy] = None,
+    targets_policy: TargetPolicy = TargetPolicy(),
     cdf_delta: Optional[float] = None,
 ) -> MetricsTable:
     """Run the Monte-Carlo campaign and aggregate per (scheme, delta)
@@ -274,7 +274,6 @@ def run_campaign(
         raise ValueError("schemes must be non-empty")
     if not len(delta_sweep):
         raise ValueError("delta_sweep must be non-empty")
-    policy = targets_policy or TargetPolicy.oma_at_reference(0.0)
     if cdf_delta is None:
         cdf_delta = float(delta_sweep[0])
     at_cdf = [abs(float(d) - cdf_delta) < 1e-12 for d in delta_sweep]
@@ -302,7 +301,7 @@ def run_campaign(
     )
     for delta, sample_cdf in zip(delta_sweep, at_cdf):
         s = sinc_sq(float(delta))
-        r1_min, r2_min = policy.rates(g1, g2, s)
+        r1_min, r2_min = targets_policy.rates(g1, g2, s)
         for scheme in schemes:
             _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
             asr = r1 + r2

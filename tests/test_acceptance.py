@@ -235,7 +235,7 @@ def test_acceptance_7_dinkelbach_correctness(request):
         if crit.delta_ub is None or crit.delta_ub <= 0:
             continue
         phase = PhaseModel(rng.uniform(0, 0.98 * crit.delta_ub))
-        if not crit.feasible_at(phase.delta):
+        if phase.degradation < crit.sinc_sq_threshold:
             continue
         done += 1
         res = dinkelbach_allocate(targets, csi1, csi2, phase)

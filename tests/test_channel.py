@@ -95,7 +95,7 @@ class TestEffectiveCsi:
     def test_db_round_trip(self):
         for db in (-10.0, 0.0, 5.0, 8.0, 23.4):
             csi = EffectiveCsi.from_db(db)
-            assert csi.gamma_db == pytest.approx(db, rel=1e-12)
+            assert 10.0 * math.log10(csi.gamma) == pytest.approx(db, rel=1e-12)
 
     def test_db_overflow_is_a_value_error(self):
         with pytest.raises(ValueError, match="overflows"):

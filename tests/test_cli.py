@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from risnoma import experiments as ex
 from risnoma.cli import main
 from risnoma.eepa import ConvergenceError
+from risnoma.pairing import Scheme
 from risnoma.tables import Table, render_csv, render_json
 
 
@@ -71,6 +72,7 @@ class TestExperimentConfig:
             {"gammas_db": (5.0, 8.0)},
             {"gammas_db": (5.0,)},
             {"mc_trials": 0},
+            {"schemes": (Scheme.OMA, Scheme.MPA, Scheme.OMA)},
         ],
     )
     def test_rejects(self, kwargs):
@@ -306,6 +308,25 @@ class TestPairStudyCommand:
         _, rows = parse_csv(result.output)
         assert len(rows) == 2002 and {r["alpha2_ub"] for r in rows} == {"inf"}
 
+    @pytest.mark.parametrize(
+        "args, key, value, expected",
+        [
+            (["pair-study"], "scheme", "mode", {"oma": "oma", "mpa": "oma", "eepa": "oma", "srm": "noma"}),
+            (["sweep-alpha2", "--delta-deg", "0"], "delta_deg", "alpha2_lb", {"0.0": "inf"}),
+            (["sweep-delta", "--delta-deg", "0,10"], "delta_deg", "mode", {"0.0": "oma", "10.0": "oma"}),
+        ],
+    )
+    def test_subnormal_weak_gamma_with_floors_without_warning(self, runner, args, key, value, expected):
+        # nonzero floors: alpha2_lb and EEPA's weak-user threshold overflow
+        # to their value, +inf, and MPA and EEPA fall back to OMA
+        floors = ["--targets-policy", "explicit", "--r1-min", "0.7", "--r2-min", "0.4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args + ["--gammas-db=7,-3233"] + floors)
+        assert result.exit_code == 0 and result.exception is None
+        _, rows = parse_csv(result.output)
+        assert {r[key]: r[value] for r in rows} == expected
+
     def test_oma_alone_takes_a_zero_weak_gamma(self, runner):
         # only OMA decides a pair with Gamma2 = 0; it has no criterion to divide by Gamma2
         with warnings.catch_warnings():
@@ -503,6 +524,13 @@ class TestConfigHandling:
             ["sweep-delta", "--gammas-db=7,-3233", "--delta-deg", "0,179"],
             ["sweep-delta", "--gammas-db=-4000,-4000"],
             ["pair-study", "--gammas-db=0,-4000"],
+            ["validate-approx", "--elements", "4.7", "--trials", "10", "--delta-deg", "10"],
+            ["validate-approx", "--elements", "4:16:4.5", "--trials", "10"],
+            ["validate-approx", "--elements", "inf", "--trials", "10"],
+            ["validate-approx", "--elements", "1e400", "--trials", "10"],
+            ["pair-study", "--scheme", "mpa,mpa"],
+            ["pair-study", "--scheme", "oma,mpa,eepa,srm,mpa"],
+            ["syslevel", "--drops", "1", "--scheme", "oma,oma"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

@@ -11,6 +11,7 @@ from risnoma.eepa import (
     EmptyPolytopeError,
     _edge_step,
     _eepa_kernel,
+    _eepa_thresholds,
     dinkelbach_allocate,
     dinkelbach_batch,
     pairing_criterion_eepa,
@@ -40,30 +41,55 @@ def sample_feasible(rng):
         if crit.delta_ub is None or crit.delta_ub <= 0:
             continue
         phase = PhaseModel(rng.uniform(0, crit.delta_ub * 0.98))
-        if crit.feasible_at(phase.delta):
+        if phase.degradation >= crit.sinc_sq_threshold:
             return targets, csi1, csi2, phase
+
+
+def eepa_thresholds(targets, csi1, csi2):
+    """EEPA's two sinc^2 thresholds of one pair."""
+    return _eepa_thresholds(csi1.gamma, csi2.gamma, *np.power(2.0, (targets.r1_min, targets.r2_min)))
 
 
 class TestCriterion:
     def test_8_5_worst_case_infeasible(self):
         csi1, csi2 = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5)
-        crit = pairing_criterion_eepa(POLICY.resolve(csi1, csi2, P0), csi1, csi2, P0)
-        assert crit.sinc_sq_threshold_1 == pytest.approx(1.8473, abs=1e-3)
-        assert crit.sinc_sq_threshold_1 > 1.0
+        targets = POLICY.resolve(csi1, csi2, P0)
+        th1, th2 = eepa_thresholds(targets, csi1, csi2)
+        assert th1 == pytest.approx(1.8473, abs=1e-3)
+        crit = pairing_criterion_eepa(targets, csi1, csi2, P0)
+        assert crit.sinc_sq_threshold == max(th1, th2) == th1 > 1.0
         assert crit.delta_ub is None
-        assert not crit.feasible_at(0.0)
+        assert not crit.feasible
 
     def test_15_5_thresholds(self):
         csi1, csi2 = EffectiveCsi.from_db(15), EffectiveCsi.from_db(5)
-        crit = pairing_criterion_eepa(POLICY.resolve(csi1, csi2, P0), csi1, csi2, P0)
-        assert crit.sinc_sq_threshold_1 == pytest.approx(0.28174, abs=1e-5)
-        assert crit.sinc_sq_threshold_2 == pytest.approx(0.32893, abs=1e-5)
+        targets = POLICY.resolve(csi1, csi2, P0)
+        th1, th2 = eepa_thresholds(targets, csi1, csi2)
+        assert th1 == pytest.approx(0.28174, abs=1e-5)
+        assert th2 == pytest.approx(0.32893, abs=1e-5)
+        crit = pairing_criterion_eepa(targets, csi1, csi2, P0)
+        assert crit.sinc_sq_threshold == th2
         assert crit.delta_ub == pytest.approx(1.723, abs=2e-3)
 
+    def test_feasible_at_the_given_phase(self):
+        # the criterion is evaluated at its phase argument: sinc^2(delta) >= the larger threshold
+        verdicts = set()
+        for gammas_db in ((15, 5), (20, 3), (8, 5), (12, 12)):
+            csi1, csi2 = (EffectiveCsi.from_db(g) for g in gammas_db)
+            for policy in (POLICY, TargetPolicy.oma_at_current(), TargetPolicy.explicit(0.5, 0.3)):
+                for delta in (0.0, 0.5, 1.0, 1.5, 1.72, 1.73, 2.0, 2.5, 3.0):
+                    phase = PhaseModel(delta)
+                    targets = policy.resolve(csi1, csi2, phase)
+                    crit = pairing_criterion_eepa(targets, csi1, csi2, phase)
+                    expected = sinc_sq(phase.delta) >= max(eepa_thresholds(targets, csi1, csi2))
+                    assert crit.feasible == expected
+                    verdicts.add(crit.feasible)
+        assert verdicts == {True, False}
+
     def test_zero_targets(self):
-        crit = pairing_criterion_eepa(RateTargets(0.0, 0.0), EffectiveCsi(5.0), EffectiveCsi(2.0), P0)
+        crit = pairing_criterion_eepa(RateTargets(0.0, 0.0), EffectiveCsi(5.0), EffectiveCsi(2.0), PhaseModel(3.0))
         assert crit.sinc_sq_threshold == 0.0
-        assert crit.feasible_at(3.0)
+        assert crit.feasible
 
     def test_ordering_required(self):
         with pytest.raises(ValueError):
@@ -305,8 +331,7 @@ class TestBatch:
             g2_db = rng.uniform(-5, g1_db - 6)
             csi1, csi2 = EffectiveCsi.from_db(g1_db), EffectiveCsi.from_db(g2_db)
             targets = POLICY.resolve(csi1, csi2, phase)
-            crit = pairing_criterion_eepa(targets, csi1, csi2, phase)
-            if crit.feasible_at(phase.delta):
+            if pairing_criterion_eepa(targets, csi1, csi2, phase).feasible:
                 rows.append((targets, csi1, csi2))
         g1 = np.array([r[1].gamma for r in rows])
         g2 = np.array([r[2].gamma for r in rows])
@@ -337,7 +362,7 @@ class TestWeakUserFloor:
                 csi1, csi2 = EffectiveCsi.from_db(g1_db), EffectiveCsi.from_db(rng.uniform(0, g1_db))
                 phase = PhaseModel(rng.uniform(0, 0.9 * math.pi))
                 targets = policy.resolve(csi1, csi2, phase)
-                if not pairing_criterion_eepa(targets, csi1, csi2, phase).feasible_at(phase.delta):
+                if not pairing_criterion_eepa(targets, csi1, csi2, phase).feasible:
                     continue
                 polygon = instance_polygon(targets, csi1, csi2, phase)
                 rows.append((csi1.gamma, csi2.gamma, phase.degradation, *polygon))

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from risnoma.channel import EffectiveCsi, PhaseModel, db_to_linear, rate_noma, rate_oma, sinc_sq
 from risnoma.mpa import (
+    Criterion,
     Mode,
     RateTargets,
     TargetPolicy,
+    _delta_ub,
     allocate_mpa,
     alpha2_lower,
     alpha2_upper,
     eta_kappa,
-    invert_sinc_sq,
     pairing_criterion_mpa,
 )
 from oracles import best_kkt_candidate, kkt_candidates
@@ -158,10 +159,19 @@ class TestCriterion:
         crit = pairing_criterion_mpa(RateTargets(3.0, 3.0), EffectiveCsi(2.0), P0)
         assert not crit.feasible and crit.delta_ub is None
 
-    def test_invert_sinc_sq_round_trip(self):
+    def test_delta_ub_round_trip(self):
         for target in (0.9, 0.55086, 0.1, 0.01):
-            x = invert_sinc_sq(target)
+            x = _delta_ub(target)
             assert sinc_sq(x) == pytest.approx(target, abs=1e-9)
+            assert Criterion(True, target).delta_ub == x
+
+    def test_delta_ub_edges(self):
+        # every delta passes a threshold <= 0, only delta = 0 passes 1, none passes more
+        for threshold in (0.0, -0.0, -1.0, -math.inf):
+            assert _delta_ub(threshold) is None
+        assert _delta_ub(1.0) == 0.0
+        for threshold in (1.0 + 1e-15, 2.0, math.inf):
+            assert _delta_ub(threshold) is None
 
     def test_threshold_equivalence(self):
         # alpha2_ub >= alpha2_lb iff sinc^2(delta) >= threshold
@@ -294,7 +304,7 @@ class TestCriterionProperties:
         # threshold = 2^r2min (2^r1min - 1) / Gamma1 falls as Gamma1 grows at
         # fixed Gamma2, for all three policies: with an explicit floor the
         # numerator is fixed, with an OMA floor 2^r1min - 1 =
-        # sqrt(1 + Gamma1 s) - 1 grows slower than Gamma1; invert_sinc_sq
+        # sqrt(1 + Gamma1 s) - 1 grows slower than Gamma1; _delta_ub
         # is monotone in the threshold
         csi2 = EffectiveCsi.from_db(g2_db)
         phase = PhaseModel(delta)

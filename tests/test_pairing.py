@@ -23,14 +23,12 @@ class TestBuildPairs:
     def test_odd_population_median_unpaired(self):
         pairs, unpaired = build_pairs(users_from_db([9, 7, 5, 3, 1]))
         assert unpaired is not None
-        assert unpaired.csi.gamma_db == pytest.approx(5.0)
+        assert unpaired.id == 2
         assert [(p[0].id, p[1].id) for p in pairs] == [(0, 4), (1, 3)]
 
     def test_unsorted_input(self):
         pairs, _ = build_pairs(users_from_db([3, 9, 5, 7]))
-        gammas = [(p[0].csi.gamma_db, p[1].csi.gamma_db) for p in pairs]
-        assert gammas[0] == pytest.approx((9.0, 3.0))
-        assert gammas[1] == pytest.approx((7.0, 5.0))
+        assert [(p[0].id, p[1].id) for p in pairs] == [(1, 0), (3, 2)]
 
     def test_too_few_users(self):
         with pytest.raises(ValueError):
