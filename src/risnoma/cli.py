@@ -135,7 +135,11 @@ def _emit(table, resolved, out, fmt):
 
     meta = _meta(resolved)
     if out:
-        write_table(table, out, fmt, meta)
+        try:
+            write_table(table, out, fmt, meta)
+        except OSError as e:  # an unwritable path: missing directory, a directory, no permission
+            click.echo(f"output error: {e}", err=True)
+            sys.exit(2)
     else:
         click.echo(render_csv(table, meta) if fmt == "csv" else render_json(table, meta), nl=False)
 

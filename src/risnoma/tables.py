@@ -2,8 +2,16 @@
 
 A `Table` holds one sequence per column: a list that `Table.append`
 grows one row at a time, or an array given whole (the sorted ASR samples
-of the CDF). Rendering formats each column once and joins rows from the
-formatted columns; no per-row dict or per-cell writer call is made.
+of the CDF). Rendering formats a column once per distinct value, then
+joins rows from the formatted columns; no per-row dict is made. The CDF
+repeats much: its levels ``i/n`` recur once per scheme, MPA and SRM
+often share ASR samples, and ``scheme`` holds three or four strings.
+
+Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
+``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
+merge the zeros and never match a NaN. List columns memoise only their
+``str`` cells: as dict keys ``0.0 == -0.0 == False`` and
+``1 == 1.0 == True``, yet each is written differently.
 
 - CSV: metadata as leading ``# key: value`` lines, then the header and
   rows with CRLF line ends and the csv module's minimal quoting (a field
@@ -19,7 +27,7 @@ read a table row by row; rendering does not use it.
 
 import json
 from collections.abc import Sequence
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -78,8 +86,21 @@ def _values(col: Sequence) -> Sequence:
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
-def _is_float_array(col: Sequence) -> bool:
-    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
+def _column_texts(
+    col: Sequence, float_text: Callable[[float], str], cell: Callable[[object], str]
+) -> List[str]:
+    """The text of each value: float_text once per distinct float64 bit
+    pattern of a float array, else cell once per distinct string and once
+    per other value."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        distinct, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float_text, distinct.view(np.float64).tolist())), dtype=object)
+        return texts[inverse].tolist()
+    memo: Dict[str, str] = {}
+    return [
+        (memo[v] if v in memo else memo.setdefault(v, cell(v))) if type(v) is str else cell(v)
+        for v in _values(col)
+    ]
 
 
 def _csv_cell(value) -> str:
@@ -94,15 +115,11 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _csv_column(col: Sequence) -> List[str]:
-    if _is_float_array(col):
-        return list(map(repr, col.tolist()))
-    return list(map(_csv_cell, _values(col)))
-
-
 def render_csv(table: Table, meta: Dict[str, object]) -> str:
     lines = [",".join(map(_csv_cell, table.columns))]
-    lines += map(",".join, zip(*(_csv_column(table.data[c]) for c in table.columns)))
+    # a float's field is its repr
+    columns = (_column_texts(table.data[c], repr, _csv_cell) for c in table.columns)
+    lines += map(",".join, zip(*columns))
     if len(table.columns) == 1:  # csv.writer quotes a row's lone empty field
         lines = [line or '""' for line in lines]
     head = [f"# {key}: {meta[key]}" for key in sorted(meta)]
@@ -119,12 +136,6 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _json_column(col: Sequence) -> List[str]:
-    if _is_float_array(col):
-        return [_JSON_NONFINITE.get(t, t) for t in map(repr, col.tolist())]
-    return [_json_cell(v) for v in _values(col)]
-
-
 def render_json(table: Table, meta: Dict[str, object]) -> str:
     doc = json.dumps({"meta": dict(sorted(meta.items())), "rows": []}, indent=1)
     if not len(table):
@@ -132,7 +143,7 @@ def render_json(table: Table, meta: Dict[str, object]) -> str:
     members = []
     for c in table.columns:
         key = json.dumps(c) + ": "
-        members.append([key + v for v in _json_column(table.data[c])])
+        members.append([key + v for v in _column_texts(table.data[c], _json_cell, _json_cell)])
     # each row object at depth 2, its members at depth 3, as indent=1 writes them
     rows = ",\n".join("  {\n   " + ",\n   ".join(row) + "\n  }" for row in zip(*members))
     return doc[: -len("[]\n}")] + "[\n" + rows + "\n ]\n}\n"
@@ -140,5 +151,5 @@ def render_json(table: Table, meta: Dict[str, object]) -> str:
 
 def write_table(table: Table, path, fmt: str, meta: Dict[str, object]) -> None:
     text = render_csv(table, meta) if fmt == "csv" else render_json(table, meta)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

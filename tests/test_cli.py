@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,10 +12,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import risnoma
 from risnoma import experiments as ex
 from risnoma.cli import main
 from risnoma.eepa import ConvergenceError
 from risnoma.pairing import Scheme
+from risnoma.syslevel import DeploymentConfig
 from risnoma.tables import Table, render_csv, render_json
 
 
@@ -204,6 +209,58 @@ class TestColumnarOutput:
         with pytest.raises(ValueError):
             Table(["a", "b"], {"a": [1, 2], "b": np.zeros(3)})
 
+    def test_float_arrays_written_by_bit_pattern(self):
+        # 0.0 == -0.0 yet each is written differently; NaNs of any payload are "nan"
+        nans64 = np.frombuffer(
+            np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF80000DEADBEEF], dtype=np.uint64).tobytes(),
+            dtype=np.float64,
+        )
+        nans32 = np.frombuffer(np.array([0x7FC00000, 0xFFC00000, 0x7FC0BEEF], dtype=np.uint32).tobytes(), dtype=np.float32)
+        edges64 = np.concatenate([nans64, [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1 / 3, 1e16]])
+        edges32 = np.concatenate([nans32, np.array([0.0, -0.0, math.inf, -math.inf, 1e-45, 0.1, 1 / 3], dtype=np.float32)])
+        rng = np.random.default_rng(11)
+        columns = ["x", "y"]
+        data = {"x": edges64[rng.integers(0, len(edges64), 300)], "y": edges32[rng.integers(0, len(edges32), 300)]}
+        assert data["y"].dtype == np.float32
+        rows = [{"x": x, "y": y} for x, y in zip(data["x"].tolist(), data["y"].tolist())]
+        self.check(Table(columns, data), columns, rows)
+
+    def test_list_cells_written_by_type(self):
+        # as dict keys 1 == 1.0 == True and 0 == -0.0 == False, yet each is written differently
+        ones = [1, 1.0, True, "1", True, 1.0, 1]
+        zeros = [0, -0.0, False, None, 0.0, "", None, False, -0.0, 0, "0"]
+        texts = ["a,b", 'say "hi"', "lf\ny", "a,b", "", 'say "hi"', "caf\u00e9", "lf\ny", "a,b"]
+        columns = ["one", "zero", "text"]
+        rows = [
+            {"one": ones[i % len(ones)], "zero": zeros[i % len(zeros)], "text": texts[i % len(texts)]}
+            for i in range(3 * len(zeros))
+        ]
+        self.check(self.appended(columns, rows), columns, rows)
+
+    def test_campaign_cdf(self):
+        # the CDF repeats: levels i/n shared by every scheme, ASR samples tied between MPA and SRM
+        cfg = ex.ExperimentConfig(
+            kind=ex.ExperimentKind.SYSLEVEL, delta_deg=(0.0,), deploy=DeploymentConfig(drops=2, seed=1)
+        )
+        _, cdf = ex.syslevel_tables(cfg)
+        assert set(cdf.data["scheme"]) == {s.value for s in Scheme}
+        assert len(np.unique(cdf.data["cdf"])) * len(Scheme) == len(cdf)
+        assert len(np.unique(cdf.data["asr"])) < len(cdf) * 0.9
+        self.check(cdf, cdf.columns, list(cdf.rows))
+
+    def test_write_table_bytes_are_utf8_under_any_locale(self, tmp_path):
+        out = tmp_path / "t.csv"
+        script = (
+            "import sys\n"
+            "from risnoma.tables import Table, write_table\n"
+            "write_table(Table(['s'], {'s': ['caf\\u00e9']}), sys.argv[1], 'csv', {'note': 'na\\u00efve'})\n"
+        )
+        src = os.path.dirname(os.path.dirname(risnoma.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        text = render_csv(Table(["s"], {"s": ["caf\u00e9"]}), {"note": "na\u00efve"})
+        assert out.read_bytes() == text.encode("utf-8")
+
 
 class TestSweepAlpha2Command:
     def test_stdout_csv(self, runner):
@@ -383,6 +440,26 @@ class TestSyslevelCommand:
         assert result.exit_code == 0
         assert cdf.exists()
         assert not (tmp_path / "m.csv.cdf.csv").exists()
+
+
+class TestUnwritableOutput:
+    SYSLEVEL = ["syslevel", "--drops", "1", "--bs-density", "10", "--user-density", "200", "--delta-deg", "0"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            SYSLEVEL + ["--out", "{tmp}/missing/x.csv"],
+            SYSLEVEL + ["--cdf-out", "{tmp}/missing/c.csv"],
+            ["pair-study", "--out", "{tmp}/missing/x.csv"],
+            SYSLEVEL + ["--out", "{tmp}"],  # a directory
+        ],
+    )
+    def test_one_line_exit_2(self, runner, tmp_path, args):
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: ")
 
 
 class TestValidateApproxCommand:
