@@ -5,19 +5,22 @@ works in radians. A YAML config file can preset any option; explicit
 command-line flags override it, and --print-config echoes the fully
 resolved option set for reproducibility.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 """
 
+import contextlib
 import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 
 import click
 import yaml
 
 from . import experiments as ex
+from . import tables
 from .channel import db_to_linear
 from .eepa import ConvergenceError
 from .mpa import TargetPolicy
@@ -130,18 +133,44 @@ def _meta(resolved: dict):
     }
 
 
-def _emit(table, resolved, out, fmt):
-    from .tables import render_csv, render_json, write_table
+def _output_error(e: OSError, name):
+    click.echo(f"output error: {name}: {e.strerror or e}", err=True)
+    sys.exit(2)
 
-    meta = _meta(resolved)
-    if out:
-        try:
-            write_table(table, out, fmt, meta)
-        except OSError as e:  # an unwritable path: missing directory, a directory, no permission
-            click.echo(f"output error: {e}", err=True)
-            sys.exit(2)
-    else:
-        click.echo(render_csv(table, meta) if fmt == "csv" else render_json(table, meta), nl=False)
+
+def _echo(text: str):
+    """Write text to stdout; a failed write (a full disk, a closed pipe) is an output error."""
+    try:
+        click.echo(text, nl=False)
+    except OSError as e:
+        # what stdout still buffers goes to devnull, not to a second error at exit
+        with contextlib.suppress(AttributeError, OSError):  # no file descriptor behind stdout
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        _output_error(e, "<stdout>")
+
+
+def _write_files(outputs, fmt, meta):
+    """Write each (table, path), all or none: each table goes to a temporary
+    file beside its target, and all are moved into place once all are
+    written. An existing path that is no file (/dev/null) is written as it is."""
+    staged = []
+    try:
+        for k, (table, path) in enumerate(outputs):
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):  # a directory fails here
+                tables.write_table(table, path, fmt, meta)
+                continue
+            staged.append((f"{target}.{os.getpid()}.{k}.tmp", path, target))
+            tables.write_table(table, staged[-1][0], fmt, meta)
+        for tmp, path, target in staged:
+            os.replace(tmp, target)
+    except OSError as e:
+        for tmp, _, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        _output_error(e, path)
 
 
 def _config_error(e: Exception):
@@ -160,7 +189,7 @@ def _run(ctx, kind, table_fn, kwargs):
     except (ValueError, yaml.YAMLError, OSError) as e:  # ConfigError is a ValueError
         _config_error(e)
     if print_config:
-        click.echo(yaml.safe_dump(resolved, sort_keys=True), nl=False)
+        _echo(yaml.safe_dump(resolved, sort_keys=True))
         return
     try:
         result = table_fn(cfg)
@@ -169,15 +198,12 @@ def _run(ctx, kind, table_fn, kwargs):
         sys.exit(3)
     except ValueError as e:  # inputs the library rejects, e.g. a deployment with no pairs
         _config_error(e)
-    resolved_meta = dict(resolved)
-    if isinstance(result, tuple):  # syslevel: (means, cdf)
-        means, cdf = result
-        _emit(means, resolved_meta, out, fmt)
-        cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)
-        if cdf_out:
-            _emit(cdf, resolved_meta, cdf_out, fmt)
-    else:
-        _emit(result, resolved_meta, out, fmt)
+    results = result if isinstance(result, tuple) else (result,)  # syslevel: (means, cdf); the CDF only to a file
+    cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)
+    meta = _meta(resolved)  # one generated stamp for every output of the run
+    _write_files([(table, path) for table, path in zip(results, (out, cdf_out)) if path], fmt, meta)
+    if not out:
+        _echo(tables.render_csv(results[0], meta) if fmt == "csv" else tables.render_json(results[0], meta))
 
 
 def common_options(fn):

@@ -138,10 +138,9 @@ def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
         "r1_target": r1_min,
         "r2_target": r2_min,
         "alpha2_lb": _alpha2_lb(g2, s, p2),
-        # a zero floor, or one below float resolution, leaves alpha2 unbounded
-        "alpha2_ub": np.where(p1 == 1.0, np.inf, _alpha2_ub(g1, g2, s, p1)),
+        "alpha2_ub": _alpha2_ub(g1, g2, s, p1),
     }
-    return Table(columns, {c: np.broadcast_to(v, r1.shape).ravel() for c, v in columns.items()})
+    return Table({c: np.broadcast_to(v, r1.shape).ravel() for c, v in columns.items()})
 
 
 def _delta_ub_deg(threshold):
@@ -169,7 +168,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
         "asr_oma": r1_oma + r2_oma,
         "delta_ub_deg": [_delta_ub_deg(t) for t in _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))],
     }
-    return Table(columns, columns)
+    return Table(columns)
 
 
 def pair_study_table(cfg: ExperimentConfig) -> Table:
@@ -180,41 +179,30 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
     users = [UserRecord(0, csi1), UserRecord(1, csi2)]
     g1, g2 = csi1.gamma, csi2.gamma
     p1, p2 = np.power(2.0, cfg.targets_policy.rates(g1, g2, phase.degradation))
-    table = Table(
-        [
-            "scheme",
-            "mode",
-            "alpha1",
-            "alpha2",
-            "r1",
-            "r2",
-            "asr",
-            "ee",
-            "delta_ub_deg",
-            "iterations",
-        ]
-    )
-    for scheme in cfg.schemes:
-        # run_scheme first: it rejects a degenerate pair before a threshold divides by its Gamma
-        dec = run_scheme(users, scheme, phase, cfg.targets_policy)[0]
-        delta_ub = ""
+    # run_scheme first: it rejects a degenerate pair before a threshold divides by its Gamma
+    decisions = [run_scheme(users, scheme, phase, cfg.targets_policy)[0] for scheme in cfg.schemes]
+
+    def delta_ub(scheme):
         if scheme is Scheme.MPA:
-            delta_ub = _delta_ub_deg(_mpa_threshold(g1, p1, p2))
-        elif scheme is Scheme.EEPA:
-            delta_ub = _delta_ub_deg(max(_eepa_thresholds(g1, g2, p1, p2)))
-        table.append(
-            scheme=scheme.value,
-            mode=dec.mode.value,
-            alpha1=dec.alpha1,
-            alpha2=dec.alpha2,
-            r1=dec.rates.strong,
-            r2=dec.rates.weak,
-            asr=dec.asr,
-            ee=dec.ee,
-            delta_ub_deg=delta_ub,
-            iterations=dec.iterations if dec.iterations is not None else "",
-        )
-    return table
+            return _delta_ub_deg(_mpa_threshold(g1, p1, p2))
+        if scheme is Scheme.EEPA:
+            return _delta_ub_deg(max(_eepa_thresholds(g1, g2, p1, p2)))
+        return ""
+
+    return Table(
+        {
+            "scheme": [scheme.value for scheme in cfg.schemes],
+            "mode": [dec.mode.value for dec in decisions],
+            "alpha1": [dec.alpha1 for dec in decisions],
+            "alpha2": [dec.alpha2 for dec in decisions],
+            "r1": [dec.rates.strong for dec in decisions],
+            "r2": [dec.rates.weak for dec in decisions],
+            "asr": [dec.asr for dec in decisions],
+            "ee": [dec.ee for dec in decisions],
+            "delta_ub_deg": [delta_ub(scheme) for scheme in cfg.schemes],
+            "iterations": [dec.iterations if dec.iterations is not None else "" for dec in decisions],
+        }
+    )
 
 
 def syslevel_tables(cfg: ExperimentConfig):
@@ -227,35 +215,21 @@ def syslevel_tables(cfg: ExperimentConfig):
     metrics = run_campaign(
         cfg.deploy, cfg.radio, cfg.schemes, delta_rad, cfg.targets_policy, cdf_delta
     )
-    means = Table(
-        [
-            "scheme",
-            "delta_deg",
-            "mean_r1",
-            "se_r1",
-            "mean_r2",
-            "se_r2",
-            "mean_asr",
-            "se_asr",
-            "mean_ee",
-            "se_ee",
-            "n_pairs",
-        ]
-    )
-    degrees = dict(zip(delta_rad, cfg.delta_deg))  # the configured values, not a radian round trip
-    for row in metrics.rows:
-        means.append(delta_deg=degrees[row["delta"]], **row)
+    # the campaign's columns in its order, with the configured degrees in
+    # delta's place (radians there), not their round trip
+    degrees = dict(zip(delta_rad, cfg.delta_deg))
+    rows = [{**row, "delta": degrees[row["delta"]]} for row in metrics.rows]
+    means = Table({"delta_deg" if c == "delta" else c: [row[c] for row in rows] for c in rows[0]})
     # each scheme's sorted samples in turn, at levels i / n for i = 1..n
     # (one correctly rounded division each)
     samples = list(metrics.cdf.values())
     levels = [np.arange(1, len(a) + 1) / len(a) for a in samples]
     cdf = Table(
-        ["scheme", "asr", "cdf"],
         {
             "scheme": [scheme for scheme, asr in metrics.cdf.items() for _ in range(len(asr))],
             "asr": np.concatenate([np.empty(0), *samples]),
             "cdf": np.concatenate([np.empty(0), *levels]),
-        },
+        }
     )
     return means, cdf
 
@@ -263,17 +237,17 @@ def syslevel_tables(cfg: ExperimentConfig):
 def validate_approx_table(cfg: ExperimentConfig) -> Table:
     """Monte-Carlo phase gain versus the sinc^2 approximation across
     element counts and deltas."""
-    table = Table(["n_elements", "delta_deg", "mc_estimate", "sinc_sq", "rel_error"])
-    for i, n in enumerate(cfg.mc_elements):
-        for j, d in enumerate(cfg.delta_deg):
-            delta = math.radians(d)
-            approx = sinc_sq(delta)
-            est = phase_error_gain_mc(n, delta, cfg.mc_trials, seed=cfg.seed + 1000 * i + j)
-            table.append(
-                n_elements=n,
-                delta_deg=d,
-                mc_estimate=est,
-                sinc_sq=approx,
-                rel_error=(est - approx) / approx,
-            )
-    return table
+    cells = [
+        (n, d, cfg.seed + 1000 * i + j) for i, n in enumerate(cfg.mc_elements) for j, d in enumerate(cfg.delta_deg)
+    ]
+    approx = [sinc_sq(math.radians(d)) for _, d, _ in cells]
+    est = [phase_error_gain_mc(n, math.radians(d), cfg.mc_trials, seed=seed) for n, d, seed in cells]
+    return Table(
+        {
+            "n_elements": [n for n, _, _ in cells],
+            "delta_deg": [d for _, d, _ in cells],
+            "mc_estimate": est,
+            "sinc_sq": approx,
+            "rel_error": [(e - a) / a for e, a in zip(est, approx)],
+        }
+    )

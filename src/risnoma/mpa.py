@@ -166,8 +166,9 @@ def _alpha2_lb(g2, s, p2):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p1 = 1: +inf or nan; subnormal Gamma2: +inf
 def _alpha2_ub(g1, g2, s, p1):
     """Largest weak-user power fraction keeping the strong user, at
-    alpha1 = 1, on its floor."""
-    return (g1 * s + 1.0 - p1) / (g2 * s * (p1 - 1.0))
+    alpha1 = 1, on its floor; unbounded (+inf) for a zero floor, or one
+    below float resolution (p1 = 1)."""
+    return np.where(p1 == 1.0, np.inf, (g1 * s + 1.0 - p1) / (g2 * s * (p1 - 1.0)))
 
 
 def _eta_kappa(g1, g2, s, p1):
@@ -200,8 +201,6 @@ def alpha2_upper(
     negative (pair infeasible) or exceed 1 (clamped by the allocation)."""
     _check_channel(csi2, phase, 2)
     p1 = np.power(2.0, targets.r1_min)
-    if p1 == 1.0:  # a zero floor, or one below float resolution
-        return math.inf
     return float(_alpha2_ub(csi1.gamma, csi2.gamma, phase.degradation, p1))
 
 

@@ -111,7 +111,7 @@ def drop_ppp(density_per_km2: float, area_km2: float, seed) -> np.ndarray:
 
     seed may be an integer or a Generator (reused for chained draws).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = int(rng.poisson(density_per_km2 * area_km2))
     side = math.sqrt(area_km2) * 1000.0
     return rng.uniform(0.0, side, size=(n, 2))
@@ -218,7 +218,7 @@ def associate_and_budget(
     """
     if len(bss) == 0:
         raise ValueError("need at least one BS")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     users = users % side_m  # x % side is x inside the window, so outputs keep their bits
     bss = bss % side_m
     serving = _nearest_bs(users, bss, radio, side_m)

@@ -1,11 +1,12 @@
 """Tabular output, stored and rendered by column.
 
-A `Table` holds one sequence per column: a list that `Table.append`
-grows one row at a time, or an array given whole (the sorted ASR samples
-of the CDF). Rendering formats a column once per distinct value, then
-joins rows from the formatted columns; no per-row dict is made. The CDF
-repeats much: its levels ``i/n`` recur once per scheme, MPA and SRM
-often share ASR samples, and ``scheme`` holds three or four strings.
+A `Table` has one constructor: a mapping from column name to a sequence
+(a list, or an array such as the CDF's sorted ASR samples), whose keys in
+order are the columns, so a builder writes each name once. Rendering
+formats a column once per distinct value, then joins rows from the
+formatted columns; no per-row dict is made. The CDF repeats much: its
+levels ``i/n`` recur once per scheme, MPA and SRM often share ASR
+samples, and ``scheme`` holds three or four strings.
 
 Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
 ``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
@@ -27,7 +28,7 @@ read a table row by row; rendering does not use it.
 
 import json
 from collections.abc import Sequence
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping
 
 import numpy as np
 
@@ -35,25 +36,17 @@ __all__ = ["Table", "render_csv", "render_json", "write_table"]
 
 
 class Table:
-    """Named columns, one sequence each, all of one length."""
+    """Named columns, one sequence each, all of one length: the mapping's
+    keys, in order."""
 
-    def __init__(self, columns: Iterable[str], data: Optional[Mapping[str, Sequence]] = None):
-        self.columns: List[str] = list(columns)
-        if data is None:
-            self.data: Dict[str, Sequence] = {c: [] for c in self.columns}
-            return
-        self.data = {c: data[c] for c in self.columns}
+    def __init__(self, data: Mapping[str, Sequence]):
+        self.data: Dict[str, Sequence] = dict(data)
+        self.columns: List[str] = list(self.data)
         if len({len(col) for col in self.data.values()}) > 1:
             raise ValueError("table columns differ in length")
 
     def __len__(self) -> int:
         return len(self.data[self.columns[0]]) if self.columns else 0
-
-    def append(self, **values):
-        """Add one row; every column must be a list."""
-        row = [values[c] for c in self.columns]
-        for col, v in zip(self.data.values(), row):
-            col.append(v)
 
     @property
     def rows(self) -> "_RowView":

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -87,8 +88,7 @@ class TestExperimentConfig:
 
 class TestTables:
     def test_csv_shape(self):
-        t = Table(["a", "b"])
-        t.append(a=1.5, b="x")
+        t = Table({"a": [1.5], "b": ["x"]})
         text = render_csv(t, {"seed": 3, "alpha": "y"})
         lines = text.split("\r\n")
         assert lines[0] == "# alpha: y"
@@ -98,14 +98,12 @@ class TestTables:
 
     def test_csv_float_round_trip(self):
         value = 0.8549662632375659
-        t = Table(["v"])
-        t.append(v=value)
+        t = Table({"v": [value]})
         meta, rows = parse_csv(render_csv(t, {}))
         assert float(rows[0]["v"]) == value
 
     def test_json_shape(self):
-        t = Table(["a"])
-        t.append(a=2)
+        t = Table({"a": [2]})
         doc = json.loads(render_json(t, {"seed": 1}))
         assert doc["meta"] == {"seed": 1}
         assert doc["rows"] == [{"a": 2}]
@@ -134,7 +132,7 @@ EDGE_STRINGS = ["oma", "a,b", 'say "hi"', "cr\rx", "lf\ny", "crlf\r\n", "", " le
 
 class TestColumnarOutput:
     """render_csv and render_json give the per-row renderers' text, for
-    tables built row by row and from numpy columns."""
+    tables built from lists of row values and from numpy columns."""
 
     META = {"seed": 3, "generated": "now", "note": "a,b"}
 
@@ -148,11 +146,8 @@ class TestColumnarOutput:
             assert repr([table.rows[0], table.rows[-1]]) == repr([rows[0], rows[-1]])
             assert repr(table.rows[::2]) == repr(rows[::2])
 
-    def appended(self, columns, rows):
-        t = Table(columns)
-        for row in rows:
-            t.append(**row)
-        return t
+    def from_rows(self, columns, rows):
+        return Table({c: [row[c] for row in rows] for c in columns})
 
     def test_mixed_columns(self):
         n = len(EDGE_FLOATS)
@@ -167,47 +162,46 @@ class TestColumnarOutput:
             }
             for i in range(n)
         ]
-        self.check(self.appended(columns, rows), columns, rows)
+        self.check(self.from_rows(columns, rows), columns, rows)
         arrays = Table(
-            columns,
             {
                 "scheme": [r["scheme"] for r in rows],
                 "x": np.array([r["x"] for r in rows]),
                 "n": np.array([r["n"] for r in rows]),
                 "delta_ub_deg": [r["delta_ub_deg"] for r in rows],
                 'q"uoted,name': np.array([r['q"uoted,name'] for r in rows]),
-            },
+            }
         )
         self.check(arrays, columns, rows)
 
     @pytest.mark.parametrize("values", [["", "a", ""], [""], ["a,b", "", 'x"']])
     def test_one_column_with_empty_field(self, values):
         rows = [{"v": v} for v in values]
-        self.check(self.appended(["v"], rows), ["v"], rows)
-        self.check(Table(["v"], {"v": list(values)}), ["v"], rows)
+        self.check(self.from_rows(["v"], rows), ["v"], rows)
+        self.check(Table({"v": list(values)}), ["v"], rows)
 
     def test_empty_column_name(self):
         rows = [{"": 1.5}, {"": ""}]
-        self.check(self.appended([""], rows), [""], rows)
+        self.check(self.from_rows([""], rows), [""], rows)
 
     def test_no_rows(self):
         columns = ["scheme", "asr", "cdf"]
-        self.check(self.appended(columns, []), columns, [])
-        empty = Table(columns, {"scheme": [], "asr": np.empty(0), "cdf": np.empty(0)})
+        self.check(self.from_rows(columns, []), columns, [])
+        empty = Table({"scheme": [], "asr": np.empty(0), "cdf": np.empty(0)})
         self.check(empty, columns, [])
 
     def test_random_floats_round_trip(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500)
         rows = [{"scheme": "mpa", "asr": v} for v in values.tolist()]
-        table = Table(["scheme", "asr"], {"scheme": ["mpa"] * len(values), "asr": values})
+        table = Table({"scheme": ["mpa"] * len(values), "asr": values})
         self.check(table, ["scheme", "asr"], rows)
         _, parsed = parse_csv(render_csv(table, {}))
         assert np.array_equal(np.array([float(r["asr"]) for r in parsed]), values)
 
     def test_columns_must_match_in_length(self):
         with pytest.raises(ValueError):
-            Table(["a", "b"], {"a": [1, 2], "b": np.zeros(3)})
+            Table({"a": [1, 2], "b": np.zeros(3)})
 
     def test_float_arrays_written_by_bit_pattern(self):
         # 0.0 == -0.0 yet each is written differently; NaNs of any payload are "nan"
@@ -223,7 +217,7 @@ class TestColumnarOutput:
         data = {"x": edges64[rng.integers(0, len(edges64), 300)], "y": edges32[rng.integers(0, len(edges32), 300)]}
         assert data["y"].dtype == np.float32
         rows = [{"x": x, "y": y} for x, y in zip(data["x"].tolist(), data["y"].tolist())]
-        self.check(Table(columns, data), columns, rows)
+        self.check(Table(data), columns, rows)
 
     def test_list_cells_written_by_type(self):
         # as dict keys 1 == 1.0 == True and 0 == -0.0 == False, yet each is written differently
@@ -235,7 +229,7 @@ class TestColumnarOutput:
             {"one": ones[i % len(ones)], "zero": zeros[i % len(zeros)], "text": texts[i % len(texts)]}
             for i in range(3 * len(zeros))
         ]
-        self.check(self.appended(columns, rows), columns, rows)
+        self.check(self.from_rows(columns, rows), columns, rows)
 
     def test_campaign_cdf(self):
         # the CDF repeats: levels i/n shared by every scheme, ASR samples tied between MPA and SRM
@@ -253,12 +247,12 @@ class TestColumnarOutput:
         script = (
             "import sys\n"
             "from risnoma.tables import Table, write_table\n"
-            "write_table(Table(['s'], {'s': ['caf\\u00e9']}), sys.argv[1], 'csv', {'note': 'na\\u00efve'})\n"
+            "write_table(Table({'s': ['caf\\u00e9']}), sys.argv[1], 'csv', {'note': 'na\\u00efve'})\n"
         )
         src = os.path.dirname(os.path.dirname(risnoma.__file__))
         env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
-        text = render_csv(Table(["s"], {"s": ["caf\u00e9"]}), {"note": "na\u00efve"})
+        text = render_csv(Table({"s": ["caf\u00e9"]}), {"note": "na\u00efve"})
         assert out.read_bytes() == text.encode("utf-8")
 
 
@@ -460,6 +454,91 @@ class TestUnwritableOutput:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("output error: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [["pair-study"], ["sweep-alpha2", "--alpha2-step", "0.0001"]])
+    def test_full_stdout_one_line_exit_2(self, args):
+        # a short table fails on click's flush, a long one on the write; with
+        # stdout buffered, as by default, neither may leave data for the
+        # interpreter's own flush at exit ("Exception ignored", exit 120)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(risnoma.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "risnoma.cli", *args], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: ")
+
+    def test_syslevel_writes_both_files_or_neither(self, runner, tmp_path):
+        means = tmp_path / "m.csv"
+        args = self.SYSLEVEL + ["--out", str(means), "--cdf-out", str(tmp_path / "missing" / "c.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert os.listdir(tmp_path) == []
+        means.write_bytes(b"an earlier run\r\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert means.read_bytes() == b"an earlier run\r\n"
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_that_is_no_file_is_written_in_place(self, runner, tmp_path):
+        # a device or pipe, such as /dev/null, is never replaced by a temporary file
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = runner.invoke(main, ["pair-study", "--out", str(fifo)])
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert result.exit_code == 0 and data.startswith(b"# config_sha256")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["p"]
+
+    def test_syslevel_files_share_one_metadata_block(self, runner, tmp_path):
+        means, cdf = tmp_path / "m.csv", tmp_path / "c.csv"
+        result = runner.invoke(main, self.SYSLEVEL + ["--out", str(means), "--cdf-out", str(cdf)])
+        assert result.exit_code == 0
+        meta = [[line for line in path.read_text().splitlines() if line.startswith("# ")] for path in (means, cdf)]
+        assert meta[0] == meta[1] and len(meta[0]) == 3
+
+
+COLUMNS = {
+    "sweep-alpha2": [
+        "delta_deg", "alpha2", "r1", "r2", "asr", "r1_oma", "r2_oma", "r1_target", "r2_target", "alpha2_lb", "alpha2_ub"
+    ],
+    "sweep-delta": ["delta_deg", "mode", "alpha2", "r1", "r2", "asr", "r1_oma", "r2_oma", "asr_oma", "delta_ub_deg"],
+    "pair-study": ["scheme", "mode", "alpha1", "alpha2", "r1", "r2", "asr", "ee", "delta_ub_deg", "iterations"],
+    "syslevel": [
+        "scheme", "delta_deg", "mean_r1", "se_r1", "mean_r2", "se_r2", "mean_asr", "se_asr", "mean_ee", "se_ee",
+        "n_pairs",
+    ],
+    "validate-approx": ["n_elements", "delta_deg", "mc_estimate", "sinc_sq", "rel_error"],
+}
+CDF_COLUMNS = ["scheme", "asr", "cdf"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(COLUMNS))
+def test_columns_in_order(runner, tmp_path, command, fmt):
+    # every subcommand at its defaults (syslevel on 2 drops: its columns do
+    # not depend on the count), with the syslevel CDF file
+    out = tmp_path / f"t.{fmt}"
+    args = [command, "--format", fmt, "--out", str(out)] + (["--drops", "2"] if command == "syslevel" else [])
+    assert runner.invoke(main, args).exit_code == 0
+    outputs = [(out, COLUMNS[command])]
+    if command == "syslevel":
+        outputs.append((tmp_path / f"t.{fmt}.cdf.{fmt}", CDF_COLUMNS))
+    for path, columns in outputs:
+        text = path.read_bytes().decode("utf-8")
+        if fmt == "csv":
+            header = next(line for line in text.split("\r\n") if not line.startswith("# "))
+            assert header.split(",") == columns
+        else:
+            rows = json.loads(text)["rows"]
+            assert rows and all(list(row) == columns for row in rows)
 
 
 class TestValidateApproxCommand:
