@@ -172,10 +172,12 @@ def dinkelbach_batch(
     gamma2: np.ndarray,
     r1_min: np.ndarray,
     r2_min: np.ndarray,
-    s: float,
+    s,
 ):
-    """Vectorized Dinkelbach over the instances of one degradation s,
-    by the same iteration as dinkelbach_allocate.
+    """Vectorized Dinkelbach over a batch of instances, by the same
+    iteration as dinkelbach_allocate; s is one degradation for all of
+    them or one per instance. Each instance's result is independent of
+    the others in the batch, bit for bit.
 
     Returns (alpha1, alpha2, lambda_star, iterations) arrays. Raises
     EmptyPolytopeError if any instance has no feasible power fractions
@@ -187,7 +189,9 @@ def dinkelbach_batch(
 
 def _eepa_kernel(g1, g2, s, r1_min, r2_min):
     """EEPA decisions: Dinkelbach solves the pairs meeting the criterion at s, one pair on its
-    0-d values (masking costs more than its solve); NOMA where lambda* > 0, else OMA."""
+    0-d values (masking costs more than its solve); NOMA where lambda* > 0, else OMA. On
+    arrays, the inputs broadcast to the criterion's shape (for instance s a column of
+    deltas against a row of pairs) and one dinkelbach_batch call solves every feasible one."""
     feasible = s >= np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
     if np.ndim(feasible) == 0:
         solution = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4] if feasible else (0.0, 0.0, 0.0, 0)
@@ -197,7 +201,7 @@ def _eepa_kernel(g1, g2, s, r1_min, r2_min):
         iterations = np.zeros(feasible.shape, dtype=int)
         if feasible.any():
             alpha1[feasible], alpha2[feasible], lam[feasible], iterations[feasible] = dinkelbach_batch(
-                *(x[feasible] for x in (g1, g2, r1_min, r2_min)), s
+                *(np.broadcast_to(x, feasible.shape)[feasible] for x in (g1, g2, r1_min, r2_min, s))
             )
     r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
     return _or_oma(lam > 0.0, alpha1, alpha2, r1, r2, lam, iterations, g1, g2, s)

@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("gammas_db must be finite")
         if self.gammas_db[0] < self.gammas_db[1]:
             raise ConfigError("strong user's gamma must come first")
+        if len(self.mc_elements) == 0:
+            raise ConfigError("element list must be non-empty")
         if self.mc_trials < 1 or any(n < 1 for n in self.mc_elements):
             raise ConfigError("Monte-Carlo sizes must be positive")
 

@@ -2,13 +2,18 @@
 allocation tests: the EE grid oracle behind the Dinkelbach checks (dense,
 and the same mesh searched row by row), the Lambert-W optimum on the
 weak user's floor, the KKT candidate enumeration behind the MPA
-optimality checks, and the OMA decision the MPA fallback must equal."""
+optimality checks, the OMA decision the MPA fallback must equal, and the
+one-delta-at-a-time campaign sweep the blocked one must equal."""
+
+import math
 
 import numpy as np
 
-from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma
+from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma, sinc_sq
 from risnoma.eepa import EmptyPolytopeError
 from risnoma.mpa import EPS, Mode, PairDecision, RateTargets, alpha2_lower, eta_kappa
+from risnoma.pairing import KERNELS
+from risnoma.syslevel import MetricsTable, _build_drop
 
 
 def grid_oracle_ee(
@@ -179,3 +184,33 @@ def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> P
     rates = RatePair(rate_oma(csi1, phase), rate_oma(csi2, phase))
     asr = rates.strong + rates.weak
     return PairDecision(Mode.OMA, 1.0, 1.0, rates, asr, asr / 2.0)
+
+
+def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta):
+    """run_campaign's table, deciding the sweep one delta at a time: one
+    kernel call per (delta, scheme) on the 1-D pair arrays, and each row's
+    means and standard errors from 1-D reductions."""
+    strong, weak = [], []
+    for k in range(deploy.drops):
+        drop = _build_drop(deploy, radio, k)
+        if drop is not None:
+            strong.append(drop.pair_gamma_strong)
+            weak.append(drop.pair_gamma_weak)
+    g1, g2 = np.concatenate(strong), np.concatenate(weak)
+    table = MetricsTable(cdf_delta=cdf_delta, n_pairs=len(g1))
+    for delta in delta_sweep:
+        s = sinc_sq(float(delta))
+        r1_min, r2_min = targets_policy.rates(g1, g2, s)
+        for scheme in schemes:
+            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
+            asr = r1 + r2
+            n = len(asr)
+            row = {"scheme": scheme.value, "delta": float(delta)}
+            for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):
+                row[f"mean_{name}"] = float(arr.mean())
+                row[f"se_{name}"] = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            row["n_pairs"] = n
+            table.rows.append(row)
+            if abs(float(delta) - cdf_delta) < 1e-12 and scheme.value not in table.cdf:
+                table.cdf[scheme.value] = np.sort(asr)
+    return table

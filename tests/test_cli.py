@@ -687,6 +687,8 @@ class TestConfigHandling:
             ["pair-study", "--scheme", "mpa,mpa"],
             ["pair-study", "--scheme", "oma,mpa,eepa,srm,mpa"],
             ["syslevel", "--drops", "1", "--scheme", "oma,oma"],
+            ["validate-approx", "--elements", ""],
+            ["validate-approx", "--elements", ","],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risnoma import syslevel
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
 from risnoma.mpa import PairDecision, TargetPolicy
 from risnoma.pairing import KERNELS, Scheme, UserRecord, run_scheme
 from risnoma.syslevel import (
+    BLOCK_INSTANCES,
     DeploymentConfig,
     RadioConfig,
     _build_drop,
@@ -19,6 +21,7 @@ from risnoma.syslevel import (
     path_gain,
     run_campaign,
 )
+from oracles import run_campaign_per_delta
 
 RADIO = RadioConfig()
 
@@ -354,6 +357,25 @@ class TestSchemeArrays:
                 users = [UserRecord(0, EffectiveCsi(g1[k])), UserRecord(1, EffectiveCsi(g2[k]))]
                 assert run_scheme(users, scheme, phase, policy)[0] == PairDecision.from_kernel(one)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_delta_grid_matches_per_delta_calls(self, scheme):
+        # under each target policy, the kernel on a (delta x pair) grid, s a
+        # column against the pairs, equals its 1-D call at each delta bit for
+        # bit, all seven outputs; on the grid EEPA hands dinkelbach_batch one
+        # s per instance, solving at several deltas in one call
+        rng = np.random.default_rng(23)
+        g1 = 10 ** (rng.uniform(0, 25, 60) / 10)
+        g2 = g1 * 10 ** (-rng.uniform(0.5, 15, 60) / 10)
+        s = np.array([sinc_sq(d) for d in (0.0, 0.4, 0.9, 1.2, 2.0, 2.9)])[:, None]
+        for policy in POLICIES:
+            out = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+            grid = [np.broadcast_to(x, (len(s), len(g1))) for x in out]
+            for i in range(len(s)):
+                for got, want in zip(grid, kernel_arrays(scheme, g1, g2, float(s[i, 0]), policy)):
+                    assert got[i].dtype == want.dtype and got[i].tobytes() == want.tobytes()
+            if scheme is Scheme.EEPA:
+                assert (grid[6] > 0).any(axis=1).sum() >= 2
+
     def test_eepa_zero_ee_falls_back_to_oma(self, monkeypatch):
         # every other feasible pair gets lambda* = 0 from the solver: those
         # must report OMA's decision, the others the solver's
@@ -483,6 +505,69 @@ class TestRunCampaign:
             ("mean_ee", [d.ee for d in srm]),
         ):
             assert row[key] == np.array(values).mean()
+
+
+DELTAS_18 = [math.radians(d) for d in range(0, 171, 10)]
+
+
+def record_kernel_calls(monkeypatch):
+    """Wrap each KERNELS entry; every call appends (scheme, deltas, instances),
+    its count of delta rows and of (delta, pair) instances."""
+    calls = []
+    for scheme, kernel in list(KERNELS.items()):
+        def recorded(g1, g2, s, *floors, kernel=kernel, scheme=scheme):
+            calls.append((scheme, np.shape(s)[0], np.broadcast(g1, g2, s).size))
+            return kernel(g1, g2, s, *floors)
+
+        monkeypatch.setitem(KERNELS, scheme, recorded)
+    return calls
+
+
+def assert_same_table(got, want):
+    assert got.n_pairs == want.n_pairs and got.cdf_delta == want.cdf_delta
+    assert got.rows == want.rows
+    assert list(got.cdf) == list(want.cdf)
+    for scheme, samples in want.cdf.items():
+        assert got.cdf[scheme].dtype == samples.dtype and got.cdf[scheme].tobytes() == samples.tobytes()
+
+
+class TestCampaignBlocks:
+    """run_campaign decides the delta sweep in blocks of max(1,
+    BLOCK_INSTANCES // pairs) deltas, one kernel call per scheme and block;
+    its table equals the one-delta-at-a-time sweep's exactly."""
+
+    DEPLOY = DeploymentConfig(drops=1)  # about 990 pairs: the 18 deltas fit one block
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind.value)
+    @pytest.mark.parametrize("blocks", [[18], [5, 5, 5, 3]], ids=["default", "uneven"])
+    def test_blocks_match_per_delta(self, policy, blocks, monkeypatch):
+        # cdf_delta, the 17th delta, falls in the last block of either split
+        args = (self.DEPLOY, RADIO, list(Scheme), DELTAS_18, policy, DELTAS_18[16])
+        want = run_campaign_per_delta(*args)
+        if len(blocks) > 1:
+            monkeypatch.setattr(syslevel, "BLOCK_INSTANCES", blocks[0] * want.n_pairs)
+        calls = record_kernel_calls(monkeypatch)
+        got = run_campaign(*args)
+        assert [deltas for scheme, deltas, _ in calls if scheme is Scheme.OMA] == blocks
+        assert_same_table(got, want)
+
+    def test_calls_hold_at_most_one_block(self, monkeypatch):
+        # a one-drop campaign makes one call per scheme; no call holds more
+        # than max(BLOCK_INSTANCES, pairs) instances, one delta when pairs
+        # alone exceed the bound (all 18 at once peaked near 1 GiB at 200 drops)
+        calls = record_kernel_calls(monkeypatch)
+        one = run_campaign(self.DEPLOY, RADIO, list(Scheme), DELTAS_18)
+        assert [scheme for scheme, _, _ in calls] == list(Scheme)
+        assert [deltas for _, deltas, _ in calls] == [18] * len(Scheme)
+        calls.clear()
+        four = run_campaign(DeploymentConfig(drops=4), RADIO, list(Scheme), DELTAS_18)
+        assert 1 < len(calls) // len(Scheme) < 18
+        assert max(instances for _, _, instances in calls) <= max(BLOCK_INSTANCES, four.n_pairs)
+        calls.clear()
+        monkeypatch.setattr(syslevel, "BLOCK_INSTANCES", one.n_pairs // 2)
+        run_campaign(self.DEPLOY, RADIO, list(Scheme), DELTAS_18)
+        assert len(calls) == 18 * len(Scheme)
+        assert {instances for _, _, instances in calls} == {one.n_pairs}
 
 
 class TestConfigValidation:
