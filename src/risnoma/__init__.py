@@ -27,7 +27,7 @@ from .mpa import (
     alpha2_upper,
     pairing_criterion_mpa,
 )
-from .pairing import Scheme, UserRecord, build_pairs, run_scheme
+from .pairing import Scheme, run_scheme
 from .syslevel import (
     DeploymentConfig,
     MetricsTable,

@@ -173,7 +173,7 @@ def _write_files(outputs, fmt, meta):
         _output_error(e, path)
 
 
-def _config_error(e: Exception):
+def _config_error(e):
     click.echo(f"config error: {e}", err=True)
     sys.exit(2)
 
@@ -191,6 +191,9 @@ def _run(ctx, kind, table_fn, kwargs):
     if print_config:
         _echo(yaml.safe_dump(resolved, sort_keys=True))
         return
+    cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)
+    if out and cdf_out and os.path.realpath(out) == os.path.realpath(cdf_out):
+        _config_error(f"--out and --cdf-out are the same file {out!r}")
     try:
         result = table_fn(cfg)
     except ConvergenceError as e:
@@ -199,7 +202,6 @@ def _run(ctx, kind, table_fn, kwargs):
     except ValueError as e:  # inputs the library rejects, e.g. a deployment with no pairs
         _config_error(e)
     results = result if isinstance(result, tuple) else (result,)  # syslevel: (means, cdf); the CDF only to a file
-    cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)
     meta = _meta(resolved)  # one generated stamp for every output of the run
     _write_files([(table, path) for table, path in zip(results, (out, cdf_out)) if path], fmt, meta)
     if not out:
@@ -226,7 +228,27 @@ def common_options(fn):
     return fn
 
 
-@click.group()
+class _Command(click.Command):
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as e:  # a malformed flag or value
+            _config_error(e.format_message())
+
+
+class _Group(click.Group):
+    """Usage errors are one config error line, not click's usage block."""
+
+    command_class = _Command
+
+    def resolve_command(self, ctx, args):
+        try:
+            return super().resolve_command(ctx, args)
+        except click.UsageError as e:  # no such command
+            _config_error(e.format_message())
+
+
+@click.group(cls=_Group)
 def main():
     """Spectral/energy-efficient user pairing for RIS-assisted uplink
     NOMA under imperfect phase compensation."""

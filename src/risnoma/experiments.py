@@ -20,7 +20,7 @@ import numpy as np
 from .channel import EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear, phase_error_gain_mc, sinc_sq
 from .eepa import _eepa_thresholds
 from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold
-from .pairing import KERNELS, Scheme, UserRecord, run_scheme
+from .pairing import KERNELS, Scheme, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
 
@@ -35,6 +35,12 @@ __all__ = [
     "syslevel_tables",
     "validate_approx_table",
 ]
+
+
+# the largest sweep-alpha2 table (about 0.63 KiB of peak memory per row)
+# and the most points a start:stop:step range may expand to
+MAX_GRID_ROWS = 10**6
+MAX_RANGE_POINTS = 10**5
 
 
 class ConfigError(ValueError):
@@ -79,6 +85,10 @@ class ExperimentConfig:
             raise ConfigError("scheme list must not repeat a scheme")
         if not 0.0 < self.alpha2_step <= 0.1:
             raise ConfigError("alpha2_step must lie in (0, 0.1]")
+        if self.kind is ExperimentKind.SWEEP_ALPHA2:
+            n = round(min(1.0 / self.alpha2_step, MAX_GRID_ROWS))  # 1 / step overflows below about 5.6e-309
+            if len(self.delta_deg) * (n + 1) > MAX_GRID_ROWS:
+                raise ConfigError(f"the alpha2 grid exceeds {MAX_GRID_ROWS} rows; take a larger alpha2_step")
         if len(self.gammas_db) != 2:
             raise ConfigError("gammas_db must hold exactly two values (strong, weak)")
         if not all(math.isfinite(g) for g in self.gammas_db):
@@ -96,11 +106,13 @@ def parse_float_list(text: str) -> Tuple[float, ...]:
     text = text.strip()
     if ":" in text:
         parts = [float(x) for x in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
             raise ConfigError(f"bad range spec {text!r}, expected start:stop:step")
         start, stop, step = parts
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(n))
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_RANGE_POINTS:  # checked before a single point is built
+            raise ConfigError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+        return tuple(start + i * step for i in range(math.floor(span) + 1))
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError as e:
@@ -178,11 +190,10 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
     MPA and EEPA criteria's delta upper bounds."""
     csi1, csi2 = (EffectiveCsi.from_db(g) for g in cfg.gammas_db)
     phase = PhaseModel.from_degrees(cfg.delta_deg[0])
-    users = [UserRecord(0, csi1), UserRecord(1, csi2)]
     g1, g2 = csi1.gamma, csi2.gamma
     p1, p2 = np.power(2.0, cfg.targets_policy.rates(g1, g2, phase.degradation))
     # run_scheme first: it rejects a degenerate pair before a threshold divides by its Gamma
-    decisions = [run_scheme(users, scheme, phase, cfg.targets_policy)[0] for scheme in cfg.schemes]
+    decisions = [run_scheme(csi1, csi2, scheme, phase, cfg.targets_policy) for scheme in cfg.schemes]
 
     def delta_ub(scheme):
         if scheme is Scheme.MPA:

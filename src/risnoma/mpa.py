@@ -126,18 +126,16 @@ class PairDecision:
     rates: RatePair
     asr: float
     ee: float
-    strong_index: int = 0
-    weak_index: int = 1
     iterations: Optional[int] = None  # Dinkelbach iterations, EEPA NOMA only
 
     @classmethod
-    def from_kernel(cls, decision, strong_index=0, weak_index=1) -> "PairDecision":
+    def from_kernel(cls, decision) -> "PairDecision":
         """One pair's kernel output (noma, alpha1, alpha2, r1, r2, ee,
         iterations) as a decision; 0 iterations (no solve) read as None."""
         noma, alpha1, alpha2, r1, r2, ee, iterations = decision
         rates = RatePair(float(r1), float(r2))
         return cls(Mode.NOMA if noma else Mode.OMA, float(alpha1), float(alpha2), rates,
-                   rates.strong + rates.weak, float(ee), strong_index, weak_index, int(iterations) or None)
+                   rates.strong + rates.weak, float(ee), int(iterations) or None)
 
 
 @dataclass(frozen=True)

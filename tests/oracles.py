@@ -2,8 +2,10 @@
 allocation tests: the EE grid oracle behind the Dinkelbach checks (dense,
 and the same mesh searched row by row), the Lambert-W optimum on the
 weak user's floor, the KKT candidate enumeration behind the MPA
-optimality checks, the OMA decision the MPA fallback must equal, and the
-one-delta-at-a-time campaign sweep the blocked one must equal."""
+optimality checks, the OMA decision the MPA fallback must equal, the
+one-delta-at-a-time campaign sweep the blocked one must equal, and the
+strongest-weakest pairing of one cell written with sorted(), which
+cell_pairs must equal cell by cell."""
 
 import math
 
@@ -176,6 +178,17 @@ def best_kkt_candidate(candidates: list, csi1: EffectiveCsi, csi2: EffectiveCsi)
     best_obj = max(a1 * csi1.gamma + a2 * csi2.gamma for a1, a2 in candidates)
     tied = [c for c in candidates if c[0] * csi1.gamma + c[1] * csi2.gamma >= best_obj - 1e-12]
     return min(tied, key=lambda c: c[0] + c[1])
+
+
+def build_pairs(key):
+    """One cell's strongest-weakest pairs by sorting: rank users by key,
+    largest first, ties to the lower index, and pair first with last.
+    Returns the (strong, weak) index pairs and the unpaired median user's
+    index (None for an even cell)."""
+    ordered = sorted(range(len(key)), key=lambda i: (-key[i], i))
+    half = len(ordered) // 2
+    pairs = [(ordered[i], ordered[len(ordered) - 1 - i]) for i in range(half)]
+    return pairs, ordered[half] if len(ordered) % 2 else None
 
 
 def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> PairDecision:

@@ -13,6 +13,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import risnoma
 from risnoma import experiments as ex
 from risnoma.cli import main
@@ -20,6 +25,14 @@ from risnoma.eepa import ConvergenceError
 from risnoma.pairing import Scheme
 from risnoma.syslevel import DeploymentConfig
 from risnoma.tables import Table, render_csv, render_json
+
+
+# each would build a table or a range of 10^9 points and more
+GRID_TOO_LARGE = [
+    ["sweep-alpha2", "--alpha2-step", "1e-9"],
+    ["sweep-delta", "--delta-deg", "0:179:1e-7"],
+    ["validate-approx", "--elements", "1:1e12:1"],
+]
 
 
 @pytest.fixture
@@ -497,6 +510,16 @@ class TestUnwritableOutput:
         assert result.exit_code == 0 and data.startswith(b"# config_sha256")
         assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["p"]
 
+    @pytest.mark.parametrize("cdf_out", ["x.csv", "sub/../x.csv"])
+    def test_syslevel_outputs_that_are_one_file_rejected(self, runner, tmp_path, cdf_out):
+        # both files moved onto one path would leave only the CDF
+        args = self.SYSLEVEL + ["--out", str(tmp_path / "x.csv"), "--cdf-out", str(tmp_path / cdf_out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert os.listdir(tmp_path) == []
+
     def test_syslevel_files_share_one_metadata_block(self, runner, tmp_path):
         means, cdf = tmp_path / "m.csv", tmp_path / "c.csv"
         result = runner.invoke(main, self.SYSLEVEL + ["--out", str(means), "--cdf-out", str(cdf)])
@@ -689,6 +712,13 @@ class TestConfigHandling:
             ["syslevel", "--drops", "1", "--scheme", "oma,oma"],
             ["validate-approx", "--elements", ""],
             ["validate-approx", "--elements", ","],
+            *GRID_TOO_LARGE,
+            ["sweep-delta", "--delta-deg", "0:inf:1"],
+            ["syslevel", "--drops", "abc"],
+            ["pair-study", "--format", "xml"],
+            ["pair-study", "--bogus", "1"],
+            ["pair-study", "--gammas-db"],
+            ["nosuch"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):
@@ -697,6 +727,28 @@ class TestConfigHandling:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
+    def test_grid_too_large_fails_under_a_memory_cap(self):
+        # with the address space capped in the child, a grid that is built
+        # before it is checked fails this test instead of exhausting memory
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        # BLAS threads reserve address space per core
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(risnoma.__file__)), OPENBLAS_NUM_THREADS="1")
+        for args in [["pair-study"], *GRID_TOO_LARGE]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "risnoma.cli", *args], capture_output=True, text=True, env=env, preexec_fn=limit
+            )
+            if args == ["pair-study"]:  # the cap leaves room for a plain run
+                assert proc.returncode == 0, proc.stderr
+                continue
+            assert proc.returncode == 2, proc.stderr[-500:]
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: ")
 
     def test_numerical_failure_exit_3(self, runner, monkeypatch):
         def boom(cfg):

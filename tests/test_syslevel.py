@@ -10,7 +10,7 @@ from risnoma import syslevel
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
 from risnoma.mpa import PairDecision, TargetPolicy
-from risnoma.pairing import KERNELS, Scheme, UserRecord, run_scheme
+from risnoma.pairing import KERNELS, Scheme, run_scheme
 from risnoma.syslevel import (
     BLOCK_INSTANCES,
     DeploymentConfig,
@@ -354,8 +354,8 @@ class TestSchemeArrays:
             for k in range(len(g1)):
                 one = KERNELS[scheme](g1[k], g2[k], s, r1_min[k], r2_min[k])
                 assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
-                users = [UserRecord(0, EffectiveCsi(g1[k])), UserRecord(1, EffectiveCsi(g2[k]))]
-                assert run_scheme(users, scheme, phase, policy)[0] == PairDecision.from_kernel(one)
+                csi = EffectiveCsi(g1[k]), EffectiveCsi(g2[k])
+                assert run_scheme(*csi, scheme, phase, policy) == PairDecision.from_kernel(one)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_delta_grid_matches_per_delta_calls(self, scheme):
@@ -493,10 +493,7 @@ class TestRunCampaign:
         for row in table.rows:
             assert all(math.isfinite(v) for k, v in row.items() if k.startswith(("mean_", "se_")))
         phase = PhaseModel(0.5)
-        srm = [
-            run_scheme([UserRecord(0, EffectiveCsi(a)), UserRecord(1, EffectiveCsi(b))], Scheme.SRM, phase)[0]
-            for a, b in zip(g1, g2)
-        ]
+        srm = [run_scheme(EffectiveCsi(a), EffectiveCsi(b), Scheme.SRM, phase) for a, b in zip(g1, g2)]
         assert all(d.alpha2 == 1.0 for d in srm)
         row = next(r for r in table.rows if r["scheme"] == "srm" and r["delta"] == 0.5)
         for key, values in (
