@@ -105,8 +105,11 @@ def _dinkelbach(g1, g2, s, r1_min, r2_min):
     F(lambda) drops to TOL; converged instances keep their lambda, so
     the edge step repeats their maximizer bit for bit. Returns
     (alpha1, alpha2, lambda_star, iterations, residual, history) with
-    history the per-iteration (lambda, F(lambda)) arrays.
+    history the per-iteration (lambda, F(lambda)) arrays. The edge step
+    assumes Gamma1 >= Gamma2, so an instance given weak user first is rejected.
     """
+    if np.any(g1 < g2):
+        raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
     p1, p2 = np.power(2.0, (r1_min, r2_min))
     eta, kappa = _eta_kappa(g1, g2, s, p1)
     lb = _alpha2_lb(g2, s, p2)

@@ -5,9 +5,9 @@ the Monte-Carlo validation of the sinc^2 approximation.
 The two sweeps are built on arrays over their grid from the rate, bound
 and threshold formulas and one MPA kernel call (see pairing.KERNELS),
 after the input checks the one-pair API makes; only a delta upper bound,
-a bisection, is found row by row. The single-pair study decides each
-scheme with run_scheme and reads the MPA and EEPA criteria's delta upper
-bounds from their thresholds.
+a bisection, is found row by row. The single-pair study uses only the
+one-pair API: TargetPolicy.resolve, run_scheme, and the delta upper
+bounds of pairing_criterion_mpa and pairing_criterion_eepa.
 """
 
 import math
@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .channel import EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear, phase_error_gain_mc, sinc_sq
-from .eepa import _eepa_thresholds
-from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold
+from .eepa import pairing_criterion_eepa
+from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold, pairing_criterion_mpa
 from .pairing import KERNELS, Scheme, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
@@ -41,6 +41,9 @@ __all__ = [
 # and the most points a start:stop:step range may expand to
 MAX_GRID_ROWS = 10**6
 MAX_RANGE_POINTS = 10**5
+# the most elements of one Monte-Carlo trial: phase_error_gain_mc draws
+# 8,000,000 values per chunk and never splits a trial
+MAX_MC_ELEMENTS = 8_000_000
 
 
 class ConfigError(ValueError):
@@ -99,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("element list must be non-empty")
         if self.mc_trials < 1 or any(n < 1 for n in self.mc_elements):
             raise ConfigError("Monte-Carlo sizes must be positive")
+        if max(self.mc_elements) > MAX_MC_ELEMENTS:
+            raise ConfigError(f"element counts must not exceed {MAX_MC_ELEMENTS}")
 
 
 def parse_float_list(text: str) -> Tuple[float, ...]:
@@ -157,9 +162,8 @@ def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
     return Table({c: np.broadcast_to(v, r1.shape).ravel() for c, v in columns.items()})
 
 
-def _delta_ub_deg(threshold):
-    """The largest delta, in degrees, with sinc^2(delta) >= threshold; empty when there is none."""
-    delta_ub = _delta_ub(float(threshold))
+def _degrees(delta_ub):
+    """A delta upper bound in degrees; empty when there is none."""
     return math.degrees(delta_ub) if delta_ub is not None else ""
 
 
@@ -170,6 +174,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
     r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
     noma, _, alpha2, r1, r2, _, _ = KERNELS[Scheme.MPA](g1, g2, s, r1_min, r2_min)
     r1_oma, r2_oma = _oma_rate(g1, s), _oma_rate(g2, s)
+    thresholds = _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))
     columns = {
         "delta_deg": np.array(cfg.delta_deg, dtype=float),
         "mode": np.where(noma, Mode.NOMA.value, Mode.OMA.value),
@@ -180,7 +185,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
         "r1_oma": r1_oma,
         "r2_oma": r2_oma,
         "asr_oma": r1_oma + r2_oma,
-        "delta_ub_deg": [_delta_ub_deg(t) for t in _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))],
+        "delta_ub_deg": [_degrees(_delta_ub(float(t))) for t in thresholds],
     }
     return Table(columns)
 
@@ -190,18 +195,13 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
     MPA and EEPA criteria's delta upper bounds."""
     csi1, csi2 = (EffectiveCsi.from_db(g) for g in cfg.gammas_db)
     phase = PhaseModel.from_degrees(cfg.delta_deg[0])
-    g1, g2 = csi1.gamma, csi2.gamma
-    p1, p2 = np.power(2.0, cfg.targets_policy.rates(g1, g2, phase.degradation))
-    # run_scheme first: it rejects a degenerate pair before a threshold divides by its Gamma
+    targets = cfg.targets_policy.resolve(csi1, csi2, phase)
+    # run_scheme first: it rejects a degenerate pair before a criterion divides by its Gamma
     decisions = [run_scheme(csi1, csi2, scheme, phase, cfg.targets_policy) for scheme in cfg.schemes]
-
-    def delta_ub(scheme):
-        if scheme is Scheme.MPA:
-            return _delta_ub_deg(_mpa_threshold(g1, p1, p2))
-        if scheme is Scheme.EEPA:
-            return _delta_ub_deg(max(_eepa_thresholds(g1, g2, p1, p2)))
-        return ""
-
+    criteria = {  # evaluated only for the schemes in the study
+        Scheme.MPA: lambda: pairing_criterion_mpa(targets, csi1, phase),
+        Scheme.EEPA: lambda: pairing_criterion_eepa(targets, csi1, csi2, phase),
+    }
     return Table(
         {
             "scheme": [scheme.value for scheme in cfg.schemes],
@@ -212,7 +212,7 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
             "r2": [dec.rates.weak for dec in decisions],
             "asr": [dec.asr for dec in decisions],
             "ee": [dec.ee for dec in decisions],
-            "delta_ub_deg": [delta_ub(scheme) for scheme in cfg.schemes],
+            "delta_ub_deg": [_degrees(criteria[s]().delta_ub) if s in criteria else "" for s in cfg.schemes],
             "iterations": [dec.iterations if dec.iterations is not None else "" for dec in decisions],
         }
     )

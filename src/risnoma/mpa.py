@@ -174,6 +174,7 @@ def _eta_kappa(g1, g2, s, p1):
     return (p1 - 1.0) / (g1 * s), (p1 - 1.0) * g2 / g1
 
 
+@np.errstate(over="ignore")  # floors near 1024 bits: +inf, which no sinc^2 meets
 def _mpa_threshold(g1, p1, p2):
     """The MPA criterion's bound on sinc^2(delta)."""
     return p2 * (p1 - 1.0) / g1

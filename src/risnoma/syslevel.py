@@ -45,6 +45,10 @@ __all__ = [
 
 # (delta, pair) instances per kernel call in run_campaign, at least one delta
 BLOCK_INSTANCES = 2**15
+# expected users and BSs per drop (density x area); a drop at both bounds
+# peaks at about 780 MiB, the BS^2 association and interference arrays included
+MAX_USERS_PER_DROP = 500_000
+MAX_BS_PER_DROP = 3_000
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,10 @@ class DeploymentConfig:
             raise ValueError("densities and area must be positive and finite")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        if self.user_density * self.area_km2 > MAX_USERS_PER_DROP:
+            raise ValueError(f"a drop expects more than {MAX_USERS_PER_DROP} users; lower user_density or area_km2")
+        if self.bs_density * self.area_km2 > MAX_BS_PER_DROP:
+            raise ValueError(f"a drop expects more than {MAX_BS_PER_DROP} BSs; lower bs_density or area_km2")
 
     @property
     def side_m(self) -> float:
@@ -92,6 +100,10 @@ class RadioConfig:
             raise ValueError("min_distance_m must be positive")
         if self.ris_offset_m < 0:
             raise ValueError("ris_offset_m must be >= 0")
+        with np.errstate(all="ignore"):  # nan or +inf where the model overflows
+            peak = path_gain(self.min_distance_m, self) * path_gain(self.ris_offset_m, self)
+        if not 0.0 < peak < math.inf:  # the composite gain of a user within min_distance_m of the RIS
+            raise ValueError("path gain must be finite and positive over both hops, RIS to BS and user to RIS")
 
 
 @dataclass
@@ -305,6 +317,8 @@ def run_campaign(
         raise ValueError("no pairs produced by any drop")
     g1 = np.concatenate(strong)
     g2 = np.concatenate(weak)
+    if not np.all((g2 > 0.0) & (g1 < math.inf)):  # Gamma1 >= Gamma2: every Gamma is then positive and finite
+        raise ValueError("degenerate channel: a pair's Gamma is 0 or not finite")
 
     n = len(g1)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=n, skipped_drops=skipped, lone_users=lone)

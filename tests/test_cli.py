@@ -33,6 +33,13 @@ GRID_TOO_LARGE = [
     ["sweep-delta", "--delta-deg", "0:179:1e-7"],
     ["validate-approx", "--elements", "1:1e12:1"],
 ]
+# each would ask for gigabytes at once: one Monte-Carlo trial of 10^9
+# elements, 10^9 users' positions, or a 10^6 x 10^6 association search
+MEMORY_TOO_LARGE = [
+    ["validate-approx", "--elements", "1000000000", "--trials", "1"],
+    ["syslevel", "--drops", "1", "--user-density", "1e9"],
+    ["syslevel", "--drops", "1", "--bs-density", "1e6"],
+]
 
 
 @pytest.fixture
@@ -92,6 +99,7 @@ class TestExperimentConfig:
             {"gammas_db": (5.0,)},
             {"mc_trials": 0},
             {"schemes": (Scheme.OMA, Scheme.MPA, Scheme.OMA)},
+            {"mc_elements": (4, ex.MAX_MC_ELEMENTS + 1)},
         ],
     )
     def test_rejects(self, kwargs):
@@ -390,6 +398,30 @@ class TestPairStudyCommand:
         assert result.exit_code == 0 and result.exception is None
         _, rows = parse_csv(result.output)
         assert {r[key]: r[value] for r in rows} == expected
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pair-study", "--gammas-db", "300,299"],
+            ["sweep-delta", "--gammas-db", "300,299", "--delta-deg", "0"],
+            ["syslevel", "--drops", "1", "--delta-deg", "0"],
+        ],
+    )
+    def test_floors_near_1024_bits_without_warning(self, runner, args):
+        # MPA's threshold 2^r2 * (2^r1 - 1) / Gamma1 overflows to its value,
+        # +inf, which no sinc^2 meets: MPA falls back to OMA
+        floors = ["--targets-policy", "explicit", "--r1-min", "900", "--r2-min", "900"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args + floors)
+        assert result.exit_code == 0 and result.exception is None
+        _, rows = parse_csv(result.output)
+        mpa = next(r for r in rows if r.get("scheme", "mpa") == "mpa")  # sweep-delta has only MPA's rows
+        if args[0] == "syslevel":
+            oma = next(r for r in rows if r["scheme"] == "oma")
+            assert mpa["mean_asr"] == oma["mean_asr"]
+        else:
+            assert (mpa["mode"], mpa["delta_ub_deg"]) == ("oma", "")
 
     def test_oma_alone_takes_a_zero_weak_gamma(self, runner):
         # only OMA decides a pair with Gamma2 = 0; it has no criterion to divide by Gamma2
@@ -719,6 +751,11 @@ class TestConfigHandling:
             ["pair-study", "--bogus", "1"],
             ["pair-study", "--gammas-db"],
             ["nosuch"],
+            ["syslevel", "--drops", "1", "--pathloss-exponent", "1e308"],
+            ["syslevel", "--drops", "1", "--pathloss-intercept-db", "-1e308"],
+            ["syslevel", "--drops", "1", "--ris-offset-m", "1e308"],
+            ["syslevel", "--drops", "1", "--pathloss-exponent", "100"],
+            *MEMORY_TOO_LARGE,
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):
@@ -730,8 +767,8 @@ class TestConfigHandling:
 
     @pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
     def test_grid_too_large_fails_under_a_memory_cap(self):
-        # with the address space capped in the child, a grid that is built
-        # before it is checked fails this test instead of exhausting memory
+        # with the address space capped in the child, a grid or an array that
+        # is built before it is checked fails this test instead of exhausting memory
         cap = 1 << 30
 
         def limit():
@@ -739,7 +776,7 @@ class TestConfigHandling:
 
         # BLAS threads reserve address space per core
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(risnoma.__file__)), OPENBLAS_NUM_THREADS="1")
-        for args in [["pair-study"], *GRID_TOO_LARGE]:
+        for args in [["pair-study"], *GRID_TOO_LARGE, *MEMORY_TOO_LARGE]:
             proc = subprocess.run(
                 [sys.executable, "-m", "risnoma.cli", *args], capture_output=True, text=True, env=env, preexec_fn=limit
             )

@@ -349,6 +349,23 @@ class TestBatch:
             )
 
 
+class TestWeakUserFirst:
+    def test_rejected_by_every_solver(self):
+        # the edge step assumes Gamma1 >= Gamma2: given (1, 10) it stopped at
+        # lambda* = 2.378, where the grid oracle finds EE 4.534 at (0.133, 0.085)
+        targets, csi1, csi2 = RateTargets(0.1, 0.1), EffectiveCsi(1.0), EffectiveCsi(10.0)
+        assert grid_oracle_ee(targets, csi1, csi2, P0, step=1e-2)[2] > 4.5
+        g1, g2, r = np.array([10.0, 1.0]), np.array([1.0, 10.0]), np.full(2, 0.1)
+        for solve in (
+            lambda: dinkelbach_allocate(targets, csi1, csi2, P0),
+            lambda: dinkelbach_batch(g1, g2, r, r, 1.0),
+            lambda: _eepa_kernel(g1, g2, 1.0, r, r),
+            lambda: _eepa_kernel(1.0, 10.0, 1.0, 0.1, 0.1),
+        ):
+            with pytest.raises(ValueError, match="strong user"):
+                solve()
+
+
 class TestWeakUserFloor:
     def test_lambda_star_matches_lambert_w(self):
         # Gamma1 >= Gamma2 puts the EE optimum on the weak user's floor,

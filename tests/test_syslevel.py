@@ -479,6 +479,9 @@ class TestRunCampaign:
             run_campaign(deploy, RADIO, [Scheme.OMA], [])
         with pytest.raises(ValueError, match="cdf_delta"):
             run_campaign(deploy, RADIO, [Scheme.OMA], [0.0, 0.5], cdf_delta=0.1)
+        # every composite gain underflows to 0, so every Gamma is 0
+        with pytest.raises(ValueError, match="degenerate channel"):
+            run_campaign(deploy, RadioConfig(pathloss_exponent=100.0), list(Scheme), [0.0])
 
     def test_underflowing_gamma(self):
         # at -200 dBm every Gamma1 lies below 1e-16: the OMA floor
@@ -577,6 +580,11 @@ class TestConfigValidation:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match="finite"):
                     DeploymentConfig(**{field: value})
+        DeploymentConfig(area_km2=100.0)  # about 200,000 users and 2,500 BSs
+        with pytest.raises(ValueError, match="users"):
+            DeploymentConfig(user_density=1e9)
+        with pytest.raises(ValueError, match="BSs"):
+            DeploymentConfig(bs_density=1e6)
 
     def test_radio(self):
         with pytest.raises(ValueError):
@@ -597,6 +605,12 @@ class TestConfigValidation:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="finite"):
                     RadioConfig(**{field: value})
+        # finite fields, but a two-hop gain that is nan at 1 m (inf * log10(1)),
+        # overflows at 1 m, underflows at the RIS, or overflows as a product
+        for kwargs in ({"pathloss_exponent": 1e308}, {"pathloss_intercept": -1e308}, {"ris_offset_m": 1e308},
+                       {"pathloss_intercept": -3000.0}):
+            with pytest.raises(ValueError, match="path gain"):
+                RadioConfig(**kwargs)
 
     def test_side(self):
         assert DeploymentConfig(area_km2=4.0).side_m == pytest.approx(2000.0)
