@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+# the largest Gamma the decisions take; near 2000 dB the strong user's floor
+# overflows MPA's alpha2 bound to 0, and EEPA's Dinkelbach steps, 70 at
+# 1000 dB, reach their cap of 100 near 1760 dB
+MAX_GAMMA_DB = 1000.0
+
+
 def db_to_linear(value_db: float) -> float:
     try:
         return 10.0 ** (value_db / 10.0)
@@ -85,6 +91,10 @@ class RatePair:
                 raise ValueError("rates must be finite and non-negative")
 
 
+# the values phase_error_gain_mc draws per chunk; a trial is never split
+MC_CHUNK_VALUES = 8_000_000
+
+
 def phase_error_gain_mc(n_elements: int, delta: float, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of E|sum_k exp(j*theta_k)/N|^2 with
     theta_k ~ Uniform[-delta, delta] i.i.d.
@@ -99,7 +109,7 @@ def phase_error_gain_mc(n_elements: int, delta: float, trials: int, seed: int) -
         raise ValueError(f"delta must lie in [0, pi), got {delta}")
     rng = np.random.default_rng(seed)
     # chunked so trials * n_elements never materializes at once
-    chunk = max(1, 8_000_000 // n_elements)
+    chunk = max(1, MC_CHUNK_VALUES // n_elements)
     total = 0.0
     done = 0
     while done < trials:

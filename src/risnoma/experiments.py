@@ -17,7 +17,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear, phase_error_gain_mc, sinc_sq
+from .channel import (
+    MAX_GAMMA_DB, MC_CHUNK_VALUES, EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear,
+    phase_error_gain_mc, sinc_sq,
+)
 from .eepa import pairing_criterion_eepa
 from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold, pairing_criterion_mpa
 from .pairing import KERNELS, Scheme, run_scheme
@@ -41,9 +44,8 @@ __all__ = [
 # and the most points a start:stop:step range may expand to
 MAX_GRID_ROWS = 10**6
 MAX_RANGE_POINTS = 10**5
-# the most elements of one Monte-Carlo trial: phase_error_gain_mc draws
-# 8,000,000 values per chunk and never splits a trial
-MAX_MC_ELEMENTS = 8_000_000
+# the most elements of one Monte-Carlo trial: one chunk of phase_error_gain_mc
+MAX_MC_ELEMENTS = MC_CHUNK_VALUES
 
 
 class ConfigError(ValueError):
@@ -96,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError("gammas_db must hold exactly two values (strong, weak)")
         if not all(math.isfinite(g) for g in self.gammas_db):
             raise ConfigError("gammas_db must be finite")
+        if max(self.gammas_db) > MAX_GAMMA_DB:
+            raise ConfigError(f"gammas_db must not exceed {MAX_GAMMA_DB:g} dB")
         if self.gammas_db[0] < self.gammas_db[1]:
             raise ConfigError("strong user's gamma must come first")
         if len(self.mc_elements) == 0:
@@ -219,8 +223,8 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
 
 
 def syslevel_tables(cfg: ExperimentConfig):
-    """Campaign means per (scheme, delta) plus the ASR empirical CDF at
-    the chosen delta. Returns (means_table, cdf_table)."""
+    """The campaign's means, a row per (delta, scheme), and its ASR
+    empirical CDF at the chosen delta. Returns (means_table, cdf_table)."""
     delta_rad = [math.radians(d) for d in cfg.delta_deg]
     cdf_delta = (
         math.radians(cfg.cdf_delta_deg) if cfg.cdf_delta_deg is not None else None
@@ -228,20 +232,19 @@ def syslevel_tables(cfg: ExperimentConfig):
     metrics = run_campaign(
         cfg.deploy, cfg.radio, cfg.schemes, delta_rad, cfg.targets_policy, cdf_delta
     )
-    # the campaign's columns in its order, with the configured degrees in
-    # delta's place (radians there), not their round trip
-    degrees = dict(zip(delta_rad, cfg.delta_deg))
-    rows = [{**row, "delta": degrees[row["delta"]]} for row in metrics.rows]
-    means = Table({"delta_deg" if c == "delta" else c: [row[c] for row in rows] for c in rows[0]})
+    # rows by delta, then scheme; each delta as configured, not its radians' round trip
+    cells = [(i, scheme.value) for i in range(len(cfg.delta_deg)) for scheme in cfg.schemes]
+    stats = {stat: [metrics.means[s][stat][i] for i, s in cells] for stat in metrics.means[cfg.schemes[0].value]}
+    means = Table({"scheme": [s for _, s in cells], "delta_deg": [cfg.delta_deg[i] for i, _ in cells],
+                   **stats, "n_pairs": [metrics.n_pairs] * len(cells)})
     # each scheme's sorted samples in turn, at levels i / n for i = 1..n
     # (one correctly rounded division each)
     samples = list(metrics.cdf.values())
-    levels = [np.arange(1, len(a) + 1) / len(a) for a in samples]
     cdf = Table(
         {
             "scheme": [scheme for scheme, asr in metrics.cdf.items() for _ in range(len(asr))],
-            "asr": np.concatenate([np.empty(0), *samples]),
-            "cdf": np.concatenate([np.empty(0), *levels]),
+            "asr": np.concatenate(samples),
+            "cdf": np.concatenate([np.arange(1, len(a) + 1) / len(a) for a in samples]),
         }
     )
     return means, cdf

@@ -21,6 +21,7 @@ and reduces each output along the pair axis once per block: a sweep is
 then a few array calls, not one small call per (scheme, delta). Blocks
 hold max(1, BLOCK_INSTANCES // pairs) deltas, which bounds each call's
 arrays; a whole 200-drop sweep in one call would hold about 3.6M instances.
+The result holds one list per (scheme, statistic), a value per delta.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .channel import _link_gamma, sinc_sq
+from .channel import MAX_GAMMA_DB, _link_gamma, db_to_linear, sinc_sq
 from .mpa import TargetPolicy
 from .pairing import KERNELS, Scheme, cell_pairs
 
@@ -115,10 +116,11 @@ class DropResult:
 
 @dataclass
 class MetricsTable:
-    """Aggregated campaign output: one row per (scheme, delta) plus the
-    ASR samples backing the empirical CDF at cdf_delta."""
+    """Campaign output keyed by scheme.value: means maps each statistic
+    (mean_r1, se_r1, ..., se_ee) to its values in sweep order, and cdf the
+    sorted ASR samples at cdf_delta; experiments.syslevel_tables lays out both."""
 
-    rows: List[dict] = field(default_factory=list)
+    means: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
     cdf: Dict[str, np.ndarray] = field(default_factory=dict)
     cdf_delta: Optional[float] = None
     n_pairs: int = 0
@@ -290,7 +292,7 @@ def run_campaign(
     generators from (seed, drop index). cdf_delta must lie within 1e-12
     of a swept delta. The sweep is decided in blocks of deltas (see
     BLOCK_INSTANCES); every number equals its one-delta-at-a-time value
-    bit for bit, rows in delta order, then scheme order.
+    bit for bit.
     """
     if not schemes:
         raise ValueError("schemes must be non-empty")
@@ -319,28 +321,23 @@ def run_campaign(
     g2 = np.concatenate(weak)
     if not np.all((g2 > 0.0) & (g1 < math.inf)):  # Gamma1 >= Gamma2: every Gamma is then positive and finite
         raise ValueError("degenerate channel: a pair's Gamma is 0 or not finite")
+    if g1.max() > db_to_linear(MAX_GAMMA_DB):  # a drop with one BS hears no interference
+        raise ValueError(f"a pair's Gamma exceeds {MAX_GAMMA_DB:g} dB; lower the transmit power")
 
     n = len(g1)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=n, skipped_drops=skipped, lone_users=lone)
     step = max(1, BLOCK_INSTANCES // n)
     for start in range(0, len(delta_sweep), step):
-        deltas = [float(d) for d in delta_sweep[start : start + step]]
-        s = np.array([sinc_sq(d) for d in deltas])[:, None]  # one row per delta, against the pairs
+        s = np.array([sinc_sq(float(d)) for d in delta_sweep[start : start + step]])[:, None]  # a row per delta
         r1_min, r2_min = targets_policy.rates(g1, g2, s)
-        columns = {}
         for scheme in schemes:
             _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
             asr = r1 + r2
-            columns[scheme] = col = {}
+            stats = table.means.setdefault(scheme.value, {})
             for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):
-                se = arr.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(deltas))
-                col[f"mean_{name}"], col[f"se_{name}"] = arr.mean(axis=1).tolist(), se.tolist()
+                se = arr.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(s))
+                stats.setdefault(f"mean_{name}", []).extend(arr.mean(axis=1).tolist())
+                stats.setdefault(f"se_{name}", []).extend(se.tolist())
             if start <= cdf_index < start + step:
                 table.cdf[scheme.value] = np.sort(asr[cdf_index - start])
-        for i, delta in enumerate(deltas):
-            for scheme in schemes:
-                row = {"scheme": scheme.value, "delta": delta}
-                row.update((name, values[i]) for name, values in columns[scheme].items())
-                row["n_pairs"] = n
-                table.rows.append(row)
     return table

@@ -201,8 +201,8 @@ def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> P
 
 def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta):
     """run_campaign's table, deciding the sweep one delta at a time: one
-    kernel call per (delta, scheme) on the 1-D pair arrays, and each row's
-    means and standard errors from 1-D reductions."""
+    kernel call per (delta, scheme) on the 1-D pair arrays, and each
+    delta's means and standard errors from 1-D reductions."""
     strong, weak = [], []
     for k in range(deploy.drops):
         drop = _build_drop(deploy, radio, k)
@@ -218,12 +218,10 @@ def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, 
             _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
             asr = r1 + r2
             n = len(asr)
-            row = {"scheme": scheme.value, "delta": float(delta)}
+            stats = table.means.setdefault(scheme.value, {})
             for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):
-                row[f"mean_{name}"] = float(arr.mean())
-                row[f"se_{name}"] = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            row["n_pairs"] = n
-            table.rows.append(row)
+                stats.setdefault(f"mean_{name}", []).append(float(arr.mean()))
+                stats.setdefault(f"se_{name}", []).append(float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
             if abs(float(delta) - cdf_delta) < 1e-12 and scheme.value not in table.cdf:
                 table.cdf[scheme.value] = np.sort(asr)
     return table

@@ -264,10 +264,7 @@ def test_acceptance_8_system_level_shape(request):
     elapsed = time.perf_counter() - t0
 
     def get(scheme, delta, key):
-        return next(
-            r[key] for r in table.rows
-            if r["scheme"] == scheme and abs(r["delta"] - delta) < 1e-12
-        )
+        return table.means[scheme][key][sweep.index(delta)]
 
     problems = []
     # (a) delta=0 ordering SRM = MPA >= EEPA >= OMA

@@ -100,6 +100,7 @@ class TestExperimentConfig:
             {"mc_trials": 0},
             {"schemes": (Scheme.OMA, Scheme.MPA, Scheme.OMA)},
             {"mc_elements": (4, ex.MAX_MC_ELEMENTS + 1)},
+            {"gammas_db": (ex.MAX_GAMMA_DB + 1.0, 0.0)},
         ],
     )
     def test_rejects(self, kwargs):
@@ -472,6 +473,16 @@ class TestSyslevelCommand:
         _, rows = parse_csv(result.output)
         assert [r["delta_deg"] for r in rows] == ["0.0", "0.0", "30.0", "30.0", "60.0", "60.0"]
 
+    def test_delta_deg_cells_apart_where_radians_collide(self, runner):
+        # both values convert to one radian value; each row keeps its own
+        deltas = ["116.63514211737457", "116.63514211737458"]
+        assert math.radians(float(deltas[0])) == math.radians(float(deltas[1]))
+        result = runner.invoke(main, ["syslevel", "--drops", "1", "--scheme", "oma", "--delta-deg", ",".join(deltas)])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [r["delta_deg"] for r in rows] == deltas
+        assert rows[0]["mean_asr"] == rows[1]["mean_asr"]
+
     def test_explicit_cdf_out(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         cdf = tmp_path / "c.csv"
@@ -756,6 +767,11 @@ class TestConfigHandling:
             ["syslevel", "--drops", "1", "--ris-offset-m", "1e308"],
             ["syslevel", "--drops", "1", "--pathloss-exponent", "100"],
             *MEMORY_TOO_LARGE,
+            ["pair-study", "--gammas-db=2060,2060", "--scheme", "mpa,oma"],
+            ["pair-study", "--gammas-db=1780,1780", "--scheme", "eepa", "--targets-policy", "explicit"],
+            ["sweep-delta", "--gammas-db=2060,2060"],
+            ["sweep-alpha2", "--gammas-db=1000.5,0"],
+            ["syslevel", "--drops", "1", "--bs-density", "1", "--user-density", "30", "--tx-power-dbm", "2900"],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):

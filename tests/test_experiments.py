@@ -2,6 +2,8 @@
 they replace, bit for bit."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,3 +83,30 @@ def test_pair_tables_equal_the_one_pair_api():
                 Scheme.EEPA.value: _degrees(pairing_criterion_eepa(targets, csi1, csi2, phase).delta_ub),
                 Scheme.SRM.value: "",
             }
+
+
+def test_decisions_meet_their_floors_up_to_the_gamma_bound():
+    # Gamma up to experiments.MAX_GAMMA_DB, where MPA's alpha2 bound and
+    # EEPA's Dinkelbach steps stay finite: no warning, no ConvergenceError,
+    # and every NOMA decision of MPA and EEPA meets both floors
+    deltas = (0.0, 40.0, 80.0)
+    noma = {Scheme.MPA.value: 0, Scheme.EEPA.value: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for policy in POLICIES:
+            for g1 in np.linspace(0.0, ex.MAX_GAMMA_DB, 21).tolist():
+                for gammas in ((g1, g1), (g1, g1 - 3.0), (g1, g1 - 30.0), (g1, g1 - 300.0)):
+                    csi1, csi2 = (EffectiveCsi.from_db(g) for g in gammas)
+                    cfg = ex.ExperimentConfig(kind=ex.ExperimentKind.SWEEP_DELTA, gammas_db=gammas, delta_deg=deltas,
+                                              schemes=(Scheme.MPA, Scheme.EEPA), targets_policy=policy)
+                    rows = [dict(r, scheme=Scheme.MPA.value) for r in ex.sweep_delta_table(cfg).rows]
+                    for d in deltas:
+                        study = ex.pair_study_table(replace(cfg, kind=ex.ExperimentKind.PAIR_STUDY, delta_deg=(d,)))
+                        rows += [dict(r, delta_deg=d) for r in study.rows]
+                    for row in rows:
+                        targets = policy.resolve(csi1, csi2, PhaseModel.from_degrees(row["delta_deg"]))
+                        if row["mode"] == "noma":
+                            noma[row["scheme"]] += g1 >= 900.0
+                            assert row["r1"] >= targets.r1_min - 1e-9, (policy, gammas, row)
+                            assert row["r2"] >= targets.r2_min - 1e-9, (policy, gammas, row)
+    assert min(noma.values()) > 0  # NOMA decisions near the bound were checked

@@ -429,17 +429,19 @@ class TestRunCampaign:
     def test_deterministic(self, small_table):
         deploy = DeploymentConfig(bs_density=10, user_density=300, seed=2, drops=5)
         again = run_campaign(deploy, RADIO, list(Scheme), [0.0, 0.5, 1.0, 1.5], cdf_delta=0.5)
-        assert again.rows == small_table.rows
+        assert again.means == small_table.means
 
     def test_row_structure(self, small_table):
-        assert len(small_table.rows) == 4 * len(Scheme)
-        for row in small_table.rows:
-            assert row["mean_asr"] == pytest.approx(row["mean_r1"] + row["mean_r2"], abs=1e-9)
-            assert row["n_pairs"] == small_table.n_pairs
+        # one list per statistic, one value per delta, schemes in the given order
+        assert list(small_table.means) == [scheme.value for scheme in Scheme]
+        for stats in small_table.means.values():
+            assert list(stats) == [f"{kind}_{name}" for name in ("r1", "r2", "asr", "ee") for kind in ("mean", "se")]
+            assert all(len(values) == 4 for values in stats.values())
+            assert stats["mean_asr"] == pytest.approx(np.add(stats["mean_r1"], stats["mean_r2"]), abs=1e-9)
 
     def test_monotone_in_delta(self, small_table):
         for scheme in Scheme:
-            means = [r["mean_asr"] for r in small_table.rows if r["scheme"] == scheme.value]
+            means = small_table.means[scheme.value]["mean_asr"]
             assert all(a >= b - 1e-9 for a, b in zip(means, means[1:]))
 
     def test_cdf_samples(self, small_table):
@@ -450,26 +452,19 @@ class TestRunCampaign:
             assert np.all(np.diff(samples) >= 0)
 
     def test_cdf_matches_mean(self, small_table):
-        for row in small_table.rows:
-            if row["delta"] == 0.5:
-                assert small_table.cdf[row["scheme"]].mean() == pytest.approx(
-                    row["mean_asr"], abs=1e-9
-                )
+        for scheme, stats in small_table.means.items():  # 0.5 is the second delta
+            assert small_table.cdf[scheme].mean() == pytest.approx(stats["mean_asr"][1], abs=1e-9)
 
     def test_oma_invariant_under_scheme_order(self):
         deploy = DeploymentConfig(bs_density=10, user_density=200, seed=3, drops=3)
         a = run_campaign(deploy, RADIO, [Scheme.OMA, Scheme.MPA], [0.3])
         b = run_campaign(deploy, RADIO, [Scheme.MPA, Scheme.OMA], [0.3])
-        row_a = next(r for r in a.rows if r["scheme"] == "oma")
-        row_b = next(r for r in b.rows if r["scheme"] == "oma")
-        assert row_a == row_b
+        assert a.means["oma"] == b.means["oma"]
 
     def test_srm_equals_mpa_at_zero(self):
         deploy = DeploymentConfig(bs_density=10, user_density=200, seed=3, drops=3)
         table = run_campaign(deploy, RADIO, [Scheme.SRM, Scheme.MPA], [0.0])
-        srm = next(r for r in table.rows if r["scheme"] == "srm")
-        mpa = next(r for r in table.rows if r["scheme"] == "mpa")
-        assert srm["mean_asr"] == pytest.approx(mpa["mean_asr"], abs=1e-9)
+        assert table.means["srm"]["mean_asr"] == pytest.approx(table.means["mpa"]["mean_asr"], abs=1e-9)
 
     def test_validation(self):
         deploy = DeploymentConfig(bs_density=10, user_density=200, seed=3, drops=1)
@@ -483,6 +478,17 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="degenerate channel"):
             run_campaign(deploy, RadioConfig(pathloss_exponent=100.0), list(Scheme), [0.0])
 
+    def test_gamma_bound(self):
+        # a drop with one BS hears no interference, so its Gamma grows with
+        # the transmit power: about 988 dB at 1000 dBm, where MPA keeps the
+        # weak user at or above its OMA rate, and 2888 dB at 2900 dBm, where
+        # MPA's alpha2 bound overflowed to 0 and its mean r2 read 0
+        deploy = DeploymentConfig(bs_density=1, user_density=30, drops=1)
+        table = run_campaign(deploy, RadioConfig(transmit_power=10 ** 97.0), list(Scheme), [0.0, 0.5])
+        assert all(m >= o - 1e-9 for m, o in zip(table.means["mpa"]["mean_r2"], table.means["oma"]["mean_r2"]))
+        with pytest.raises(ValueError, match="exceeds 1000 dB"):
+            run_campaign(deploy, RadioConfig(transmit_power=10 ** 287.0), list(Scheme), [0.0])
+
     def test_underflowing_gamma(self):
         # at -200 dBm every Gamma1 lies below 1e-16: the OMA floor
         # 2^r1min rounds to 1, alpha2_ub is unbounded, and SRM takes
@@ -493,18 +499,17 @@ class TestRunCampaign:
         g1, g2 = drop.pair_gamma_strong, drop.pair_gamma_weak
         assert g1.max() < 1e-16 and g2.min() > 0.0
         table = run_campaign(deploy, radio, list(Scheme), [0.0, 0.5])
-        for row in table.rows:
-            assert all(math.isfinite(v) for k, v in row.items() if k.startswith(("mean_", "se_")))
+        for stats in table.means.values():
+            assert all(math.isfinite(v) for values in stats.values() for v in values)
         phase = PhaseModel(0.5)
         srm = [run_scheme(EffectiveCsi(a), EffectiveCsi(b), Scheme.SRM, phase) for a, b in zip(g1, g2)]
         assert all(d.alpha2 == 1.0 for d in srm)
-        row = next(r for r in table.rows if r["scheme"] == "srm" and r["delta"] == 0.5)
         for key, values in (
             ("mean_r1", [d.rates.strong for d in srm]),
             ("mean_r2", [d.rates.weak for d in srm]),
             ("mean_ee", [d.ee for d in srm]),
         ):
-            assert row[key] == np.array(values).mean()
+            assert table.means["srm"][key][1] == np.array(values).mean()  # at 0.5, the second delta
 
 
 DELTAS_18 = [math.radians(d) for d in range(0, 171, 10)]
@@ -525,7 +530,8 @@ def record_kernel_calls(monkeypatch):
 
 def assert_same_table(got, want):
     assert got.n_pairs == want.n_pairs and got.cdf_delta == want.cdf_delta
-    assert got.rows == want.rows
+    assert got.means == want.means  # dicts compare without order: check the schemes' and statistics' too
+    assert [(s, list(stats)) for s, stats in got.means.items()] == [(s, list(stats)) for s, stats in want.means.items()]
     assert list(got.cdf) == list(want.cdf)
     for scheme, samples in want.cdf.items():
         assert got.cdf[scheme].dtype == samples.dtype and got.cdf[scheme].tobytes() == samples.tobytes()
@@ -641,3 +647,29 @@ class TestSyslevelTables:
             assert np.array_equal(cdf.data["cdf"][part].view(np.int64), levels.view(np.int64))
             _, _, _, r1, r2, _, _ = kernel_arrays(scheme, g1, g2, s)
             assert np.array_equal(cdf.data["asr"][part], np.sort(r1 + r2))
+
+    def test_means_laid_out_by_delta_then_scheme(self, monkeypatch):
+        # schemes in a non-enum order and the 18 deltas in uneven blocks of
+        # 5, 5, 5, 3: the table holds the one-delta-at-a-time statistics row
+        # by row, each delta as configured
+        deploy = DeploymentConfig(drops=1)
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SYSLEVEL,
+            delta_deg=tuple(float(d) for d in range(0, 171, 10)),
+            schemes=(Scheme.SRM, Scheme.OMA),
+            deploy=deploy,
+            cdf_delta_deg=160.0,
+        )
+        want = run_campaign_per_delta(deploy, RADIO, cfg.schemes, DELTAS_18, TargetPolicy(), DELTAS_18[16])
+        monkeypatch.setattr(syslevel, "BLOCK_INSTANCES", 5 * want.n_pairs)
+        calls = record_kernel_calls(monkeypatch)
+        means, _ = syslevel_tables(cfg)
+        assert [deltas for scheme, deltas, _ in calls if scheme is Scheme.OMA] == [5, 5, 5, 3]
+        rows = [
+            {"scheme": scheme.value, "delta_deg": delta,
+             **{stat: values[i] for stat, values in want.means[scheme.value].items()}, "n_pairs": want.n_pairs}
+            for i, delta in enumerate(cfg.delta_deg)
+            for scheme in cfg.schemes
+        ]
+        assert means.columns == list(rows[0])
+        assert list(means.rows) == rows
