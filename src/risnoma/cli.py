@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Angles on the command line and in config files are degrees; the library
-works in radians. A YAML config file can preset any option; explicit
-command-line flags override it, and --print-config echoes the fully
-resolved option set for reproducibility.
+works in radians. A YAML config file can preset any option but --out,
+--format, --print-config and --config: its values become click's
+default map, so click applies defaults < file < flags and converts each
+value as the flag's text would be. A boolean, list or mapping is
+rejected, not cast. --print-config echoes the fully resolved option set
+for reproducibility.
 
-Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or output error (click's usage
+errors included), 3 numerical failure.
 """
 
 import contextlib
@@ -50,9 +54,7 @@ def _parse_policy(resolved: dict) -> TargetPolicy:
             raise ex.ConfigError(f"--delta-ref-deg {resolved['delta_ref_deg']} is outside [0, 180)") from None
     if kind == "oma-current":
         return TargetPolicy.oma_at_current()
-    if kind == "explicit":
-        return TargetPolicy.explicit(resolved["r1_min"], resolved["r2_min"])
-    raise ex.ConfigError(f"unknown targets policy {kind!r}")
+    return TargetPolicy.explicit(resolved["r1_min"], resolved["r2_min"])
 
 
 def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
@@ -98,30 +100,35 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(**kwargs)
 
 
-def _resolve(ctx, kwargs, config_path):
-    """Defaults < config file < explicitly given command-line flags. File
-    values are converted by their option's type; null only where the default is None."""
-    resolved = dict(kwargs)
-    if config_path:
-        with open(config_path) as fh:
+_NOT_IN_FILE = {"config_path", "out", "fmt", "print_config"}
+
+
+def _preset(ctx, param, path):
+    """--config: the file's values become click's default map, so click
+    applies defaults < file < flags and converts each value as the flag's
+    text would be. Null is a value only where the option's default is None."""
+    if not path:
+        return
+    try:
+        with open(path) as fh:
             data = yaml.safe_load(fh) or {}
-        if not isinstance(data, dict):
-            raise ex.ConfigError("config file must hold a key/value mapping")
-        params = {p.name: p for p in ctx.command.params}
-        for key, value in data.items():
-            key = str(key).replace("-", "_")
-            if key not in resolved:
-                raise ex.ConfigError(f"unknown config key {key!r}")
-            source = ctx.get_parameter_source(key)
-            if source is not None and source.name == "COMMANDLINE":
-                continue
-            if value is None and params[key].default is not None:
-                raise ex.ConfigError(f"config key {key!r} must not be null")
-            try:
-                resolved[key] = params[key].type_cast_value(ctx, value)
-            except click.BadParameter as e:
-                raise ex.ConfigError(e.format_message()) from None
-    return resolved
+    except (OSError, yaml.YAMLError) as e:
+        raise click.UsageError(str(e)) from None
+    if not isinstance(data, dict):
+        raise click.UsageError("config file must hold a key/value mapping")
+    defaults = {p.name: p.default for p in ctx.command.params if p.name not in _NOT_IN_FILE}
+    ctx.default_map = {}
+    for key, value in data.items():
+        key = str(key).replace("-", "_")
+        if key not in defaults:
+            raise click.UsageError(f"unknown config key {key!r}")
+        if value is None:
+            if defaults[key] is not None:
+                raise click.UsageError(f"config key {key!r} must not be null")
+        elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise click.UsageError(f"config key {key!r} must be a number or a string, not {type(value).__name__}")
+        else:
+            ctx.default_map[key] = str(value)
 
 
 def _meta(resolved: dict):
@@ -178,15 +185,13 @@ def _config_error(e):
     sys.exit(2)
 
 
-def _run(ctx, kind, table_fn, kwargs):
-    config_path = kwargs.pop("config_path")
-    print_config = kwargs.pop("print_config")
-    out = kwargs.pop("out")
-    fmt = kwargs.pop("fmt")
+def _run(kind, table_fn, resolved):
+    print_config = resolved.pop("print_config")
+    out = resolved.pop("out")
+    fmt = resolved.pop("fmt")
     try:
-        resolved = _resolve(ctx, kwargs, config_path)
         cfg = _build_config(kind, resolved)
-    except (ValueError, yaml.YAMLError, OSError) as e:  # ConfigError is a ValueError
+    except ValueError as e:  # ConfigError is a ValueError
         _config_error(e)
     if print_config:
         _echo(yaml.safe_dump(resolved, sort_keys=True))
@@ -211,8 +216,8 @@ def _run(ctx, kind, table_fn, kwargs):
 def common_options(fn):
     for opt in reversed(
         [
-            click.option("--config", "config_path", type=click.Path(), default=None,
-                         help="YAML config file; flags override its values."),
+            click.option("--config", "config_path", type=click.Path(), default=None, callback=_preset,
+                         expose_value=False, help="YAML config file; flags override its values."),
             click.option("--out", type=click.Path(), default=None, help="Output path (stdout if omitted)."),
             click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
             click.option("--seed", type=int, default=0),
@@ -228,23 +233,13 @@ def common_options(fn):
     return fn
 
 
-class _Command(click.Command):
-    def parse_args(self, ctx, args):
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as e:  # a malformed flag or value
-            _config_error(e.format_message())
-
-
 class _Group(click.Group):
     """Usage errors are one config error line, not click's usage block."""
 
-    command_class = _Command
-
-    def resolve_command(self, ctx, args):
+    def invoke(self, ctx):
         try:
-            return super().resolve_command(ctx, args)
-        except click.UsageError as e:  # no such command
+            return super().invoke(ctx)
+        except click.UsageError as e:  # no such command, a malformed flag, a bad config file
             _config_error(e.format_message())
 
 
@@ -259,20 +254,18 @@ def main():
 @click.option("--gammas-db", default="8,5", help="Gamma1,Gamma2 in dB (strong first).")
 @click.option("--delta-deg", default="0,11")
 @click.option("--alpha2-step", type=float, default=0.001)
-@click.pass_context
-def sweep_alpha2(ctx, **kwargs):
+def sweep_alpha2(**kwargs):
     """Rates versus the weak user's power fraction (alpha1 fixed at 1)."""
-    _run(ctx, ex.ExperimentKind.SWEEP_ALPHA2, ex.sweep_alpha2_table, kwargs)
+    _run(ex.ExperimentKind.SWEEP_ALPHA2, ex.sweep_alpha2_table, kwargs)
 
 
 @main.command("sweep-delta")
 @common_options
 @click.option("--gammas-db", default="8,5")
 @click.option("--delta-deg", default="0:90:1")
-@click.pass_context
-def sweep_delta(ctx, **kwargs):
+def sweep_delta(**kwargs):
     """Single-pair MPA decision and OMA references versus phase error."""
-    _run(ctx, ex.ExperimentKind.SWEEP_DELTA, ex.sweep_delta_table, kwargs)
+    _run(ex.ExperimentKind.SWEEP_DELTA, ex.sweep_delta_table, kwargs)
 
 
 @main.command("pair-study")
@@ -280,10 +273,9 @@ def sweep_delta(ctx, **kwargs):
 @click.option("--gammas-db", default="8,5")
 @click.option("--delta-deg", default="0")
 @click.option("--scheme", default="oma,mpa,eepa,srm")
-@click.pass_context
-def pair_study(ctx, **kwargs):
+def pair_study(**kwargs):
     """Per-scheme decision dump for a single pair at one delta."""
-    _run(ctx, ex.ExperimentKind.PAIR_STUDY, ex.pair_study_table, kwargs)
+    _run(ex.ExperimentKind.PAIR_STUDY, ex.pair_study_table, kwargs)
 
 
 @main.command("syslevel")
@@ -303,10 +295,9 @@ def pair_study(ctx, **kwargs):
 @click.option("--ris-offset-m", type=float, default=10.0)
 @click.option("--cdf-delta-deg", type=float, default=None)
 @click.option("--cdf-out", type=click.Path(), default=None)
-@click.pass_context
-def syslevel(ctx, **kwargs):
+def syslevel(**kwargs):
     """Monte-Carlo system-level campaign over PPP deployments."""
-    _run(ctx, ex.ExperimentKind.SYSLEVEL, ex.syslevel_tables, kwargs)
+    _run(ex.ExperimentKind.SYSLEVEL, ex.syslevel_tables, kwargs)
 
 
 @main.command("validate-approx")
@@ -314,10 +305,9 @@ def syslevel(ctx, **kwargs):
 @click.option("--elements", default="4,16,64,256,1024")
 @click.option("--delta-deg", default="5.73,28.65,57.3,114.59")
 @click.option("--trials", type=int, default=10000)
-@click.pass_context
-def validate_approx(ctx, **kwargs):
+def validate_approx(**kwargs):
     """Monte-Carlo check of the sinc^2 phase-error approximation."""
-    _run(ctx, ex.ExperimentKind.VALIDATE_APPROX, ex.validate_approx_table, kwargs)
+    _run(ex.ExperimentKind.VALIDATE_APPROX, ex.validate_approx_table, kwargs)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ The result holds one list per (scheme, statistic), a value per delta.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -93,6 +94,8 @@ class RadioConfig:
             raise ValueError("radio powers, path loss and distances must be finite")
         if self.bs_antennas < 1 or self.ris_elements < 1:
             raise ValueError("antenna/element counts must be >= 1")
+        if self.ris_elements**2 * self.bs_antennas > sys.float_info.max:  # as ints: the check cannot overflow
+            raise ValueError("the coherent gain ris_elements^2 * bs_antennas must be a finite float")
         if self.pathloss_exponent < 2.0:
             raise ValueError("pathloss_exponent must be >= 2")
         if self.transmit_power <= 0 or self.noise_power <= 0:

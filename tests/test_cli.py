@@ -641,6 +641,14 @@ class TestConfigHandling:
         _, rows = parse_csv(result.output)
         assert float(rows[0]["alpha2_ub"]) == pytest.approx(0.85497, abs=1e-3)
 
+    def test_cli_flag_before_config_overrides_it(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"gammas-db": "8,2", "alpha2-step": 0.1}))
+        result = runner.invoke(main, ["sweep-alpha2", "--gammas-db", "8,5", "--config", str(cfg)])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert float(rows[0]["alpha2_ub"]) == pytest.approx(0.85497, abs=1e-3)
+
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"bogus": 1}))
@@ -648,11 +656,26 @@ class TestConfigHandling:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    # where and how a run writes, and --config itself, are not presets
+    @pytest.mark.parametrize("key", ["out", "format", "print-config", "config"])
+    def test_output_options_are_unknown_keys(self, runner, tmp_path, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({key: "x"}))
+        result = runner.invoke(main, ["sweep-alpha2", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: unknown config key {key.replace('-', '_')!r}\n"
+
     def test_missing_config_file(self, runner, tmp_path):
         result = runner.invoke(
             main, ["sweep-alpha2", "--config", str(tmp_path / "absent.yaml")]
         )
         assert result.exit_code == 2
+
+    def test_help_wins_over_a_missing_config_file(self, runner, tmp_path):
+        # --help is eager: it is handled before --config, wherever it stands
+        result = runner.invoke(main, ["sweep-alpha2", "--config", str(tmp_path / "absent.yaml"), "--help"])
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage: ")
 
     @pytest.mark.parametrize(
         "command, text",
@@ -662,6 +685,16 @@ class TestConfigHandling:
             ("syslevel", "drops: null\n"),
             ("pair-study", "gammas_db: [8, 5]\n"),
             ("pair-study", "scheme: 5\n"),
+            ("syslevel", "tx_power_dbm: [1]\n"),
+            ("syslevel", "seed: [3]\n"),
+            ("syslevel", "drops: [1]\n"),
+            ("syslevel", "cdf_out: [1]\n"),
+            ("syslevel", "delta_ref_deg: {a: 1}\n"),
+            # a file value is read as the flag's text would be, never rounded or cast
+            ("syslevel", "drops: 1.9\n"),
+            ("syslevel", "drops: 1\nris_elements: 31.999\n"),
+            ("pair-study", "seed: true\n"),
+            ("syslevel", "drops: 1\ntx_power_dbm: true\n"),
         ],
     )
     def test_wrong_type_one_line_exit_2(self, runner, tmp_path, command, text):
@@ -683,6 +716,29 @@ class TestConfigHandling:
         doc = yaml.safe_load(result.output)
         assert type(doc["tx_power_dbm"]) is float and doc["tx_power_dbm"] == 23.0
         assert doc["cdf_delta_deg"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-alpha2", "--gammas-db", "9,2", "--alpha2-step", "0.01"],
+            ["sweep-delta", "--delta-deg", "0:90:10", "--targets-policy", "oma-current"],
+            ["pair-study", "--gammas-db", "15,5", "--delta-deg", "0.1"],
+            ["syslevel", "--drops", "1", "--delta-deg", "0,40", "--tx-power-dbm", "20.5", "--seed", "3"],
+            ["validate-approx", "--elements", "4,16", "--trials", "100", "--seed", "2"],
+        ],
+    )
+    def test_print_config_round_trips(self, runner, tmp_path, args):
+        # the echoed option set, fed back as the config file, reproduces the
+        # run byte for byte, config_sha256 included
+        cfg = tmp_path / "cfg.yaml"
+        printed = runner.invoke(main, [*args, "--print-config"])
+        assert printed.exit_code == 0
+        cfg.write_text(printed.output)
+        runs = [runner.invoke(main, argv) for argv in (args, [args[0], "--config", str(cfg)])]
+        assert [r.exit_code for r in runs] == [0, 0]
+        flagged, preset = ([line for line in r.output.splitlines() if not line.startswith("# generated")] for r in runs)
+        assert flagged == preset and any(line.startswith("# config_sha256") for line in flagged)
+        assert runner.invoke(main, [args[0], "--config", str(cfg), "--print-config"]).output == printed.output
 
     def test_print_config(self, runner):
         result = runner.invoke(
@@ -772,6 +828,10 @@ class TestConfigHandling:
             ["sweep-delta", "--gammas-db=2060,2060"],
             ["sweep-alpha2", "--gammas-db=1000.5,0"],
             ["syslevel", "--drops", "1", "--bs-density", "1", "--user-density", "30", "--tx-power-dbm", "2900"],
+            ["syslevel", "--drops", "1", "--ris-elements", str(10**200)],
+            ["syslevel", "--drops", "1", "--bs-antennas", str(10**400)],
+            ["syslevel", "--drops", "1", "--ris-elements", str(10**154)],
+            ["syslevel", "--drops", "1", "--bs-antennas", str(10**308)],
         ],
     )
     def test_invalid_input_one_line_exit_2(self, runner, args):
