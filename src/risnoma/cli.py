@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import click
@@ -101,6 +102,18 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
 
 
 _NOT_IN_FILE = {"config_path", "out", "fmt", "print_config"}
+# YAML 1.1's base-60 int and float, e.g. 1:30 (90) and 0:10:0.5 (600.5)
+_BASE_60 = re.compile(r"[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+(?:\.[0-9_]*)?$")
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe loader without base-60 numbers: a plain 1:30 is the string
+    "1:30", which --delta-deg reads as a range, not the int 90."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _BASE_60.match(value):
+            return self.DEFAULT_SCALAR_TAG
+        return super().resolve(kind, value, implicit)
 
 
 def _preset(ctx, param, path):
@@ -111,7 +124,7 @@ def _preset(ctx, param, path):
         return
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.load(fh, Loader=_ConfigLoader) or {}
     except (OSError, yaml.YAMLError) as e:
         raise click.UsageError(str(e)) from None
     if not isinstance(data, dict):
@@ -174,10 +187,11 @@ def _write_files(outputs, fmt, meta):
         for tmp, path, target in staged:
             os.replace(tmp, target)
     except OSError as e:
+        _output_error(e, path)
+    finally:  # tables are written as they render: a failure mid-table leaves no temporary file either
         for tmp, _, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        _output_error(e, path)
 
 
 def _config_error(e):

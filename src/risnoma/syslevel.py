@@ -8,8 +8,10 @@ about one grid square per BS, and each user compares only its square's
 candidate BSs, which provably contain its nearest one. Path gain falls
 strictly with the clamped distance, so the max-power BS is the one at
 the least squared min-image distance; torus distance and path gain are
-then computed once per user, for the serving BS only. Memory per drop
-grows with users x candidates (a few dozen) plus BS^2, not users x BS.
+then computed once per user, for the serving BS only. The candidates
+are compared in slices of about BLOCK_INSTANCES users x candidates
+entries, so memory per drop grows with users (a few arrays of one value
+per user) plus BS^2, not users x BS nor users x candidates.
 
 Users are paired per cell by pairing.cell_pairs, strongest with weakest
 by Gamma; the co-scheduled interferers are drawn by the same rule on the
@@ -45,10 +47,12 @@ __all__ = [
     "run_campaign",
 ]
 
-# (delta, pair) instances per kernel call in run_campaign, at least one delta
+# (delta, pair) instances per kernel call in run_campaign, at least one
+# delta, and user x candidate entries per slice in _nearest_bs, at least one user
 BLOCK_INSTANCES = 2**15
 # expected users and BSs per drop (density x area); a drop at both bounds
-# peaks at about 780 MiB, the BS^2 association and interference arrays included
+# peaks at about 780 MiB, set by the 2 cells x BS interference rows: the
+# association within it peaks at 200 MiB, the squares x BS candidate search
 MAX_USERS_PER_DROP = 500_000
 MAX_BS_PER_DROP = 3_000
 
@@ -170,8 +174,8 @@ def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
 
 def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: float):
     """Split the window into g x g squares of width w, g = isqrt(#BS),
-    and give each user its square's candidates: the BSs that can be
-    nearest to some point of the square.
+    and give each square its candidates, the BSs that can be nearest to
+    some point of the square, and each user its square.
 
     A user u lies within h = w/sqrt(2) of its square's centre c, and the
     clamped distance D = max(d, min_distance_m) is 1-Lipschitz in either
@@ -180,9 +184,9 @@ def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, sid
     Every BS nearest to, or tied for, some user of the square thus has
     D(c, b) <= min_b D(c, b) + w sqrt(2); the relative slack absorbs
     rounding. Received power falls strictly with D, so the max-power BS
-    is the least-D one and is among the candidates. Returns cand, cand[u]
-    user u's candidates in ascending BS index, padded by repeating the
-    first one.
+    is the least-D one and is among the candidates. Returns (cand,
+    square): cand[k] square k's candidates in ascending BS index, padded
+    by repeating the first one, and square[u] user u's square.
     """
     g = math.isqrt(len(bss))
     w = side / g
@@ -194,7 +198,7 @@ def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, sid
     cand = np.argsort(~near, axis=1, kind="stable")[:, : counts.max()]
     cand = np.where(np.arange(cand.shape[1]) < counts[:, None], cand, cand[:, :1])
     square = np.floor(users / w).astype(np.int64) % g  # % g: users at the far edge wrap
-    return cand[square[:, 0] * g + square[:, 1]]
+    return cand, square[:, 0] * g + square[:, 1]
 
 
 def _nearest_bs(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: float) -> np.ndarray:
@@ -205,13 +209,21 @@ def _nearest_bs(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: fl
     candidates (ascending index, so ties go to the lower index) at the
     least D^2 = max(dx^2 + dy^2, min_distance_m^2), dx and dy the
     min-image offsets. No distance or path gain is formed per candidate.
+    Users are taken in slices of about BLOCK_INSTANCES users x candidates
+    entries, which bounds the temporaries whatever the number of users.
     """
-    cand = _grid_candidates(users, bss, radio, side)  # cand[u, j]: user u's j-th candidate
+    per_square, square = _grid_candidates(users, bss, radio, side)  # per_square[square[u]]: user u's candidates
     bx, by = bss.T
-    dx = _min_image(users[:, :1] - bx[cand], side)
-    dy = _min_image(users[:, 1:] - by[cand], side)
-    best = np.argmin(np.maximum(dx * dx + dy * dy, radio.min_distance_m**2), axis=1)  # first minimum
-    return cand[np.arange(len(users)), best]
+    serving = np.empty(len(users), dtype=per_square.dtype)
+    step = max(1, BLOCK_INSTANCES // per_square.shape[1])
+    for start in range(0, len(users), step):
+        u = users[start : start + step]
+        cand = per_square[square[start : start + step]]
+        dx = _min_image(u[:, :1] - bx[cand], side)
+        dy = _min_image(u[:, 1:] - by[cand], side)
+        best = np.argmin(np.maximum(dx * dx + dy * dy, radio.min_distance_m**2), axis=1)  # first minimum
+        serving[start : start + step] = cand[np.arange(len(u)), best]
+    return serving
 
 
 def associate_and_budget(

@@ -8,6 +8,14 @@ formatted columns; no per-row dict is made. The CDF repeats much: its
 levels ``i/n`` recur once per scheme, MPA and SRM often share ASR
 samples, and ``scheme`` holds three or four strings.
 
+Rows are rendered ``CHUNK_ROWS`` at a time, the same chunks for
+`render_csv` and `render_json`, which join them, and for `write_table`,
+which writes each as it is made, so a file is written holding one
+chunk's text, not the whole table's. A float column's distinct values
+are formatted over the whole column, once; each chunk gathers and joins
+only its own rows. A table of at most ``CHUNK_ROWS`` rows is one chunk,
+rendered without slicing.
+
 Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
 ``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
 merge the zeros and never match a NaN. List columns memoise only their
@@ -28,11 +36,14 @@ read a table row by row; rendering does not use it.
 
 import json
 from collections.abc import Sequence
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping
 
 import numpy as np
 
 __all__ = ["Table", "render_csv", "render_json", "write_table"]
+
+# rows rendered at once; write_table holds one chunk's text at a time
+CHUNK_ROWS = 2**12
 
 
 class Table:
@@ -79,6 +90,13 @@ def _values(col: Sequence) -> Sequence:
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
+def _float_texts(col: np.ndarray, float_text: Callable[[float], str]):
+    """(texts, inverse): float_text once per distinct float64 bit pattern
+    of a float array, and each value's index into those texts."""
+    distinct, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
+    return np.array(list(map(float_text, distinct.view(np.float64).tolist())), dtype=object), inverse
+
+
 def _column_texts(
     col: Sequence, float_text: Callable[[float], str], cell: Callable[[object], str]
 ) -> List[str]:
@@ -86,14 +104,38 @@ def _column_texts(
     pattern of a float array, else cell once per distinct string and once
     per other value."""
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        distinct, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        texts = np.array(list(map(float_text, distinct.view(np.float64).tolist())), dtype=object)
+        texts, inverse = _float_texts(col, float_text)
         return texts[inverse].tolist()
     memo: Dict[str, str] = {}
     return [
         (memo[v] if v in memo else memo.setdefault(v, cell(v))) if type(v) is str else cell(v)
         for v in _values(col)
     ]
+
+
+def _chunks(
+    table: Table, float_text: Callable[[float], str], cell: Callable[[object], str]
+) -> Iterable[List[List[str]]]:
+    """The columns' texts, CHUNK_ROWS rows at a time. A float column's
+    distinct values are formatted once, over the whole column, and each
+    chunk gathers its own rows' texts; other columns are formatted chunk
+    by chunk. A table of one chunk is a list, its columns unsliced."""
+    n = len(table)
+    columns = [table.data[c] for c in table.columns]
+    if n <= CHUNK_ROWS:  # one chunk: nothing sliced
+        return [[_column_texts(col, float_text, cell) for col in columns]]
+    formatted = [
+        _float_texts(col, float_text) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else (None, None)
+        for col in columns
+    ]
+    bounds = [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
+    return (
+        [
+            _column_texts(col[rows], float_text, cell) if texts is None else texts[inverse[rows]].tolist()
+            for col, (texts, inverse) in zip(columns, formatted)
+        ]
+        for rows in bounds
+    )
 
 
 def _csv_cell(value) -> str:
@@ -108,15 +150,20 @@ def _csv_cell(value) -> str:
     return text
 
 
+def _csv_chunks(table: Table, meta: Dict[str, object]) -> Iterator[str]:
+    lines = [f"# {key}: {meta[key]}" for key in sorted(meta)]
+    lines.append(",".join(map(_csv_cell, table.columns)))
+    for columns in _chunks(table, repr, _csv_cell):  # a float's field is its repr
+        lines += map(",".join, zip(*columns))
+        if len(table.columns) == 1:  # csv.writer quotes a row's lone empty field
+            lines = [line or '""' for line in lines]
+        lines.append("")
+        yield "\r\n".join(lines)
+        lines = []
+
+
 def render_csv(table: Table, meta: Dict[str, object]) -> str:
-    lines = [",".join(map(_csv_cell, table.columns))]
-    # a float's field is its repr
-    columns = (_column_texts(table.data[c], repr, _csv_cell) for c in table.columns)
-    lines += map(",".join, zip(*columns))
-    if len(table.columns) == 1:  # csv.writer quotes a row's lone empty field
-        lines = [line or '""' for line in lines]
-    head = [f"# {key}: {meta[key]}" for key in sorted(meta)]
-    return "\r\n".join(head + lines + [""])
+    return "".join(_csv_chunks(table, meta))
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -129,20 +176,27 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def render_json(table: Table, meta: Dict[str, object]) -> str:
+def _json_chunks(table: Table, meta: Dict[str, object]) -> Iterator[str]:
     doc = json.dumps({"meta": dict(sorted(meta.items())), "rows": []}, indent=1)
     if not len(table):
-        return doc + "\n"
-    members = []
-    for c in table.columns:
-        key = json.dumps(c) + ": "
-        members.append([key + v for v in _column_texts(table.data[c], _json_cell, _json_cell)])
-    # each row object at depth 2, its members at depth 3, as indent=1 writes them
-    rows = ",\n".join("  {\n   " + ",\n   ".join(row) + "\n  }" for row in zip(*members))
-    return doc[: -len("[]\n}")] + "[\n" + rows + "\n ]\n}\n"
+        yield doc + "\n"
+        return
+    keys = [json.dumps(c) + ": " for c in table.columns]
+    sep = doc[: -len("[]\n}")] + "[\n"
+    for columns in _chunks(table, _json_cell, _json_cell):
+        members = [[key + v for v in texts] for key, texts in zip(keys, columns)]
+        # each row object at depth 2, its members at depth 3, as indent=1 writes them
+        yield sep + ",\n".join("  {\n   " + ",\n   ".join(row) + "\n  }" for row in zip(*members))
+        sep = ",\n"
+    yield "\n ]\n}\n"
+
+
+def render_json(table: Table, meta: Dict[str, object]) -> str:
+    return "".join(_json_chunks(table, meta))
 
 
 def write_table(table: Table, path, fmt: str, meta: Dict[str, object]) -> None:
-    text = render_csv(table, meta) if fmt == "csv" else render_json(table, meta)
+    """Write the table chunk by chunk, as each is rendered."""
+    chunks = _csv_chunks(table, meta) if fmt == "csv" else _json_chunks(table, meta)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,11 +21,12 @@ except ImportError:  # not on Windows
 
 import risnoma
 from risnoma import experiments as ex
+from risnoma import tables
 from risnoma.cli import main
 from risnoma.eepa import ConvergenceError
 from risnoma.pairing import Scheme
 from risnoma.syslevel import DeploymentConfig
-from risnoma.tables import Table, render_csv, render_json
+from risnoma.tables import Table, render_csv, render_json, write_table
 
 
 # each would build a table or a range of 10^9 points and more
@@ -276,6 +278,73 @@ class TestColumnarOutput:
         subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
         text = render_csv(Table({"s": ["caf\u00e9"]}), {"note": "na\u00efve"})
         assert out.read_bytes() == text.encode("utf-8")
+
+
+class TestChunkedOutput:
+    """Tables of more than tables.CHUNK_ROWS rows render chunk by chunk:
+    render_csv, render_json and the bytes write_table writes are the
+    per-row renderers' text at every chunk boundary."""
+
+    META = TestColumnarOutput.META
+
+    def check(self, table, columns, rows, tmp_path):
+        for fmt, render, reference in (("csv", render_csv, reference_csv), ("json", render_json, reference_json)):
+            want = reference(columns, rows, self.META)
+            assert render(table, self.META) == want
+            write_table(table, tmp_path / f"t.{fmt}", fmt, self.META)
+            assert (tmp_path / f"t.{fmt}").read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_boundary(self, monkeypatch, tmp_path, k):
+        monkeypatch.setattr(tables, "CHUNK_ROWS", k)
+        columns = ["scheme", "x", "n", "cell"]
+        for n in sorted({0, 1, k - 1, k, k + 1, 2 * k + 1}):
+            rows = [
+                {
+                    "scheme": EDGE_STRINGS[i % len(EDGE_STRINGS)],
+                    "x": EDGE_FLOATS[i % 3],  # values recur across chunks
+                    "n": i - 1,
+                    "cell": [None, 1.5, "a,b", True][i % 4],
+                }
+                for i in range(n)
+            ]
+            self.check(Table({c: [row[c] for row in rows] for c in columns}), columns, rows, tmp_path)
+            arrays = Table(
+                {
+                    "scheme": [r["scheme"] for r in rows],
+                    "x": np.array([r["x"] for r in rows]),
+                    "n": np.array([r["n"] for r in rows], dtype=np.int64),
+                    "cell": [r["cell"] for r in rows],
+                }
+            )
+            self.check(arrays, columns, rows, tmp_path)
+            # csv.writer quotes a lone empty field in every chunk, the header's included
+            lone = [{"": ["", "a", 'x"'][i % 3]} for i in range(n)]
+            self.check(Table({"": [r[""] for r in lone]}), [""], lone, tmp_path)
+
+    @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
+    def test_writing_streams(self, tmp_path, fmt, render):
+        # eight chunks and more: render holds every chunk's text, write_table one
+        n = 8 * tables.CHUNK_ROWS + 1
+        rng = np.random.default_rng(5)
+        levels = rng.standard_normal(1000)
+        table = Table(
+            {
+                "scheme": ["mpa", "srm", "eepa"] * (n // 3) + ["oma"] * (n % 3),
+                "asr": levels[rng.integers(0, 1000, n)],
+                "ee": levels[rng.integers(0, 1000, n)],
+            }
+        )
+        peaks = []
+        for run in (lambda: render(table, self.META), lambda: write_table(table, tmp_path / "t", fmt, self.META)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rendered, written = peaks
+        assert written < 0.75 * rendered
 
 
 class TestSweepAlpha2Command:
@@ -539,6 +608,17 @@ class TestUnwritableOutput:
         assert means.read_bytes() == b"an earlier run\r\n"
         assert os.listdir(tmp_path) == ["m.csv"]
 
+    def test_failure_mid_table_leaves_no_file(self, runner, tmp_path, monkeypatch):
+        # a table is written as it renders, so its file exists before the last row
+        def failing(table, meta):
+            yield "a first chunk\r\n"
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(tables, "_csv_chunks", failing)
+        result = runner.invoke(main, self.SYSLEVEL + ["--out", str(tmp_path / "m.csv")])
+        assert isinstance(result.exception, RuntimeError)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_out_that_is_no_file_is_written_in_place(self, runner, tmp_path):
         # a device or pipe, such as /dev/null, is never replaced by a temporary file
@@ -716,6 +796,23 @@ class TestConfigHandling:
         doc = yaml.safe_load(result.output)
         assert type(doc["tx_power_dbm"]) is float and doc["tx_power_dbm"] == 23.0
         assert doc["cdf_delta_deg"] is None
+
+    # YAML 1.1 reads each as a base-60 number: 90, 640, 5401 and 600.5; the
+    # file must hand click the text, as the flag does
+    @pytest.mark.parametrize("spec", ["1:30", "10:40", "1:30:1", "0:10:0.5"])
+    def test_range_in_config_is_the_flag_text(self, runner, tmp_path, spec):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"delta_deg: {spec}\n")
+        runs = [runner.invoke(main, ["sweep-delta", *args]) for args in (["--config", str(cfg)], ["--delta-deg", spec])]
+        preset, flagged = ([line for line in r.output.splitlines() if not line.startswith("# generated")] for r in runs)
+        assert runs[0].exit_code == runs[1].exit_code and preset == flagged
+        if spec.count(":") == 1:  # no step: a config error that names the text
+            assert runs[0].exit_code == 2 and preset == [f"config error: bad range spec {spec!r}, expected start:stop:step"]
+        else:
+            _, rows = parse_csv(runs[0].output)
+            start, stop, step = map(float, spec.split(":"))
+            assert [float(r["delta_deg"]) for r in rows] == [start + k * step for k in range(len(rows))]
+            assert float(rows[-1]["delta_deg"]) == stop
 
     @pytest.mark.parametrize(
         "args",

@@ -262,7 +262,33 @@ class TestAssociation:
         finally:
             tracemalloc.stop()
         # the dense users x BS displacement alone is 20k * 400 * 2 * 8 B = 128 MB
-        assert peak < 32e6
+        assert peak < 20e6
+
+    def test_nearest_bs_takes_users_in_slices(self):
+        rng = np.random.default_rng(0)
+        side = 4000.0
+        users = rng.uniform(0.0, side, (20_000, 2))
+        bss = rng.uniform(0.0, side, (400, 2))
+        tracemalloc.start()
+        try:
+            syslevel._nearest_bs(users, bss, RADIO, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all users' candidates at once, 20k x about 20 x 8 B per array, took 21.6 MB
+        assert peak < 6e6
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(layout=layouts())
+    def test_user_slices_leave_outputs_unchanged(self, layout):
+        users, bss, side, seed = layout
+        want = associate_and_budget(users, bss, RADIO, side, seed)
+        for block in (1, 7):  # one user per slice, and a few
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(syslevel, "BLOCK_INSTANCES", block)
+                got = associate_and_budget(users, bss, RADIO, side, seed)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestBuildDrop:
