@@ -14,7 +14,8 @@ scalar solver, the batch solver and the EEPA decision.
 
 The pairing criterion has MPA's form (a mpa.Criterion): pair when
 sinc^2(delta) reaches the larger of two conservative thresholds. The
-EEPA decision is one array kernel, _eepa_kernel. Its OMA fallbacks are
+EEPA decision is one array kernel, _eepa_kernel, which binds that
+threshold to the pairs and floors and decides at s. Its OMA fallbacks are
 one rule, lambda* = 0: a pair the criterion rejects is left unsolved at
 0, and a pair whose rates underflow solves to 0.
 """
@@ -190,21 +191,27 @@ def dinkelbach_batch(
     return _dinkelbach(g1, g2, s, r1, r2)[:4]
 
 
-def _eepa_kernel(g1, g2, s, r1_min, r2_min):
-    """EEPA decisions: Dinkelbach solves the pairs meeting the criterion at s, one pair on its
-    0-d values (masking costs more than its solve); NOMA where lambda* > 0, else OMA. On
-    arrays, the inputs broadcast to the criterion's shape (for instance s a column of
-    deltas against a row of pairs) and one dinkelbach_batch call solves every feasible one."""
-    feasible = s >= np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
-    if np.ndim(feasible) == 0:
-        solution = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4] if feasible else (0.0, 0.0, 0.0, 0)
-        alpha1, alpha2, lam, iterations = solution
-    else:
-        alpha1, alpha2, lam = np.zeros((3,) + feasible.shape)
-        iterations = np.zeros(feasible.shape, dtype=int)
-        if feasible.any():
-            alpha1[feasible], alpha2[feasible], lam[feasible], iterations[feasible] = dinkelbach_batch(
-                *(np.broadcast_to(x, feasible.shape)[feasible] for x in (g1, g2, r1_min, r2_min, s))
-            )
-    r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
-    return _or_oma(lam > 0.0, alpha1, alpha2, r1, r2, lam, iterations, g1, g2, s)
+def _eepa_kernel(g1, g2, r1_min, r2_min):
+    """EEPA decisions, binding the criterion's threshold: Dinkelbach solves the pairs meeting
+    it at s, one pair on its 0-d values (masking costs more than its solve); NOMA where
+    lambda* > 0, else OMA. On arrays, the inputs broadcast to the criterion's shape (for
+    instance s a column of deltas against a row of pairs) and one dinkelbach_batch call
+    solves every feasible one."""
+    threshold = np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
+
+    def decide(s):
+        feasible = s >= threshold
+        if np.ndim(feasible) == 0:
+            solution = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4] if feasible else (0.0, 0.0, 0.0, 0)
+            alpha1, alpha2, lam, iterations = solution
+        else:
+            alpha1, alpha2, lam = np.zeros((3,) + feasible.shape)
+            iterations = np.zeros(feasible.shape, dtype=int)
+            if feasible.any():
+                alpha1[feasible], alpha2[feasible], lam[feasible], iterations[feasible] = dinkelbach_batch(
+                    *(np.broadcast_to(x, feasible.shape)[feasible] for x in (g1, g2, r1_min, r2_min, s))
+                )
+        r1, r2 = _noma_rates(alpha1, alpha2, g1, g2, s)
+        return _or_oma(lam > 0.0, alpha1, alpha2, r1, r2, lam, iterations, g1, g2, s)
+
+    return decide

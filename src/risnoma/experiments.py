@@ -176,7 +176,7 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
     reference rates and the criterion's delta upper bound."""
     g1, g2, s = _pair_on_grid(cfg)
     r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
-    noma, _, alpha2, r1, r2, _, _ = KERNELS[Scheme.MPA](g1, g2, s, r1_min, r2_min)
+    noma, _, alpha2, r1, r2, _, _ = KERNELS[Scheme.MPA](g1, g2, r1_min, r2_min)(s)
     r1_oma, r2_oma = _oma_rate(g1, s), _oma_rate(g2, s)
     thresholds = _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))
     columns = {

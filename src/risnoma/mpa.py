@@ -2,8 +2,9 @@
 on phase imperfection, and the closed-form allocation.
 
 Each bound and threshold is one numpy formula on floats or arrays; the
-OMA, MPA and SRM decisions are each one array kernel (see pairing.KERNELS)
-with the OMA fallback applied in _or_oma. The object-based functions
+OMA, MPA and SRM decisions are each one array kernel, bound to the pairs
+and floors and then decided at s (see pairing.KERNELS), with the OMA
+fallback applied in _or_oma. The object-based functions
 (alpha2_lower, alpha2_upper, eta_kappa, pairing_criterion_mpa and
 allocate_mpa) validate one pair and evaluate the same formulas and
 kernels on it; the CLI's tables and the campaign call the formulas and
@@ -246,10 +247,15 @@ def pairing_criterion_mpa(
     return Criterion(phase.degradation >= threshold, threshold)
 
 
-def _oma_kernel(g1, g2, s, r1_min=None, r2_min=None):
-    """OMA: both users at full power on orthogonal resources, whatever the floors."""
+def _oma(g1, g2, s):
+    """The OMA decisions: both users at full power on orthogonal resources."""
     r1, r2 = _oma_rate(g1, s), _oma_rate(g2, s)
     return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0, 0
+
+
+def _oma_kernel(g1, g2, r1_min=None, r2_min=None):
+    """OMA, whatever the floors: nothing to bind."""
+    return lambda s: _oma(g1, g2, s)
 
 
 def _or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
@@ -259,7 +265,7 @@ def _or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
     Python, which costs less than any np.where on 0-d values; arrays take one
     np.where per output, 3-4x faster on thousands of pairs than one np.where
     over the stacked outputs, which broadcasts noma across the stack."""
-    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma_kernel(g1, g2, s)
+    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma(g1, g2, s)
     nomas, omas = (alpha1, alpha2, r1, r2, ee, iterations), (1.0, 1.0, r1_oma, r2_oma, ee_oma, 0)
     if np.ndim(noma) == 0:
         return (noma, *(nomas if noma else omas))
@@ -278,23 +284,29 @@ def _full_power_noma(g1, g2, s, alpha2):
     return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2), 0
 
 
-def _mpa_kernel(g1, g2, s, r1_min, r2_min):
+def _mpa_kernel(g1, g2, r1_min, r2_min):
     """MPA: the sum-rate optimum where the criterion holds, the weak
     user's floor fits (alpha2_lb <= 1) and the sum rate is positive (the
-    rates can underflow to 0); OMA elsewhere."""
+    rates can underflow to 0); OMA elsewhere. Binds 2^floors and the
+    criterion's threshold."""
     p1, p2 = np.power(2.0, (r1_min, r2_min))
-    _, alpha1, alpha2, r1, r2, ee, _ = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
-    noma = (s >= _mpa_threshold(g1, p1, p2)) & (_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
-    return _or_oma(noma, alpha1, alpha2, r1, r2, ee, 0, g1, g2, s)
+    threshold = _mpa_threshold(g1, p1, p2)
+
+    def decide(s):
+        _, alpha1, alpha2, r1, r2, ee, _ = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
+        noma = (s >= threshold) & (_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
+        return _or_oma(noma, alpha1, alpha2, r1, r2, ee, 0, g1, g2, s)
+
+    return decide
 
 
-def _srm_kernel(g1, g2, s, r1_min=None, r2_min=None):
+def _srm_kernel(g1, g2, r1_min=None, r2_min=None):
     """SRM baseline: the sum-rate optimum for delta = 0 under OMA floors
     at delta = 0, evaluated at the true delta. Phase-oblivious by design,
     it ignores the given floors and never falls back to OMA, not even
-    when every rate underflows to 0."""
+    when every rate underflows to 0. Binds the whole allocation."""
     alpha2 = _sum_rate_alpha2(g1, g2, 1.0, np.power(2.0, _oma_rate(g1, 1.0)))
-    return _full_power_noma(g1, g2, s, alpha2)
+    return lambda s: _full_power_noma(g1, g2, s, alpha2)
 
 
 def allocate_mpa(
@@ -313,5 +325,5 @@ def allocate_mpa(
     """
     _check_channel(csi1, phase, 1)
     _check_channel(csi2, phase, 2)
-    decision = _mpa_kernel(csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min)
+    decision = _mpa_kernel(csi1.gamma, csi2.gamma, targets.r1_min, targets.r2_min)(phase.degradation)
     return PairDecision.from_kernel(decision)

@@ -7,10 +7,13 @@ cell_pairs, for every cell of a drop at a time (one cell is
 cell_pairs(key, np.zeros(n, int), 1)); run_scheme decides the one
 (strong, weak) pair it is given.
 
-Each scheme's decision is one array kernel, KERNELS[scheme]: (g1, g2, s,
-r1_min, r2_min) -> (noma, alpha1, alpha2, r1, r2, ee, iterations) on arrays
-of pairs or shape-() values; iterations are Dinkelbach's where EEPA chose
-NOMA, else 0. run_campaign and run_scheme decide every pair through them.
+Each scheme's decision is one array kernel, bound, then decided:
+KERNELS[scheme](g1, g2, r1_min, r2_min) computes once what does not
+depend on delta (2^floors, MPA's and EEPA's thresholds, SRM's allocation)
+and returns decide(s) -> (noma, alpha1, alpha2, r1, r2, ee, iterations),
+on arrays of pairs or shape-() values; iterations are Dinkelbach's where
+EEPA chose NOMA, else 0. run_campaign and run_scheme decide every pair
+through them.
 """
 
 from enum import Enum
@@ -70,4 +73,4 @@ def run_scheme(
     if scheme is not Scheme.OMA:
         _check_channel(csi2, phase, 2)
     g1, g2, s = float(csi1.gamma), float(csi2.gamma), phase.degradation
-    return PairDecision.from_kernel(KERNELS[scheme](g1, g2, s, *targets_policy.rates(g1, g2, s)))
+    return PairDecision.from_kernel(KERNELS[scheme](g1, g2, *targets_policy.rates(g1, g2, s))(s))

@@ -17,13 +17,15 @@ Users are paired per cell by pairing.cell_pairs, strongest with weakest
 by Gamma; the co-scheduled interferers are drawn by the same rule on the
 composite gain. Per-pair decisions come from the schemes' array kernels
 (pairing.KERNELS), the same kernels that pairing.run_scheme evaluates
-on one pair at a time. run_campaign calls them on every pair and a block
-of consecutive deltas at once, sinc^2(delta) a column against the pairs,
-and reduces each output along the pair axis once per block: a sweep is
-then a few array calls, not one small call per (scheme, delta). Blocks
-hold max(1, BLOCK_INSTANCES // pairs) deltas, which bounds each call's
-arrays; a whole 200-drop sweep in one call would hold about 3.6M instances.
-The result holds one list per (scheme, statistic), a value per delta.
+on one pair at a time. run_campaign binds each kernel to every pair and
+its floors once per campaign (once per block under oma-current, whose
+floors follow delta), then decides a block of consecutive deltas at a
+time, sinc^2(delta) a column against the pairs, and reduces each output
+along the pair axis once per block: a sweep is then a few array calls,
+not one small call per (scheme, delta). Blocks hold max(1,
+BLOCK_INSTANCES // pairs) deltas, which bounds each call's arrays; a
+whole 200-drop sweep in one call would hold about 3.6M instances. The
+result holds one list per (scheme, statistic), a value per delta.
 """
 
 import math
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .channel import MAX_GAMMA_DB, _link_gamma, db_to_linear, sinc_sq
-from .mpa import TargetPolicy
+from .mpa import PolicyKind, TargetPolicy
 from .pairing import KERNELS, Scheme, cell_pairs
 
 __all__ = [
@@ -157,12 +159,24 @@ def path_gain(distance_m, radio: RadioConfig):
 
 def _torus_dist(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     """Distance on the side x side torus between the points of a and b,
-    broadcast against each other; the last axis holds (x, y)."""
-    disp = a - b
-    disp += side / 2.0
-    disp %= side
-    disp -= side / 2.0
-    return np.hypot(disp[..., 0], disp[..., 1])
+    broadcast against each other; the last axis holds (x, y).
+
+    Each axis's offset plus side/2, in (-side/2, 3 side/2) for points of
+    [0, side), is wrapped by adding or subtracting side where it falls
+    outside [0, side). That rounds as % side does, except where % rounds
+    up to side and this wraps to 0: the same magnitude, side/2, after
+    the shift back, and so the same distance bit for bit.
+    """
+    half = side / 2.0
+    offsets = []
+    for axis in (0, 1):
+        d = a[..., axis] - b[..., axis]
+        d += half
+        np.add(d, side, out=d, where=d < 0.0)
+        np.subtract(d, side, out=d, where=d >= side)
+        d -= half
+        offsets.append(d)
+    return np.hypot(*offsets)
 
 
 def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
@@ -213,16 +227,16 @@ def _nearest_bs(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, side: fl
     entries, which bounds the temporaries whatever the number of users.
     """
     per_square, square = _grid_candidates(users, bss, radio, side)  # per_square[square[u]]: user u's candidates
-    bx, by = bss.T
+    bx, by = bss[:, 0][per_square], bss[:, 1][per_square]  # the candidates' coordinates, a row per square
     serving = np.empty(len(users), dtype=per_square.dtype)
     step = max(1, BLOCK_INSTANCES // per_square.shape[1])
     for start in range(0, len(users), step):
         u = users[start : start + step]
-        cand = per_square[square[start : start + step]]
-        dx = _min_image(u[:, :1] - bx[cand], side)
-        dy = _min_image(u[:, 1:] - by[cand], side)
+        sq = square[start : start + step]
+        dx = _min_image(u[:, :1] - bx[sq], side)
+        dy = _min_image(u[:, 1:] - by[sq], side)
         best = np.argmin(np.maximum(dx * dx + dy * dy, radio.min_distance_m**2), axis=1)  # first minimum
-        serving[start : start + step] = cand[np.arange(len(u)), best]
+        serving[start : start + step] = per_square[sq, best]
     return serving
 
 
@@ -342,11 +356,15 @@ def run_campaign(
     n = len(g1)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=n, skipped_drops=skipped, lone_users=lone)
     step = max(1, BLOCK_INSTANCES // n)
+    floors_follow_delta = targets_policy.kind is PolicyKind.OMA_AT_CURRENT
+    decide = {}
     for start in range(0, len(delta_sweep), step):
         s = np.array([sinc_sq(float(d)) for d in delta_sweep[start : start + step]])[:, None]  # a row per delta
-        r1_min, r2_min = targets_policy.rates(g1, g2, s)
+        if not decide or floors_follow_delta:  # bind once, or once per block
+            floors = targets_policy.rates(g1, g2, s)
+            decide = {scheme: KERNELS[scheme](g1, g2, *floors) for scheme in schemes}
         for scheme in schemes:
-            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
+            _, _, _, r1, r2, ee, _ = decide[scheme](s)
             asr = r1 + r2
             stats = table.means.setdefault(scheme.value, {})
             for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):

@@ -200,9 +200,10 @@ def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> P
 
 
 def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta):
-    """run_campaign's table, deciding the sweep one delta at a time: one
-    kernel call per (delta, scheme) on the 1-D pair arrays, and each
-    delta's means and standard errors from 1-D reductions."""
+    """run_campaign's table, deciding the sweep one delta at a time: each
+    scheme's kernel bound to the 1-D pair arrays and that delta's floors,
+    then decided at that delta, and each delta's means and standard
+    errors from 1-D reductions."""
     strong, weak = [], []
     for k in range(deploy.drops):
         drop = _build_drop(deploy, radio, k)
@@ -213,9 +214,9 @@ def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, 
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=len(g1))
     for delta in delta_sweep:
         s = sinc_sq(float(delta))
-        r1_min, r2_min = targets_policy.rates(g1, g2, s)
+        floors = targets_policy.rates(g1, g2, s)
         for scheme in schemes:
-            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, s, r1_min, r2_min)
+            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, *floors)(s)
             asr = r1 + r2
             n = len(asr)
             stats = table.means.setdefault(scheme.value, {})

@@ -288,7 +288,7 @@ def test_acceptance_8_system_level_shape(request):
     for d in sweep:
         s = sinc_sq(d)
         targets = POLICY.rates(g1, g2, s)
-        r2 = {sch: KERNELS[sch](g1, g2, s, *targets)[4] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
+        r2 = {sch: KERNELS[sch](g1, g2, *targets)(s)[4] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
         for sch, arr in r2.items():
             if abs(arr.mean() - get(sch.value, d, "mean_r2")) > 1e-12:
                 problems.append(f"(b) {sch.value} pairs differ from the campaign at {math.degrees(d):.0f} deg")

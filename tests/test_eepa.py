@@ -359,8 +359,8 @@ class TestWeakUserFirst:
         for solve in (
             lambda: dinkelbach_allocate(targets, csi1, csi2, P0),
             lambda: dinkelbach_batch(g1, g2, r, r, 1.0),
-            lambda: _eepa_kernel(g1, g2, 1.0, r, r),
-            lambda: _eepa_kernel(1.0, 10.0, 1.0, 0.1, 0.1),
+            lambda: _eepa_kernel(g1, g2, r, r)(1.0),
+            lambda: _eepa_kernel(1.0, 10.0, 0.1, 0.1)(1.0),
         ):
             with pytest.raises(ValueError, match="strong user"):
                 solve()
@@ -406,7 +406,7 @@ class TestWeakUserFloor:
             for delta in np.radians(np.arange(0.0, 171.0, 10.0)):
                 s = sinc_sq(delta)
                 r1, r2 = policy.rates(g1, g2, s)
-                noma, _, alpha2, *_ = _eepa_kernel(g1, g2, s, r1, r2)
+                noma, _, alpha2, *_ = _eepa_kernel(g1, g2, r1, r2)(s)
                 floor = np.minimum(_alpha2_lb(g2, s, np.power(2.0, r2)), 1.0)
                 assert np.array_equal(alpha2[noma], floor[noma])
                 decisions += np.count_nonzero(noma)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from risnoma import syslevel
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
-from risnoma.mpa import PairDecision, TargetPolicy
+from risnoma.mpa import PairDecision, PolicyKind, TargetPolicy
 from risnoma.pairing import KERNELS, Scheme, run_scheme
 from risnoma.syslevel import (
     BLOCK_INSTANCES,
@@ -172,6 +172,25 @@ class TestAssociation:
         _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         # 20 m across the wrap beats 490 m in the interior
         assert serving[0] == 0
+
+    @pytest.mark.parametrize("side", [1.0, 3.7, 1000.0, math.sqrt(12.0) * 1000.0, 10_000.0])
+    def test_torus_dist_matches_modulo_form(self, side):
+        # every pair of the points below, both ways round and each point
+        # with itself: random points, points at 0, at side - ulp and
+        # around side / 2 (offsets of exactly +-side / 2, and a hair over,
+        # where side / 2 + offset is a hair below 0 and % side rounds up to side)
+        rng = np.random.default_rng(8)
+        marks = [0.0, np.nextafter(side, 0.0), side / 4.0, side / 2.0, 0.75 * side,
+                 np.nextafter(side / 2.0, 0.0), np.nextafter(side / 2.0, side)]
+        marks = np.array(marks + list(rng.uniform(0.0, side, 13)))
+        points = np.stack(np.meshgrid(marks, marks), axis=-1).reshape(-1, 2)
+        got = syslevel._torus_dist(points[:, None, :], points, side)
+        disp = points[:, None, :] - points
+        disp = (disp + side / 2.0) % side - side / 2.0  # the offsets wrapped by %
+        want = np.hypot(disp[..., 0], disp[..., 1])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.all(np.diag(got) == 0.0)
+        assert syslevel._torus_dist(points, points[::-1], side).tobytes() == np.diag(want[:, ::-1]).tobytes()
 
     def test_tie_across_the_wrap_goes_to_lower_index(self):
         # each user is 250 m from both BSs, once through the interior and
@@ -356,7 +375,7 @@ POLICIES = (
 
 def kernel_arrays(scheme, g1, g2, s, policy=TargetPolicy.oma_at_reference(0.0)):
     """A scheme's kernel on every pair, each output broadcast to the pairs."""
-    out = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+    out = KERNELS[scheme](g1, g2, *policy.rates(g1, g2, s))(s)
     return [np.broadcast_to(x, np.shape(g1)) for x in out]
 
 
@@ -378,7 +397,7 @@ class TestSchemeArrays:
             r1_min, r2_min = policy.rates(g1, g2, s)
             batch = np.array(kernel_arrays(scheme, g1, g2, s, policy), dtype=float)
             for k in range(len(g1)):
-                one = KERNELS[scheme](g1[k], g2[k], s, r1_min[k], r2_min[k])
+                one = KERNELS[scheme](g1[k], g2[k], r1_min[k], r2_min[k])(s)
                 assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
                 csi = EffectiveCsi(g1[k]), EffectiveCsi(g2[k])
                 assert run_scheme(*csi, scheme, phase, policy) == PairDecision.from_kernel(one)
@@ -394,7 +413,7 @@ class TestSchemeArrays:
         g2 = g1 * 10 ** (-rng.uniform(0.5, 15, 60) / 10)
         s = np.array([sinc_sq(d) for d in (0.0, 0.4, 0.9, 1.2, 2.0, 2.9)])[:, None]
         for policy in POLICIES:
-            out = KERNELS[scheme](g1, g2, s, *policy.rates(g1, g2, s))
+            out = KERNELS[scheme](g1, g2, *policy.rates(g1, g2, s))(s)
             grid = [np.broadcast_to(x, (len(s), len(g1))) for x in out]
             for i in range(len(s)):
                 for got, want in zip(grid, kernel_arrays(scheme, g1, g2, float(s[i, 0]), policy)):
@@ -541,16 +560,25 @@ class TestRunCampaign:
 DELTAS_18 = [math.radians(d) for d in range(0, 171, 10)]
 
 
-def record_kernel_calls(monkeypatch):
-    """Wrap each KERNELS entry; every call appends (scheme, deltas, instances),
-    its count of delta rows and of (delta, pair) instances."""
+def record_kernel_calls(monkeypatch, binds=None):
+    """Wrap each KERNELS entry and the decide it returns; every decision
+    appends (scheme, deltas, instances), its count of delta rows and of
+    (delta, pair) instances, to the list returned, and every bind appends
+    its scheme to binds, if given."""
     calls = []
     for scheme, kernel in list(KERNELS.items()):
-        def recorded(g1, g2, s, *floors, kernel=kernel, scheme=scheme):
-            calls.append((scheme, np.shape(s)[0], np.broadcast(g1, g2, s).size))
-            return kernel(g1, g2, s, *floors)
+        def bind(g1, g2, *floors, kernel=kernel, scheme=scheme):
+            if binds is not None:
+                binds.append(scheme)
+            decide = kernel(g1, g2, *floors)
 
-        monkeypatch.setitem(KERNELS, scheme, recorded)
+            def recorded(s):
+                calls.append((scheme, np.shape(s)[0], np.broadcast(g1, g2, s).size))
+                return decide(s)
+
+            return recorded
+
+        monkeypatch.setitem(KERNELS, scheme, bind)
     return calls
 
 
@@ -565,8 +593,10 @@ def assert_same_table(got, want):
 
 class TestCampaignBlocks:
     """run_campaign decides the delta sweep in blocks of max(1,
-    BLOCK_INSTANCES // pairs) deltas, one kernel call per scheme and block;
-    its table equals the one-delta-at-a-time sweep's exactly."""
+    BLOCK_INSTANCES // pairs) deltas, one decision per scheme and block,
+    from kernels bound once per campaign, or once per block when the
+    floors follow delta; its table equals the one-delta-at-a-time sweep's
+    exactly."""
 
     DEPLOY = DeploymentConfig(drops=1)  # about 990 pairs: the 18 deltas fit one block
 
@@ -582,6 +612,21 @@ class TestCampaignBlocks:
         got = run_campaign(*args)
         assert [deltas for scheme, deltas, _ in calls if scheme is Scheme.OMA] == blocks
         assert_same_table(got, want)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind.value)
+    @pytest.mark.parametrize("blocks", [[18], [5, 5, 5, 3]], ids=["default", "uneven"])
+    def test_kernels_bound_once_unless_floors_follow_delta(self, policy, blocks, monkeypatch):
+        # floors at a reference delta or given explicitly are bound once per
+        # campaign; oma-current's, at each block's deltas, once per block
+        if len(blocks) > 1:
+            n_pairs = len(_build_drop(self.DEPLOY, RADIO, 0).pair_gamma_strong)
+            monkeypatch.setattr(syslevel, "BLOCK_INSTANCES", blocks[0] * n_pairs)
+        binds = []
+        calls = record_kernel_calls(monkeypatch, binds)
+        run_campaign(self.DEPLOY, RADIO, list(Scheme), DELTAS_18, policy)
+        per_block = policy.kind is PolicyKind.OMA_AT_CURRENT
+        assert binds == list(Scheme) * (len(blocks) if per_block else 1)
+        assert [scheme for scheme, _, _ in calls] == list(Scheme) * len(blocks)
 
     def test_calls_hold_at_most_one_block(self, monkeypatch):
         # a one-drop campaign makes one call per scheme; no call holds more
