@@ -240,9 +240,12 @@ def syslevel_tables(cfg: ExperimentConfig):
     # each scheme's sorted samples in turn, at levels i / n for i = 1..n
     # (one correctly rounded division each)
     samples = list(metrics.cdf.values())
+    schemes = []
+    for scheme, asr in metrics.cdf.items():
+        schemes += [scheme] * len(asr)
     cdf = Table(
         {
-            "scheme": [scheme for scheme, asr in metrics.cdf.items() for _ in range(len(asr))],
+            "scheme": schemes,
             "asr": np.concatenate(samples),
             "cdf": np.concatenate([np.arange(1, len(a) + 1) / len(a) for a in samples]),
         }

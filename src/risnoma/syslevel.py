@@ -10,22 +10,26 @@ strictly with the clamped distance, so the max-power BS is the one at
 the least squared min-image distance; torus distance and path gain are
 then computed once per user, for the serving BS only. The candidates
 are compared in slices of about BLOCK_INSTANCES users x candidates
-entries, so memory per drop grows with users (a few arrays of one value
-per user) plus BS^2, not users x BS nor users x candidates.
+entries, and the interference each BS hears over slices of about
+BLOCK_INSTANCES transmitters x BS entries, so memory per drop grows with
+users (a few arrays of one value per user) plus the squares x BS
+candidate search, the one BS^2 term, not users x BS nor users x
+candidates.
 
 Users are paired per cell by pairing.cell_pairs, strongest with weakest
-by Gamma; the co-scheduled interferers are drawn by the same rule on the
-composite gain. Per-pair decisions come from the schemes' array kernels
-(pairing.KERNELS), the same kernels that pairing.run_scheme evaluates
-on one pair at a time. run_campaign binds each kernel to every pair and
-its floors once per campaign (once per block under oma-current, whose
-floors follow delta), then decides a block of consecutive deltas at a
-time, sinc^2(delta) a column against the pairs, and reduces each output
-along the pair axis once per block: a sweep is then a few array calls,
-not one small call per (scheme, delta). Blocks hold max(1,
-BLOCK_INSTANCES // pairs) deltas, which bounds each call's arrays; a
-whole 200-drop sweep in one call would hold about 3.6M instances. The
-result holds one list per (scheme, statistic), a value per delta.
+by composite gain, which within a cell ranks Gamma as well; the
+co-scheduled interferers are drawn from those pairs. Per-pair decisions
+come from the schemes' array kernels (pairing.KERNELS), the same kernels
+that pairing.run_scheme evaluates on one pair at a time. run_campaign
+binds each kernel to every pair and its floors once per campaign (once
+per block under oma-current, whose floors follow delta), then decides a
+block of consecutive deltas at a time, sinc^2(delta) a column against
+the pairs, and reduces each output along the pair axis once per block: a
+sweep is then a few array calls, not one small call per (scheme, delta).
+Blocks hold max(1, BLOCK_INSTANCES // pairs) deltas, which bounds each
+call's arrays; a whole 200-drop sweep in one call would hold about 3.6M
+instances. The result holds one list per (scheme, statistic), a value
+per delta.
 """
 
 import math
@@ -50,11 +54,11 @@ __all__ = [
 ]
 
 # (delta, pair) instances per kernel call in run_campaign, at least one
-# delta, and user x candidate entries per slice in _nearest_bs, at least one user
+# delta; user x candidate entries per slice in _nearest_bs, at least one
+# user; transmitter x BS entries per slice of interference, at least one row
 BLOCK_INSTANCES = 2**15
 # expected users and BSs per drop (density x area); a drop at both bounds
-# peaks at about 780 MiB, set by the 2 cells x BS interference rows: the
-# association within it peaks at 200 MiB, the squares x BS candidate search
+# peaks at about 260 MiB, 200 MiB of it the squares x BS candidate search
 MAX_USERS_PER_DROP = 500_000
 MAX_BS_PER_DROP = 3_000
 
@@ -264,8 +268,17 @@ def associate_and_budget(
     the composite gain (k-th strongest with k-th weakest), with k drawn
     uniformly per cell from seed (an integer or a Generator); a cell
     with fewer than two users forms no pair and is silent. All users of
-    a cell therefore see the same interference.
-    Returns (gamma, serving, interference) arrays.
+    a cell therefore see the same interference. What each BS hears is
+    summed over slices of max(1, BLOCK_INSTANCES // #BS) co-scheduled
+    users, so no 2 cells x BS array is formed.
+
+    Within a cell, Gamma = P g N^2 M / (I + sigma^2) shares I and is a
+    non-decreasing function of the composite gain g, each rounding step
+    being monotone, so the composite ranking is a descending-Gamma order:
+    its pairs hold the (Gamma1, Gamma2) values of cell_pairs(gamma, ...)
+    bit for bit (a tie in Gamma may swap two users, never the values).
+    Returns (gamma, serving, interference, strong, weak): strong and
+    weak index the users of every cell's pairs, as cell_pairs gives them.
     """
     if len(bss) == 0:
         raise ValueError("need at least one BS")
@@ -283,14 +296,23 @@ def associate_and_budget(
     cells = np.flatnonzero(counts >= 2)
     pick = first[cells] + k[cells]
     tx = np.concatenate([strong[pick], weak[pick]])
-    # each co-scheduled user heard at every BS
-    heard = radio.transmit_power * path_gain(_torus_dist(users[tx, None, :], bss, side_m), radio)
-    heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0  # own cell is not interference
-    interference = heard.sum(axis=0)[serving]
+    own = np.concatenate([cells, cells])
+    # each co-scheduled user heard at every BS, a slice of them at a time;
+    # the running total enters each slice's first row, so rows are added
+    # in the order one sum(axis=0) over all of them adds them, bit for bit
+    total = np.zeros(len(bss))
+    step = max(1, BLOCK_INSTANCES // len(bss))
+    for start in range(0, len(tx), step):
+        rows = slice(start, start + step)
+        heard = radio.transmit_power * path_gain(_torus_dist(users[tx[rows], None, :], bss, side_m), radio)
+        heard[np.arange(len(heard)), own[rows]] = 0.0  # own cell is not interference
+        heard[0] += total
+        total = heard.sum(axis=0)
+    interference = total[serving]
 
     gamma = _link_gamma(radio.transmit_power, composite, radio.ris_elements,
                         radio.bs_antennas, interference, radio.noise_power)
-    return gamma, serving, interference
+    return gamma, serving, interference, strong, weak
 
 
 def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -> Optional[DropResult]:
@@ -299,8 +321,7 @@ def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -
     users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
     if len(bss) == 0 or len(users) < 2:
         return None
-    gamma, serving, _ = associate_and_budget(users, bss, radio, deploy.side_m, rng)
-    strong, weak, _ = cell_pairs(gamma, serving, len(bss))
+    gamma, _, _, strong, weak = associate_and_budget(users, bss, radio, deploy.side_m, rng)
     if len(strong) == 0:
         return None
     return DropResult(gamma[strong], gamma[weak], lone_users=len(users) - 2 * len(strong))

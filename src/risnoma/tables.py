@@ -11,10 +11,11 @@ samples, and ``scheme`` holds three or four strings.
 Rows are rendered ``CHUNK_ROWS`` at a time, the same chunks for
 `render_csv` and `render_json`, which join them, and for `write_table`,
 which writes each as it is made, so a file is written holding one
-chunk's text, not the whole table's. A float column's distinct values
-are formatted over the whole column, once; each chunk gathers and joins
-only its own rows. A table of at most ``CHUNK_ROWS`` rows is one chunk,
-rendered without slicing.
+chunk's text, not the whole table's. The distinct values of a float
+column, or of a list column of ``str`` values only (the CDF's
+``scheme``), are formatted over the whole column, once; each chunk
+gathers and joins only its own rows. A table of at most ``CHUNK_ROWS``
+rows is one chunk, rendered without slicing.
 
 Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
 ``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
@@ -116,26 +117,33 @@ def _column_texts(
 def _chunks(
     table: Table, float_text: Callable[[float], str], cell: Callable[[object], str]
 ) -> Iterable[List[List[str]]]:
-    """The columns' texts, CHUNK_ROWS rows at a time. A float column's
-    distinct values are formatted once, over the whole column, and each
-    chunk gathers its own rows' texts; other columns are formatted chunk
-    by chunk. A table of one chunk is a list, its columns unsliced."""
+    """The columns' texts, CHUNK_ROWS rows at a time. The distinct values
+    of a float column, or of a list column of str values only, are
+    formatted once, over the whole column, and each chunk gathers its own
+    rows' texts; other columns are formatted chunk by chunk. A table of
+    one chunk is a list, its columns unsliced."""
     n = len(table)
     columns = [table.data[c] for c in table.columns]
     if n <= CHUNK_ROWS:  # one chunk: nothing sliced
         return [[_column_texts(col, float_text, cell) for col in columns]]
-    formatted = [
-        _float_texts(col, float_text) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else (None, None)
-        for col in columns
-    ]
+    texts_of = [_texts_by_rows(col, float_text, cell) for col in columns]
     bounds = [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
-    return (
-        [
-            _column_texts(col[rows], float_text, cell) if texts is None else texts[inverse[rows]].tolist()
-            for col, (texts, inverse) in zip(columns, formatted)
-        ]
-        for rows in bounds
-    )
+    return ([text_of(rows) for text_of in texts_of] for rows in bounds)
+
+
+def _texts_by_rows(
+    col: Sequence, float_text: Callable[[float], str], cell: Callable[[object], str]
+) -> Callable[[slice], List[str]]:
+    """The texts of a slice of the column's rows. The distinct values of a
+    float array, or of a list column of str values only, are formatted
+    once, over the whole column; other columns slice by slice."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        texts, inverse = _float_texts(col, float_text)
+        return lambda rows: texts[inverse[rows]].tolist()
+    if not isinstance(col, np.ndarray) and set(map(type, col)) == {str}:
+        text = {v: cell(v) for v in set(col)}
+        return lambda rows: list(map(text.__getitem__, col[rows]))
+    return lambda rows: _column_texts(col[rows], float_text, cell)
 
 
 def _csv_cell(value) -> str:

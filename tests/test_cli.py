@@ -322,6 +322,34 @@ class TestChunkedOutput:
             lone = [{"": ["", "a", 'x"'][i % 3]} for i in range(n)]
             self.check(Table({"": [r[""] for r in lone]}), [""], lone, tmp_path)
 
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_str_columns_across_chunks(self, monkeypatch, tmp_path, k):
+        # a list column of str only is formatted once per distinct value over
+        # the whole column; a column mixing str with other types (np.str_
+        # among them, equal to its str as a dict key) is formatted chunk by chunk
+        monkeypatch.setattr(tables, "CHUNK_ROWS", k)
+        mixed = ["mpa", None, True, 1, 1.0, np.str_("mpa"), "", 0, -0.0, np.str_("a,b"), False, "a,b"]
+        columns = ["scheme", "same", "mixed"]
+        n = 5 * k + 2
+        rows = [
+            {"scheme": EDGE_STRINGS[i % len(EDGE_STRINGS)], "same": "srm", "mixed": mixed[i % len(mixed)]}
+            for i in range(n)
+        ]
+        table = Table({c: [row[c] for row in rows] for c in columns})
+        self.check(table, columns, rows, tmp_path)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return cell(value)
+
+        for fmt, cell, render in (("csv", tables._csv_cell, render_csv), ("json", tables._json_cell, render_json)):
+            monkeypatch.setattr(tables, f"_{fmt}_cell", counted)
+            del calls[:]
+            render(Table({c: table.data[c] for c in columns[:2]}), {})
+            body = [v for v in calls if v not in columns[:2]]  # the header's names aside
+            assert sorted(body) == sorted(set(EDGE_STRINGS[: min(n, len(EDGE_STRINGS))]) | {"srm"})
+
     @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
     def test_writing_streams(self, tmp_path, fmt, render):
         # eight chunks and more: render holds every chunk's text, write_table one

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risnoma import syslevel
@@ -49,7 +49,27 @@ def dense_associate_and_budget(users, bss, radio, side, seed):
     heard[np.arange(len(tx)), np.concatenate([cells, cells])] = 0.0
     interference = heard.sum(axis=0)[serving]
     num = radio.transmit_power * composite * radio.ris_elements**2 * radio.bs_antennas
-    return num / (interference + radio.noise_power), serving, interference
+    strong, weak = [], []
+    for b in range(len(bss)):  # each cell's users by composite gain, strongest first
+        ranked = order[start[b] : start[b] + counts[b]]
+        strong.append(ranked[: counts[b] // 2])
+        weak.append(ranked[::-1][: counts[b] // 2])
+    gamma = num / (interference + radio.noise_power)
+    return gamma, serving, interference, np.concatenate(strong), np.concatenate(weak)
+
+
+def per_cell_pairs(gamma, serving, n_bs):
+    """The per-BS loop: pair k of a cell joins its k-th largest and k-th
+    smallest Gamma. Returns the pairs' (Gamma1, Gamma2), cell by cell,
+    and the number of unpaired users."""
+    strong, weak, lone = [], [], 0
+    for b in range(n_bs):
+        g = np.sort(gamma[serving == b])[::-1]
+        half = len(g) // 2
+        strong.append(g[:half])
+        weak.append(g[len(g) - half :][::-1])
+        lone += len(g) % 2
+    return np.concatenate(strong), np.concatenate(weak), lone
 
 
 @st.composite
@@ -134,7 +154,7 @@ class TestAssociation:
     def test_single_bs_no_interference(self):
         users = np.array([[100.0, 100.0], [500.0, 500.0]])
         bss = np.array([[120.0, 100.0]])
-        gamma, serving, interference = associate_and_budget(users, bss, RADIO, 1000.0)
+        gamma, serving, interference, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         assert np.all(serving == 0)
         assert np.all(interference == 0.0)
         assert np.all(gamma > 0.0)
@@ -142,7 +162,7 @@ class TestAssociation:
     def test_gamma_formula(self):
         users = np.array([[100.0, 100.0]])
         bss = np.array([[150.0, 100.0]])
-        gamma, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        gamma, _, _, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         d_user_ris = 50.0 - RADIO.ris_offset_m
         composite = path_gain(d_user_ris, RADIO) * path_gain(RADIO.ris_offset_m, RADIO)
         expected = (
@@ -157,19 +177,19 @@ class TestAssociation:
     def test_nearest_bs_wins(self):
         users = np.array([[100.0, 100.0]])
         bss = np.array([[400.0, 100.0], [150.0, 100.0]])
-        _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        _, serving, _, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         assert serving[0] == 1
 
     def test_tie_goes_to_lower_index(self):
         users = np.array([[200.0, 100.0]])
         bss = np.array([[100.0, 100.0], [300.0, 100.0]])
-        _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        _, serving, _, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         assert serving[0] == 0
 
     def test_toroidal_wraparound(self):
         users = np.array([[990.0, 500.0]])
         bss = np.array([[10.0, 500.0], [500.0, 500.0]])
-        _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        _, serving, _, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         # 20 m across the wrap beats 490 m in the interior
         assert serving[0] == 0
 
@@ -197,7 +217,7 @@ class TestAssociation:
         # once across the wrap
         users = np.array([[250.0, 0.0], [750.0, 0.0]])
         bss = np.array([[0.0, 0.0], [500.0, 0.0]])
-        _, serving, _ = associate_and_budget(users, bss, RADIO, 1000.0)
+        _, serving, _, _, _ = associate_and_budget(users, bss, RADIO, 1000.0)
         assert list(serving) == [0, 0]
 
     def test_positions_outside_the_window_wrap(self):
@@ -227,7 +247,7 @@ class TestAssociation:
             d = [math.hypot(*(p - bs)) for p in pts]
             return float(np.sum(RADIO.transmit_power * path_gain(np.array(d), RADIO)))
 
-        _, serving, interference = associate_and_budget(users, bss, RADIO, 2000.0)
+        _, serving, interference, _, _ = associate_and_budget(users, bss, RADIO, 2000.0)
         assert list(serving) == [0, 0, 1, 1, 2]
         at_a, at_b = heard(b, bss[0]), heard(a, bss[1])
         at_c = heard(a, bss[2]) + heard(b, bss[2])
@@ -247,7 +267,7 @@ class TestAssociation:
         pairs = {at_b[0] + at_b[3], at_b[1] + at_b[2]}
         seen = set()
         for seed in range(20):
-            _, serving, interference = associate_and_budget(users, bss, RADIO, 2000.0, seed)
+            _, serving, interference, _, _ = associate_and_budget(users, bss, RADIO, 2000.0, seed)
             assert list(serving) == [0, 0, 0, 0, 1, 1]
             match = [p for p in pairs if interference[4] == pytest.approx(p, rel=1e-12, abs=0.0)]
             assert len(match) == 1 and interference[5] == interference[4]
@@ -328,16 +348,39 @@ class TestBuildDrop:
             rng = np.random.default_rng([deploy.seed, index])
             bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
             users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
-            gamma, serving, _ = associate_and_budget(users, bss, RADIO, deploy.side_m, rng)
-            strong, weak, lone = [], [], 0
-            for b in range(len(bss)):
-                g = np.sort(gamma[serving == b])[::-1]
-                half = len(g) // 2
-                strong.append(g[:half])
-                weak.append(g[len(g) - half :][::-1])
-                lone += len(g) % 2
-            assert np.array_equal(drop.pair_gamma_strong, np.concatenate(strong))
-            assert np.array_equal(drop.pair_gamma_weak, np.concatenate(weak))
+            gamma, serving, _, _, _ = associate_and_budget(users, bss, RADIO, deploy.side_m, rng)
+            strong, weak, lone = per_cell_pairs(gamma, serving, len(bss))
+            assert np.array_equal(drop.pair_gamma_strong, strong)
+            assert np.array_equal(drop.pair_gamma_weak, weak)
+            assert drop.lone_users == lone
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(layout=layouts(), copies=st.integers(1, 40), copy_seed=st.integers(0, 2**32 - 1))
+    def test_tied_users_pair_as_sorted_gamma(self, layout, copies, copy_seed):
+        # users repeated at one position (equal composite gain and Gamma,
+        # within a cell and over several), a hair off it, and at the same
+        # offset on the other side of a BS; the drop's pairs take the
+        # composite ranking, the reference sorts each cell's Gamma
+        users, bss, side, seed = layout
+        assume(len(users) >= 1)
+        rng = np.random.default_rng(copy_seed)
+        pick = rng.integers(0, len(users), copies)
+        near = np.nextafter(users[pick[: copies // 2]], 0.0)
+        mirror = 2.0 * bss[rng.integers(0, len(bss), copies)] - users[pick]
+        users = np.concatenate([users, users[pick], near, mirror]) % side
+        deploy = DeploymentConfig(area_km2=(side / 1000.0) ** 2, seed=seed)
+        gamma, serving, _, _, _ = associate_and_budget(
+            users, bss, RADIO, deploy.side_m, np.random.default_rng([deploy.seed, 0]))
+        assert len(np.unique(gamma)) < len(gamma)  # the copies tie
+        strong, weak, lone = per_cell_pairs(gamma, serving, len(bss))
+        for block in (1, 7, BLOCK_INSTANCES):
+            drawn = iter([bss, users])  # _build_drop draws the BSs, then the users
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(syslevel, "BLOCK_INSTANCES", block)
+                mp.setattr(syslevel, "drop_ppp", lambda *_: next(drawn))
+                drop = _build_drop(deploy, RADIO, 0)
+            assert drop.pair_gamma_strong.tobytes() == strong.tobytes()
+            assert drop.pair_gamma_weak.tobytes() == weak.tobytes()
             assert drop.lone_users == lone
 
     @staticmethod
