@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("Monte-Carlo sizes must be positive")
         if max(self.mc_elements) > MAX_MC_ELEMENTS:
             raise ConfigError(f"element counts must not exceed {MAX_MC_ELEMENTS}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def parse_float_list(text: str) -> Tuple[float, ...]:

@@ -18,7 +18,9 @@ candidates.
 
 Users are paired per cell by pairing.cell_pairs, strongest with weakest
 by composite gain, which within a cell ranks Gamma as well; the
-co-scheduled interferers are drawn from those pairs. Per-pair decisions
+co-scheduled interferers are drawn from those pairs. campaign_pairs, the
+one drop stage, draws, associates and pairs every drop of a campaign and
+checks the pairs' Gamma once. Per-pair decisions
 come from the schemes' array kernels (pairing.KERNELS), the same kernels
 that pairing.run_scheme evaluates on one pair at a time. run_campaign
 binds each kernel to every pair and its floors once per campaign (once
@@ -50,6 +52,7 @@ __all__ = [
     "drop_ppp",
     "path_gain",
     "associate_and_budget",
+    "campaign_pairs",
     "run_campaign",
 ]
 
@@ -76,6 +79,8 @@ class DeploymentConfig:
             raise ValueError("densities and area must be positive and finite")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.user_density * self.area_km2 > MAX_USERS_PER_DROP:
             raise ValueError(f"a drop expects more than {MAX_USERS_PER_DROP} users; lower user_density or area_km2")
         if self.bs_density * self.area_km2 > MAX_BS_PER_DROP:
@@ -121,17 +126,12 @@ class RadioConfig:
 
 
 @dataclass
-class DropResult:
-    pair_gamma_strong: np.ndarray
-    pair_gamma_weak: np.ndarray
-    lone_users: int
-
-
-@dataclass
 class MetricsTable:
     """Campaign output keyed by scheme.value: means maps each statistic
     (mean_r1, se_r1, ..., se_ee) to its values in sweep order, and cdf the
-    sorted ASR samples at cdf_delta; experiments.syslevel_tables lays out both."""
+    sorted ASR samples at cdf_delta; experiments.syslevel_tables lays out both.
+    skipped_drops counts the drops that formed no pair, and lone_users the
+    other drops' unpaired users, one per cell of odd size."""
 
     means: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
     cdf: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -315,16 +315,31 @@ def associate_and_budget(
     return gamma, serving, interference, strong, weak
 
 
-def _build_drop(deploy: DeploymentConfig, radio: RadioConfig, drop_index: int) -> Optional[DropResult]:
-    rng = np.random.default_rng([deploy.seed, drop_index])
-    bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
-    users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
-    if len(bss) == 0 or len(users) < 2:
-        return None
-    gamma, _, _, strong, weak = associate_and_budget(users, bss, radio, deploy.side_m, rng)
-    if len(strong) == 0:
-        return None
-    return DropResult(gamma[strong], gamma[weak], lone_users=len(users) - 2 * len(strong))
+def campaign_pairs(deploy: DeploymentConfig, radio: RadioConfig):
+    """Every pair of the campaign, drop k drawn from default_rng([seed, k])
+    and paired by associate_and_budget: (g1, g2, skipped_drops, lone_users),
+    the pairs' Gamma in drop order and MetricsTable's counts. Raises
+    ValueError if no drop forms a pair or a pair's Gamma is 0, not finite
+    or above MAX_GAMMA_DB."""
+    pairs, lone = [], 0  # pairs: per drop that forms pairs, its (Gamma1, Gamma2) rows
+    for k in range(deploy.drops):
+        rng = np.random.default_rng([deploy.seed, k])
+        bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+        users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+        if len(bss) == 0 or len(users) < 2:
+            continue
+        gamma, _, _, si, wi = associate_and_budget(users, bss, radio, deploy.side_m, rng)
+        if len(si):  # a drop without pairs is skipped, and its users are not lone
+            pairs.append(gamma[[si, wi]])
+            lone += len(users) - 2 * len(si)
+    if not pairs:
+        raise ValueError("no pairs produced by any drop")
+    g1, g2 = np.concatenate(pairs, axis=1)
+    if not np.all((g2 > 0.0) & (g1 < math.inf)):  # Gamma1 >= Gamma2: every Gamma is then positive and finite
+        raise ValueError("degenerate channel: a pair's Gamma is 0 or not finite")
+    if g1.max() > db_to_linear(MAX_GAMMA_DB):  # a drop with one BS hears no interference
+        raise ValueError(f"a pair's Gamma exceeds {MAX_GAMMA_DB:g} dB; lower the transmit power")
+    return g1, g2, deploy.drops - len(pairs), lone
 
 
 def run_campaign(
@@ -338,9 +353,9 @@ def run_campaign(
     """Run the Monte-Carlo campaign and aggregate per (scheme, delta)
     means with standard errors, plus the ASR CDF samples at cdf_delta.
 
-    Deterministic for a fixed deployment seed: drops derive their own
-    generators from (seed, drop index). cdf_delta must lie within 1e-12
-    of a swept delta. The sweep is decided in blocks of deltas (see
+    The pairs come from campaign_pairs, so the campaign is deterministic
+    for a fixed deployment seed. cdf_delta must lie within 1e-12 of a
+    swept delta. The sweep is decided in blocks of deltas (see
     BLOCK_INSTANCES); every number equals its one-delta-at-a-time value
     bit for bit.
     """
@@ -354,26 +369,7 @@ def run_campaign(
     if cdf_index is None:
         raise ValueError(f"cdf_delta {math.degrees(cdf_delta):g} deg is not one of the swept deltas")
 
-    strong, weak = [], []
-    skipped = 0
-    lone = 0
-    for k in range(deploy.drops):
-        drop = _build_drop(deploy, radio, k)
-        if drop is None:
-            skipped += 1
-            continue
-        strong.append(drop.pair_gamma_strong)
-        weak.append(drop.pair_gamma_weak)
-        lone += drop.lone_users
-    if not strong:
-        raise ValueError("no pairs produced by any drop")
-    g1 = np.concatenate(strong)
-    g2 = np.concatenate(weak)
-    if not np.all((g2 > 0.0) & (g1 < math.inf)):  # Gamma1 >= Gamma2: every Gamma is then positive and finite
-        raise ValueError("degenerate channel: a pair's Gamma is 0 or not finite")
-    if g1.max() > db_to_linear(MAX_GAMMA_DB):  # a drop with one BS hears no interference
-        raise ValueError(f"a pair's Gamma exceeds {MAX_GAMMA_DB:g} dB; lower the transmit power")
-
+    g1, g2, skipped, lone = campaign_pairs(deploy, radio)
     n = len(g1)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=n, skipped_drops=skipped, lone_users=lone)
     step = max(1, BLOCK_INSTANCES // n)

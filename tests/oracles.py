@@ -15,7 +15,7 @@ from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma, sinc_s
 from risnoma.eepa import EmptyPolytopeError
 from risnoma.mpa import EPS, Mode, PairDecision, RateTargets, alpha2_lower, eta_kappa
 from risnoma.pairing import KERNELS
-from risnoma.syslevel import MetricsTable, _build_drop
+from risnoma.syslevel import MetricsTable, campaign_pairs
 
 
 def grid_oracle_ee(
@@ -200,17 +200,11 @@ def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> P
 
 
 def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta):
-    """run_campaign's table, deciding the sweep one delta at a time: each
-    scheme's kernel bound to the 1-D pair arrays and that delta's floors,
-    then decided at that delta, and each delta's means and standard
-    errors from 1-D reductions."""
-    strong, weak = [], []
-    for k in range(deploy.drops):
-        drop = _build_drop(deploy, radio, k)
-        if drop is not None:
-            strong.append(drop.pair_gamma_strong)
-            weak.append(drop.pair_gamma_weak)
-    g1, g2 = np.concatenate(strong), np.concatenate(weak)
+    """run_campaign's table on campaign_pairs' pairs, deciding the sweep
+    one delta at a time: each scheme's kernel bound to the 1-D pair arrays
+    and that delta's floors, then decided at that delta, and each delta's
+    means and standard errors from 1-D reductions."""
+    g1, g2, _, _ = campaign_pairs(deploy, radio)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=len(g1))
     for delta in delta_sweep:
         s = sinc_sq(float(delta))

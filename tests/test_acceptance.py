@@ -27,7 +27,7 @@ from risnoma.mpa import (
     pairing_criterion_mpa,
 )
 from risnoma.pairing import KERNELS, Scheme
-from risnoma.syslevel import DeploymentConfig, RadioConfig, _build_drop, run_campaign
+from risnoma.syslevel import DeploymentConfig, RadioConfig, campaign_pairs, run_campaign
 from oracles import best_kkt_candidate, grid_oracle_ee_rows, kkt_candidates, oma_decision
 
 POLICY = TargetPolicy.oma_at_reference(0.0)
@@ -275,13 +275,7 @@ def test_acceptance_8_system_level_shape(request):
     # at or above its OMA rate; SRM's perfect-phase allocation
     # alpha2 = min(sqrt(1+G1)/G2, 1) puts it below OMA's exactly where
     # G2 > 2 sqrt(1+G1) + (1+G1) sinc^2(delta)
-    strong, weak = [], []
-    for k in range(deploy.drops):
-        drop = _build_drop(deploy, radio, k)
-        if drop is not None:
-            strong.append(drop.pair_gamma_strong)
-            weak.append(drop.pair_gamma_weak)
-    g1, g2 = np.concatenate(strong), np.concatenate(weak)
+    g1, g2, _, _ = campaign_pairs(deploy, radio)
     if len(g1) != table.n_pairs:
         problems.append(f"(b) rebuilt {len(g1)} pairs, campaign has {table.n_pairs}")
     srm_below = srm_mismatch = mpa_below = 0

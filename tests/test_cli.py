@@ -957,10 +957,15 @@ class TestConfigHandling:
             ["syslevel", "--drops", "1", "--bs-antennas", str(10**400)],
             ["syslevel", "--drops", "1", "--ris-elements", str(10**154)],
             ["syslevel", "--drops", "1", "--bs-antennas", str(10**308)],
+            ["syslevel", "--seed", "-1"],
+            ["validate-approx", "--seed", "-1"],
+            ["pair-study", "--seed", "-1"],
+            ["syslevel", "--config", "{tmp}/seed.yaml"],
         ],
     )
-    def test_invalid_input_one_line_exit_2(self, runner, args):
-        result = runner.invoke(main, args)
+    def test_invalid_input_one_line_exit_2(self, runner, tmp_path, args):
+        (tmp_path / "seed.yaml").write_text("seed: -1\n")
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()

@@ -15,8 +15,8 @@ from risnoma.syslevel import (
     BLOCK_INSTANCES,
     DeploymentConfig,
     RadioConfig,
-    _build_drop,
     associate_and_budget,
+    campaign_pairs,
     drop_ppp,
     path_gain,
     run_campaign,
@@ -70,6 +70,36 @@ def per_cell_pairs(gamma, serving, n_bs):
         weak.append(g[len(g) - half :][::-1])
         lone += len(g) % 2
     return np.concatenate(strong), np.concatenate(weak), lone
+
+
+def drawn_drop(deploy, index, radio=RADIO):
+    """Drop `index` of the campaign, drawn as campaign_pairs draws it:
+    associate_and_budget's (gamma, serving) and the number of BSs, or None
+    for a drop with no BS or fewer than two users, which is not associated."""
+    rng = np.random.default_rng([deploy.seed, index])
+    bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+    users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+    if len(bss) == 0 or len(users) < 2:
+        return None
+    gamma, serving, _, _, _ = associate_and_budget(users, bss, radio, deploy.side_m, rng)
+    return gamma, serving, len(bss)
+
+
+def per_drop_pairs(deploy, radio=RADIO):
+    """campaign_pairs' (g1, g2, skipped_drops, lone_users) drop by drop,
+    each drop paired by the per-BS loop: a drop that forms no pair is
+    skipped, and only a drop that forms pairs counts its unpaired users."""
+    strong, weak, skipped, lone = [], [], 0, 0
+    for index in range(deploy.drops):
+        drop = drawn_drop(deploy, index, radio)
+        g1, g2, unpaired = per_cell_pairs(*drop) if drop is not None else ([], [], 0)
+        if len(g1) == 0:
+            skipped += 1
+            continue
+        strong.append(g1)
+        weak.append(g2)
+        lone += unpaired
+    return np.concatenate(strong), np.concatenate(weak), skipped, lone
 
 
 @st.composite
@@ -331,11 +361,13 @@ class TestAssociation:
 
 
 class TestBuildDrop:
+    """The pairs campaign_pairs builds from each drop."""
+
     def test_deterministic(self):
         deploy = DeploymentConfig(seed=4, drops=1)
-        a = _build_drop(deploy, RADIO, 0)
-        b = _build_drop(deploy, RADIO, 0)
-        assert np.array_equal(a.pair_gamma_strong, b.pair_gamma_strong)
+        a = campaign_pairs(deploy, RADIO)
+        b = campaign_pairs(deploy, RADIO)
+        assert np.array_equal(a[0], b[0])
 
     @pytest.mark.parametrize("user_density", [40.0, 2000.0])
     def test_pairs_match_per_cell_loop(self, user_density):
@@ -343,16 +375,11 @@ class TestBuildDrop:
         # k-th strongest and k-th weakest user; 40 users per km^2 leaves
         # cells empty, lone and odd
         deploy = DeploymentConfig(user_density=user_density, seed=6, drops=4)
-        for index in range(deploy.drops):
-            drop = _build_drop(deploy, RADIO, index)
-            rng = np.random.default_rng([deploy.seed, index])
-            bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
-            users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
-            gamma, serving, _, _, _ = associate_and_budget(users, bss, RADIO, deploy.side_m, rng)
-            strong, weak, lone = per_cell_pairs(gamma, serving, len(bss))
-            assert np.array_equal(drop.pair_gamma_strong, strong)
-            assert np.array_equal(drop.pair_gamma_weak, weak)
-            assert drop.lone_users == lone
+        g1, g2, skipped, lone = campaign_pairs(deploy, RADIO)
+        strong, weak, want_skipped, want_lone = per_drop_pairs(deploy)
+        assert np.array_equal(g1, strong)
+        assert np.array_equal(g2, weak)
+        assert (skipped, lone) == (want_skipped, want_lone)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(layout=layouts(), copies=st.integers(1, 40), copy_seed=st.integers(0, 2**32 - 1))
@@ -374,39 +401,77 @@ class TestBuildDrop:
         assert len(np.unique(gamma)) < len(gamma)  # the copies tie
         strong, weak, lone = per_cell_pairs(gamma, serving, len(bss))
         for block in (1, 7, BLOCK_INSTANCES):
-            drawn = iter([bss, users])  # _build_drop draws the BSs, then the users
+            drawn = iter([bss, users])  # campaign_pairs draws the BSs, then the users
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(syslevel, "BLOCK_INSTANCES", block)
                 mp.setattr(syslevel, "drop_ppp", lambda *_: next(drawn))
-                drop = _build_drop(deploy, RADIO, 0)
-            assert drop.pair_gamma_strong.tobytes() == strong.tobytes()
-            assert drop.pair_gamma_weak.tobytes() == weak.tobytes()
-            assert drop.lone_users == lone
-
-    @staticmethod
-    def user_gammas(deploy, index):
-        """Every user's effective CSI in drop `index`, drawn as `_build_drop` draws it."""
-        rng = np.random.default_rng([deploy.seed, index])
-        bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
-        users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
-        return associate_and_budget(users, bss, RADIO, deploy.side_m, rng)[0]
+                g1, g2, _, got_lone = campaign_pairs(deploy, RADIO)
+            assert g1.tobytes() == strong.tobytes()
+            assert g2.tobytes() == weak.tobytes()
+            assert got_lone == lone
 
     def test_pair_structure(self):
         deploy = DeploymentConfig(seed=1, drops=1)
-        drop = _build_drop(deploy, RADIO, 0)
-        assert np.all(drop.pair_gamma_strong >= drop.pair_gamma_weak)
-        paired = 2 * len(drop.pair_gamma_strong)
-        assert paired + drop.lone_users == len(self.user_gammas(deploy, 0))
+        g1, g2, _, lone = campaign_pairs(deploy, RADIO)
+        assert np.all(g1 >= g2)
+        paired = 2 * len(g1)
+        assert paired + lone == len(drawn_drop(deploy, 0)[0])
 
     def test_csi_calibration(self):
         # the default deployment's user CSI must reach the single-digit-dB
         # range of the closed-form examples and beyond; only the few users
         # close to their serving RIS get there (19 of 2024 in 2-8 dB here);
         # the median user sits near -25 dB, the median pair at -19/-31 dB
-        db = 10 * np.log10(self.user_gammas(DeploymentConfig(seed=1, drops=1), 0))
+        db = 10 * np.log10(drawn_drop(DeploymentConfig(seed=1, drops=1), 0)[0])
         assert np.all(np.isfinite(db))
         assert np.any((db >= 2.0) & (db <= 8.0))
         assert db.max() > 8.0 and db.min() < 2.0
+
+
+class TestCampaignPairs:
+    """campaign_pairs and run_campaign's counts against the per-drop
+    reference, and the stage's three pair checks."""
+
+    @pytest.mark.parametrize(
+        "deploy, counts",
+        [
+            # drop 2 has no BS
+            (DeploymentConfig(drops=4, bs_density=0.5), (2976, 1, 0)),
+            # drops without a BS or with fewer than two users, and drop 1,
+            # whose two users are alone in their cells: not lone, skipped
+            (DeploymentConfig(drops=6, bs_density=1, user_density=1), (1, 5, 1)),
+            # drop 1's four users are alone in four cells; drop 3 has one lone user
+            (DeploymentConfig(drops=4, bs_density=3, user_density=3), (3, 2, 1)),
+        ],
+        ids=["no-bs", "few-users", "no-cell-of-two"],
+    )
+    def test_counts_match_per_drop_reference(self, deploy, counts):
+        # (pairs, skipped drops, lone users)
+        g1, g2, skipped, lone = campaign_pairs(deploy, RADIO)
+        strong, weak, want_skipped, want_lone = per_drop_pairs(deploy)
+        assert g1.tobytes() == strong.tobytes() and g2.tobytes() == weak.tobytes()
+        assert (len(g1), skipped, lone) == (len(strong), want_skipped, want_lone) == counts
+        table = run_campaign(deploy, RADIO, [Scheme.OMA], [0.0])
+        assert (table.n_pairs, table.skipped_drops, table.lone_users) == counts
+
+    @pytest.mark.parametrize(
+        "deploy, radio, message",
+        [
+            (DeploymentConfig(drops=1, bs_density=0.001, user_density=1), RADIO, "no pairs produced by any drop"),
+            # every composite gain underflows to 0, so every Gamma is 0
+            (DeploymentConfig(bs_density=10, user_density=200, seed=3, drops=1), RadioConfig(pathloss_exponent=100.0),
+             "degenerate channel"),
+            # a drop with one BS hears no interference
+            (DeploymentConfig(bs_density=1, user_density=30, drops=1), RadioConfig(transmit_power=10 ** 287.0),
+             "exceeds 1000 dB"),
+        ],
+        ids=["no-pairs", "degenerate", "gamma-bound"],
+    )
+    def test_pair_checks(self, deploy, radio, message):
+        with pytest.raises(ValueError, match=message):
+            campaign_pairs(deploy, radio)
+        with pytest.raises(ValueError, match="schemes must be non-empty"):  # run_campaign checks its arguments first
+            run_campaign(deploy, radio, [], [0.0])
 
 
 POLICIES = (
@@ -583,8 +648,7 @@ class TestRunCampaign:
         # alpha2 = 1 on every pair, as the per-pair decision does
         deploy = DeploymentConfig(seed=0, drops=1)
         radio = RadioConfig(transmit_power=10 ** ((-200.0 - 30.0) / 10.0))
-        drop = _build_drop(deploy, radio, 0)
-        g1, g2 = drop.pair_gamma_strong, drop.pair_gamma_weak
+        g1, g2, _, _ = campaign_pairs(deploy, radio)
         assert g1.max() < 1e-16 and g2.min() > 0.0
         table = run_campaign(deploy, radio, list(Scheme), [0.0, 0.5])
         for stats in table.means.values():
@@ -662,7 +726,7 @@ class TestCampaignBlocks:
         # floors at a reference delta or given explicitly are bound once per
         # campaign; oma-current's, at each block's deltas, once per block
         if len(blocks) > 1:
-            n_pairs = len(_build_drop(self.DEPLOY, RADIO, 0).pair_gamma_strong)
+            n_pairs = len(campaign_pairs(self.DEPLOY, RADIO)[0])
             monkeypatch.setattr(syslevel, "BLOCK_INSTANCES", blocks[0] * n_pairs)
         binds = []
         calls = record_kernel_calls(monkeypatch, binds)
@@ -748,9 +812,7 @@ class TestSyslevelTables:
             cdf_delta_deg=20.0,
         )
         _, cdf = syslevel_tables(cfg)
-        drops = [_build_drop(deploy, RADIO, k) for k in range(deploy.drops)]
-        g1 = np.concatenate([d.pair_gamma_strong for d in drops if d is not None])
-        g2 = np.concatenate([d.pair_gamma_weak for d in drops if d is not None])
+        g1, g2, _, _ = campaign_pairs(deploy, RADIO)
         n = len(g1)
         assert len(cdf.rows) == len(schemes) * n
         levels = np.array([(i + 1) / n for i in range(n)])
