@@ -6,7 +6,8 @@ works in radians. A YAML config file can preset any option but --out,
 default map, so click applies defaults < file < flags and converts each
 value as the flag's text would be. A boolean, list or mapping is
 rejected, not cast. --print-config echoes the fully resolved option set
-for reproducibility.
+for reproducibility; config_sha256 hashes it without the output
+destinations.
 
 Exit codes: 0 success, 2 configuration or output error (click's usage
 errors included), 3 numerical failure.
@@ -22,7 +23,6 @@ import re
 import sys
 
 import click
-import yaml
 
 from . import experiments as ex
 from . import tables
@@ -102,31 +102,38 @@ def _build_config(kind: ex.ExperimentKind, r: dict) -> ex.ExperimentConfig:
 
 
 _NOT_IN_FILE = {"config_path", "out", "fmt", "print_config"}
-# YAML 1.1's base-60 int and float, e.g. 1:30 (90) and 0:10:0.5 (600.5)
-_BASE_60 = re.compile(r"[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+(?:\.[0-9_]*)?$")
-
-
-class _ConfigLoader(yaml.SafeLoader):
-    """The safe loader without base-60 numbers: a plain 1:30 is the string
-    "1:30", which --delta-deg reads as a range, not the int 90."""
-
-    def resolve(self, kind, value, implicit):
-        if kind is yaml.ScalarNode and implicit[0] and _BASE_60.match(value):
-            return self.DEFAULT_SCALAR_TAG
-        return super().resolve(kind, value, implicit)
 
 
 def _preset(ctx, param, path):
     """--config: the file's values become click's default map, so click
     applies defaults < file < flags and converts each value as the flag's
-    text would be. Null is a value only where the option's default is None."""
+    text would be. Null is a value only where the option's default is None.
+    The YAML parser is loaded here, so a run without --config never pays
+    to import it."""
     if not path:
         return
+    import yaml
+
+    # YAML 1.1's base-60 int and float, e.g. 1:30 (90) and 0:10:0.5 (600.5)
+    base_60 = re.compile(r"[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+(?:\.[0-9_]*)?$")
+
+    class ConfigLoader(yaml.SafeLoader):
+        """The safe loader without base-60 numbers: a plain 1:30 is the string
+        "1:30", which --delta-deg reads as a range, not the int 90."""
+
+        def resolve(self, kind, value, implicit):
+            if kind is yaml.ScalarNode and implicit[0] and base_60.match(value):
+                return self.DEFAULT_SCALAR_TAG
+            return super().resolve(kind, value, implicit)
+
     try:
-        with open(path) as fh:
-            data = yaml.load(fh, Loader=_ConfigLoader) or {}
-    except (OSError, yaml.YAMLError) as e:
-        raise click.UsageError(str(e)) from None
+        # bytes: the parser detects UTF-8 or UTF-16 and reports bad bytes as a YAMLError
+        with open(path, "rb") as fh:
+            data = yaml.load(fh, Loader=ConfigLoader) or {}
+    except (OSError, yaml.YAMLError) as e:  # both name the file
+        raise click.UsageError(" ".join(str(e).split())) from None
+    except (ValueError, RecursionError) as e:  # a tag that cannot build its value (!!int abc), or deep nesting
+        raise click.UsageError(f"{path}: {e}") from None
     if not isinstance(data, dict):
         raise click.UsageError("config file must hold a key/value mapping")
     defaults = {p.name: p.default for p in ctx.command.params if p.name not in _NOT_IN_FILE}
@@ -145,7 +152,8 @@ def _preset(ctx, param, path):
 
 
 def _meta(resolved: dict):
-    blob = json.dumps(resolved, sort_keys=True, default=str)
+    # the hash names the configuration, not where its files go
+    blob = json.dumps({k: v for k, v in resolved.items() if k != "cdf_out"}, sort_keys=True, default=str)
     return {
         "seed": resolved.get("seed", 0),
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
@@ -208,6 +216,8 @@ def _run(kind, table_fn, resolved):
     except ValueError as e:  # ConfigError is a ValueError
         _config_error(e)
     if print_config:
+        import yaml
+
         _echo(yaml.safe_dump(resolved, sort_keys=True))
         return
     cdf_out = resolved.get("cdf_out") or (f"{out}.cdf.{fmt}" if out else None)

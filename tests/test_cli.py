@@ -803,16 +803,33 @@ class TestConfigHandling:
             ("syslevel", "drops: 1\nris_elements: 31.999\n"),
             ("pair-study", "seed: true\n"),
             ("syslevel", "drops: 1\ntx_power_dbm: true\n"),
+            # a file that is no YAML mapping, or no text at all, is one line too
+            ("pair-study", "gammas_db: [8, 5\n"),
+            ("pair-study", "\tseed: 1\n"),
+            ("pair-study", "b: *y\n"),
+            ("pair-study", b"\xc3\x28a: 1\n"),
+            ("pair-study", "- 1\n- 2\n"),
+            ("pair-study", "seed: !!int abc\n"),
+            pytest.param("pair-study", "seed: " + "[" * 3000 + "]" * 3000 + "\n", id="pair-study-nested-3000-deep"),
         ],
     )
     def test_wrong_type_one_line_exit_2(self, runner, tmp_path, command, text):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         result = runner.invoke(main, [command, "--config", str(cfg)])
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_file_encoding_is_detected(self, runner, tmp_path, encoding):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes("gammas_db: 8,2\nscheme: mpa  # Γ1,Γ2 in dB\n".encode(encoding))
+        result = runner.invoke(main, ["pair-study", "--config", str(cfg), "--print-config"])
+        assert result.exit_code == 0
+        doc = yaml.safe_load(result.output)
+        assert (doc["gammas_db"], doc["scheme"]) == ("8,2", "mpa")
 
     def test_values_take_the_option_type(self, runner, tmp_path):
         # a YAML int on a float option resolves to a float; null is a value
@@ -864,6 +881,23 @@ class TestConfigHandling:
         flagged, preset = ([line for line in r.output.splitlines() if not line.startswith("# generated")] for r in runs)
         assert flagged == preset and any(line.startswith("# config_sha256") for line in flagged)
         assert runner.invoke(main, [args[0], "--config", str(cfg), "--print-config"]).output == printed.output
+
+    def test_hash_leaves_out_where_files_go(self, runner, tmp_path):
+        def config_sha256(args):
+            result = runner.invoke(main, ["syslevel", "--drops", "1", "--delta-deg", "0", *args])
+            assert result.exit_code == 0
+            text = result.output or open(args[1], encoding="utf-8").read()  # --out first
+            return next(line for line in text.splitlines() if line.startswith("# config_sha256"))
+
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        hashes = {
+            config_sha256(["--out", str(tmp_path / d / "m.csv"), "--cdf-out", str(tmp_path / d / "c.csv")])
+            for d in ("a", "b")
+        }
+        hashes.add(config_sha256([]))
+        assert len(hashes) == 1
+        assert config_sha256(["--seed", "1"]) not in hashes
 
     def test_print_config(self, runner):
         result = runner.invoke(
@@ -1001,3 +1035,12 @@ class TestConfigHandling:
         result = runner.invoke(main, ["pair-study"])
         assert result.exit_code == 3
         assert "numerical failure" in result.output
+
+
+def test_import_loads_no_yaml():
+    # only --config and --print-config load the YAML parser; this module
+    # imports yaml itself, so a fresh interpreter checks the CLI's imports
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(risnoma.__file__)))
+    code = "import sys, risnoma.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'yaml'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
