@@ -9,12 +9,12 @@ candidate BSs, which provably contain its nearest one. Path gain falls
 strictly with the clamped distance, so the max-power BS is the one at
 the least squared min-image distance; torus distance and path gain are
 then computed once per user, for the serving BS only. The candidates
-are compared in slices of about BLOCK_INSTANCES users x candidates
-entries, and the interference each BS hears over slices of about
+are found in slices of about BLOCK_INSTANCES squares x BS entries and
+compared in slices of about BLOCK_INSTANCES users x candidates entries,
+and the interference each BS hears is summed over slices of about
 BLOCK_INSTANCES transmitters x BS entries, so memory per drop grows with
-users (a few arrays of one value per user) plus the squares x BS
-candidate search, the one BS^2 term, not users x BS nor users x
-candidates.
+users (a few arrays of one value per user) plus the squares' candidate
+lists, not users x BS, squares x BS nor users x candidates.
 
 Users are paired per cell by pairing.cell_pairs, strongest with weakest
 by composite gain, which within a cell ranks Gamma as well; the
@@ -57,11 +57,11 @@ __all__ = [
 ]
 
 # (delta, pair) instances per kernel call in run_campaign, at least one
-# delta; user x candidate entries per slice in _nearest_bs, at least one
+# delta; square x BS entries per slice in _grid_candidates, at least one
+# square; user x candidate entries per slice in _nearest_bs, at least one
 # user; transmitter x BS entries per slice of interference, at least one row
 BLOCK_INSTANCES = 2**15
-# expected users and BSs per drop (density x area); a drop at both bounds
-# peaks at about 260 MiB, 200 MiB of it the squares x BS candidate search
+# expected users and BSs per drop (density x area)
 MAX_USERS_PER_DROP = 500_000
 MAX_BS_PER_DROP = 3_000
 
@@ -205,15 +205,25 @@ def _grid_candidates(users: np.ndarray, bss: np.ndarray, radio: RadioConfig, sid
     is the least-D one and is among the candidates. Returns (cand,
     square): cand[k] square k's candidates in ascending BS index, padded
     by repeating the first one, and square[u] user u's square.
+
+    Squares are taken in slices of max(1, BLOCK_INSTANCES // #BS) rows of
+    square x BS distances, so no squares x BS array is formed.
     """
     g = math.isqrt(len(bss))
     w = side / g
     centre = (np.arange(g) + 0.5) * w
     centres = np.stack(np.meshgrid(centre, centre, indexing="ij"), axis=-1).reshape(-1, 1, 2)
-    d = np.maximum(_torus_dist(centres, bss, side), radio.min_distance_m)
-    near = d <= ((d.min(axis=1) + w * math.sqrt(2.0)) * (1.0 + 1e-9))[:, None]
-    counts = near.sum(axis=1)
-    cand = np.argsort(~near, axis=1, kind="stable")[:, : counts.max()]
+    rows, cols = [], []  # each near (square, BS), square by square, BSs ascending
+    step = max(1, BLOCK_INSTANCES // len(bss))
+    for start in range(0, g * g, step):
+        d = np.maximum(_torus_dist(centres[start : start + step], bss, side), radio.min_distance_m)
+        r, c = np.nonzero(d <= ((d.min(axis=1) + w * math.sqrt(2.0)) * (1.0 + 1e-9))[:, None])
+        rows.append(r + start)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    counts = np.bincount(rows, minlength=g * g)
+    cand = np.empty((g * g, counts.max()), dtype=np.intp)
+    cand[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
     cand = np.where(np.arange(cand.shape[1]) < counts[:, None], cand, cand[:, :1])
     square = np.floor(users / w).astype(np.int64) % g  # % g: users at the far edge wrap
     return cand, square[:, 0] * g + square[:, 1]

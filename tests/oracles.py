@@ -3,9 +3,10 @@ allocation tests: the EE grid oracle behind the Dinkelbach checks (dense,
 and the same mesh searched row by row), the Lambert-W optimum on the
 weak user's floor, the KKT candidate enumeration behind the MPA
 optimality checks, the OMA decision the MPA fallback must equal, the
-one-delta-at-a-time campaign sweep the blocked one must equal, and the
+one-delta-at-a-time campaign sweep the blocked one must equal, the
 strongest-weakest pairing of one cell written with sorted(), which
-cell_pairs must equal cell by cell."""
+cell_pairs must equal cell by cell, and the grid candidate search over
+one squares x BS array, which the sliced one must equal."""
 
 import math
 
@@ -15,7 +16,7 @@ from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma, sinc_s
 from risnoma.eepa import EmptyPolytopeError
 from risnoma.mpa import EPS, Mode, PairDecision, RateTargets, alpha2_lower, eta_kappa
 from risnoma.pairing import KERNELS
-from risnoma.syslevel import MetricsTable, campaign_pairs
+from risnoma.syslevel import MetricsTable, _torus_dist, campaign_pairs
 
 
 def grid_oracle_ee(
@@ -220,3 +221,20 @@ def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, 
             if abs(float(delta) - cdf_delta) < 1e-12 and scheme.value not in table.cdf:
                 table.cdf[scheme.value] = np.sort(asr)
     return table
+
+
+def grid_candidates_dense(users, bss, radio, side):
+    """syslevel._grid_candidates with every square's distances to every BS
+    in one squares x BS array, its near mask and a stable argsort over it:
+    the (cand, square) the sliced search must equal bit for bit."""
+    g = math.isqrt(len(bss))
+    w = side / g
+    centre = (np.arange(g) + 0.5) * w
+    centres = np.stack(np.meshgrid(centre, centre, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    d = np.maximum(_torus_dist(centres, bss, side), radio.min_distance_m)
+    near = d <= ((d.min(axis=1) + w * math.sqrt(2.0)) * (1.0 + 1e-9))[:, None]
+    counts = near.sum(axis=1)
+    cand = np.argsort(~near, axis=1, kind="stable")[:, : counts.max()]
+    cand = np.where(np.arange(cand.shape[1]) < counts[:, None], cand, cand[:, :1])
+    square = np.floor(users / w).astype(np.int64) % g
+    return cand, square[:, 0] * g + square[:, 1]

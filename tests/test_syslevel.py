@@ -21,7 +21,7 @@ from risnoma.syslevel import (
     path_gain,
     run_campaign,
 )
-from oracles import run_campaign_per_delta
+from oracles import grid_candidates_dense, run_campaign_per_delta
 
 RADIO = RadioConfig()
 
@@ -72,13 +72,20 @@ def per_cell_pairs(gamma, serving, n_bs):
     return np.concatenate(strong), np.concatenate(weak), lone
 
 
+def drawn_positions(deploy, index):
+    """Drop `index` of the campaign as campaign_pairs draws it: its BS and
+    user positions, and the generator that goes on to draw its interferers."""
+    rng = np.random.default_rng([deploy.seed, index])
+    bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
+    users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+    return bss, users, rng
+
+
 def drawn_drop(deploy, index, radio=RADIO):
     """Drop `index` of the campaign, drawn as campaign_pairs draws it:
     associate_and_budget's (gamma, serving) and the number of BSs, or None
     for a drop with no BS or fewer than two users, which is not associated."""
-    rng = np.random.default_rng([deploy.seed, index])
-    bss = drop_ppp(deploy.bs_density, deploy.area_km2, rng)
-    users = drop_ppp(deploy.user_density, deploy.area_km2, rng)
+    bss, users, rng = drawn_positions(deploy, index)
     if len(bss) == 0 or len(users) < 2:
         return None
     gamma, serving, _, _, _ = associate_and_budget(users, bss, radio, deploy.side_m, rng)
@@ -158,6 +165,48 @@ class TestDropPpp:
         a = drop_ppp(25.0, 1.0, rng)
         b = drop_ppp(25.0, 1.0, rng)
         assert a.shape != b.shape or not np.array_equal(a, b)
+
+
+class TestPppLaws:
+    """The drop stage follows the PPP laws: users attach to their nearest BS
+    at the distance law of a Poisson field of BSs, and cells hold users in
+    proportion to Poisson-Voronoi areas."""
+
+    @staticmethod
+    def associated_drops(deploy):
+        """(users, bss, serving) of each drop the campaign associates."""
+        for index in range(deploy.drops):
+            bss, users, rng = drawn_positions(deploy, index)
+            if len(bss) == 0 or len(users) < 2:
+                continue
+            _, serving, _, _, _ = associate_and_budget(users, bss, RADIO, deploy.side_m, rng)
+            yield users, bss, serving
+
+    def test_serving_distance_law(self):
+        # P(R <= r) = 1 - exp(-lambda pi r^2). One user per drop keeps the
+        # sample independent: the users of one drop share its BSs, and 20
+        # default drops' 40k users read D = 0.011-0.014 on seeds 0-3,
+        # above the independent-sample 1% value of 0.0081
+        deploy = DeploymentConfig(seed=0, drops=400, user_density=10.0)
+        side = deploy.side_m
+        r = np.sort([syslevel._torus_dist(u[:1], b[s[:1]], side)[0] for u, b, s in self.associated_drops(deploy)])
+        n = len(r)
+        law = -np.expm1(-deploy.bs_density * 1e-6 * math.pi * r**2)
+        d = max((np.arange(1, n + 1) / n - law).max(), (law - np.arange(n) / n).max())
+        assert n > 390
+        assert d < 1.63 / math.sqrt(n)  # Kolmogorov-Smirnov at 1%
+
+    def test_cell_size_dispersion(self):
+        # user counts per cell: CV^2 = 0.28 (Poisson-Voronoi area) + 1/mean
+        # (Poisson users); over seeds 0-19 the 10,000-cell estimate lies
+        # within 0.013 of it, standard deviation 0.0045
+        deploy = DeploymentConfig(seed=0, drops=100, area_km2=4.0, user_density=1000.0)
+        sizes = np.concatenate(
+            [np.bincount(s, minlength=len(b)) for _, b, s in self.associated_drops(deploy)]
+        )
+        mean = sizes.mean()
+        assert len(sizes) > 9000
+        assert sizes.var() / mean**2 == pytest.approx(0.28 + 1.0 / mean, abs=0.02)
 
 
 class TestPathGain:
@@ -346,6 +395,32 @@ class TestAssociation:
             tracemalloc.stop()
         # all users' candidates at once, 20k x about 20 x 8 B per array, took 21.6 MB
         assert peak < 6e6
+
+    def test_grid_candidates_take_squares_in_slices(self):
+        rng = np.random.default_rng(0)
+        side = 10_000.0
+        users = rng.uniform(0.0, side, (20_000, 2))
+        bss = rng.uniform(0.0, side, (2_520, 2))
+        tracemalloc.start()
+        try:
+            got = syslevel._grid_candidates(users, bss, RADIO, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2,500 squares x 2,520 BS array, its mask and argsort peaked at 144 MiB
+        assert peak < 10 * 2**20
+        for a, b in zip(got, grid_candidates_dense(users, bss, RADIO, side)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(layout=layouts(), block=st.sampled_from([1, 7, 100, syslevel.BLOCK_INSTANCES]))
+    def test_grid_candidates_match_one_array_search(self, layout, block):
+        users, bss, side, _ = layout
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(syslevel, "BLOCK_INSTANCES", block)
+            got = syslevel._grid_candidates(users, bss, RADIO, side)
+        for a, b in zip(got, grid_candidates_dense(users, bss, RADIO, side)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(layout=layouts())
