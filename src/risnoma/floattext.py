@@ -2,9 +2,9 @@
 
 `shortest_texts` writes the text of a slice of distinct values as repr
 writes it, byte for byte, and leaves to a given float_text (repr, or the
-JSON cell) every value it cannot certify. tables formats each float
-column's distinct values with it, and imports it on the first such
-column, so a run that writes none does not compile it.
+JSON cell) every value it cannot certify. tables formats the distinct
+values of each float column of 1024 or more with it, and imports it on
+the first such column, so a run that writes none does not compile it.
 """
 
 from typing import Callable

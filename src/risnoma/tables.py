@@ -19,10 +19,11 @@ rows is one chunk, rendered without slicing.
 
 Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
 ``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
-merge the zeros and never match a NaN. Their distinct values are
-formatted ``CHUNK_ROWS`` at a time by one numpy kernel that writes
-``repr``'s bytes (`floattext.shortest_texts`); a value it cannot certify
-goes to ``repr`` (or the JSON cell) itself. List columns memoise only their
+merge the zeros and never match a NaN. Fewer than 1024 distinct values
+are formatted by ``repr`` (or the JSON cell), one call each; more,
+``CHUNK_ROWS`` at a time by one numpy kernel that writes ``repr``'s
+bytes (`floattext.shortest_texts`), and a value it cannot certify goes
+to ``repr`` (or the JSON cell) itself. List columns memoise only their
 ``str`` cells: as dict keys ``0.0 == -0.0 == False`` and
 ``1 == 1.0 == True``, yet each is written differently.
 
@@ -96,14 +97,19 @@ def _values(col: Sequence) -> Sequence:
 
 def _float_texts(col: np.ndarray, float_text: Callable[[float], str]):
     """(texts, inverse): the text of each distinct float64 bit pattern of a
-    float array, and each value's index into those texts. The distinct
-    values are formatted CHUNK_ROWS at a time by floattext.shortest_texts."""
-    from .floattext import shortest_texts  # compiled only by runs that format a float column
-
-    with np.errstate(invalid="ignore"):  # a signalling float32 NaN widens to a quiet one, still "nan"
-        col = col.astype(np.float64, copy=False)
+    float array, and each value's index into those texts. Fewer than 1024
+    distinct values are formatted by float_text, one call each; more,
+    CHUNK_ROWS at a time by floattext.shortest_texts, whose fixed cost of
+    some 150 numpy calls a slice is more than float_text takes on fewer."""
+    if col.dtype != np.float64:
+        with np.errstate(invalid="ignore"):  # a signalling float32 NaN widens to a quiet one, still "nan"
+            col = col.astype(np.float64)
     distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
     values = distinct.view(np.float64)
+    if len(values) < 1024:
+        return np.array(list(map(float_text, values.tolist())), dtype=object), inverse
+    from .floattext import shortest_texts  # compiled only by runs that format a large float column
+
     texts = np.empty(len(values), dtype=object)
     for start in range(0, len(values), CHUNK_ROWS):
         shortest_texts(values[start : start + CHUNK_ROWS], texts[start : start + CHUNK_ROWS], float_text)

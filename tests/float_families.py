@@ -1,12 +1,13 @@
 """Seeded float64 values in ten families, and a check of the float column
-kernel (risnoma.tables._float_texts) against repr on them.
+texts against repr on them: the column path (risnoma.tables._float_texts)
+and the kernel behind it (risnoma.floattext.shortest_texts), which the
+column path leaves out on fewer than 1024 distinct values.
 
     python tests/float_families.py [COUNT] [SEED]
 
 formats COUNT values (default 4,000,000, spread evenly over the
-families) as a CSV float column is formatted, compares every text with
-repr of the value, prints each family's count of mismatches and exits 1
-if there is any.
+families) both ways, compares every text with repr of the value, prints
+each family's count of mismatches and exits 1 if there is any.
 """
 
 import sys
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 from risnoma import tables
+from risnoma.floattext import shortest_texts
 
 FAMILIES = (
     "uniform",
@@ -61,12 +63,19 @@ def family(name: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def mismatches(values: np.ndarray, float_text=repr) -> list:
-    """(value, kernel text, float_text's text) of each value written
-    otherwise than float_text writes it."""
+    """(value, column text, kernel text, float_text's text) of each value
+    that the column path, or the kernel on the distinct values in slices
+    of CHUNK_ROWS, writes otherwise than float_text writes it."""
     texts, inverse = tables._float_texts(values, float_text)
-    got = texts[inverse].tolist()
+    with np.errstate(invalid="ignore"):  # a signalling float32 NaN widens to a quiet one
+        distinct = np.unique(values.astype(np.float64).view(np.int64)).view(np.float64)
+    kernel = np.empty(len(distinct), dtype=object)
+    for start in range(0, len(distinct), tables.CHUNK_ROWS):
+        part = slice(start, start + tables.CHUNK_ROWS)
+        shortest_texts(distinct[part], kernel[part], float_text)
+    got = zip(texts[inverse].tolist(), kernel[inverse].tolist())
     want = list(map(float_text, values.tolist()))
-    return [(v, a, b) for v, a, b in zip(values.tolist(), got, want) if a != b]
+    return [(v, a, k, b) for v, (a, k), b in zip(values.tolist(), got, want) if a != b or k != b]
 
 
 def main(argv) -> int:

@@ -92,11 +92,34 @@ class TestFloatTexts:
             assert texts.tolist() == list(map(repr, np.unique(values.view(np.int64)).view(np.float64).tolist()))
             assert len(texts) > 1000 and len(calls) < 0.01 * len(texts), column
 
+    def test_small_columns_left_to_float_text(self):
+        # float_text writes each of fewer than 1024 distinct values; from 1024 on the kernel does
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return repr(value)
+
+        n = 1024
+        values = np.random.default_rng(5).random(n)
+        assert tables._float_texts(values[:-1], counted)[0].tolist() == list(map(repr, np.sort(values[:-1]).tolist()))
+        assert len(calls) == n - 1
+        del calls[:]
+        tables._float_texts(values, counted)
+        assert len(calls) < 10
+
 
 def test_cli_import_leaves_the_kernel_out():
-    # a run that formats no float column, pair-study's for one, does not
-    # compile the kernel; this module imports it, so a fresh interpreter checks
+    # neither importing the CLI nor a run whose float columns are all under
+    # 1024 distinct values (sweep-delta at its defaults: 91 rows) compiles
+    # the kernel; this module imports it, so a fresh interpreter checks
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(risnoma.__file__)))
-    code = "import sys, risnoma.cli; print('risnoma.floattext' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, risnoma.cli\n"
+        "print('risnoma.floattext' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    risnoma.cli.main(['sweep-delta'], standalone_mode=False)\n"
+        "print(out.getvalue().count('\\n') > 91, 'risnoma.floattext' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\nTrue False\n"
