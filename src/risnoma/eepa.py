@@ -10,7 +10,10 @@ objective: a maximizer lies on the path a2 = lb (the weak user at its
 rate floor), then a1 = 1, and along each of the two legs the maximum is
 a clipped closed form (the edge step). The EE optimum itself keeps the
 weak user at its floor. One array-valued Dinkelbach loop serves the
-scalar solver, the batch solver and the EEPA decision.
+scalar solver, the batch solver and the EEPA decision. Each solve binds
+the edge step's lambda-free terms (hi, the first leg's start and each
+leg's offset, _edge_terms) once, before the loop, so an iteration
+computes only what depends on lambda.
 
 The pairing criterion has MPA's form (a mpa.Criterion): pair when
 sinc^2(delta) reaches the larger of two conservative thresholds. The
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EffectiveCsi, PhaseModel, _noma_rates
-from .mpa import EPS, Criterion, RateTargets, _alpha2_lb, _check_channel, _eta_kappa, _or_oma
+from .mpa import EPS, Criterion, RateTargets, _alpha2_lb, _check_channel, _eta_kappa, _oma, _or_oma
 
 __all__ = [
     "ConvergenceError",
@@ -80,9 +83,18 @@ def pairing_criterion_eepa(
     return Criterion(phase.degradation >= threshold, threshold)
 
 
-def _edge_step(lam, g1, g2, s, eta, kappa, lb):
+def _edge_terms(g1, g2, s, eta, kappa, lb):
+    """The edge step's lambda-free terms, bound once per solve: (hi, the
+    first leg's offset, the first leg's start, the second leg's offset)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
+        return hi, (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb, (1.0 + g1 * s) / (g2 * s)
+
+
+def _edge_step(lam, lb, hi, offset1, start1, offset2):
     """Maximizer (a1, a2) of log2(1 + (a1*g1 + a2*g2)*s) - lam*(a1 + a2)
-    over the nonempty polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1}.
+    over the nonempty polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1},
+    given the polygon's _edge_terms.
 
     With g1 >= g2 a maximizer lies on the path a2 = lb, then a1 = 1.
     Along each leg the objective is concave, with its stationary point
@@ -91,10 +103,9 @@ def _edge_step(lam, g1, g2, s, eta, kappa, lb):
     is. fmax/fmin map the nan of inf - inf (lam = 0, g*s = 0) to a leg's start.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
         peak = np.divide(1.0, lam * math.log(2.0))
-        a1 = np.fmin(np.fmax(peak - (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb), 1.0)
-        a2 = np.fmin(np.fmax(peak - (1.0 + g1 * s) / (g2 * s), lb), hi)
+        a1 = np.fmin(np.fmax(peak - offset1, start1), 1.0)
+        a2 = np.fmin(np.fmax(peak - offset2, lb), hi)
     return a1, np.where(a1 == 1.0, a2, lb)
 
 
@@ -104,7 +115,8 @@ def _dinkelbach(g1, g2, s, r1_min, r2_min):
     lambda starts at the EE of the minimal-power vertex and is updated
     to f/g at each subproblem maximizer until the subtractive optimum
     F(lambda) drops to TOL; converged instances keep their lambda, so
-    the edge step repeats their maximizer bit for bit. Returns
+    the edge step repeats their maximizer bit for bit. The edge step's
+    lambda-free terms are bound once, before the loop. Returns
     (alpha1, alpha2, lambda_star, iterations, residual, history) with
     history the per-iteration (lambda, F(lambda)) arrays. The edge step
     assumes Gamma1 >= Gamma2, so an instance given weak user first is rejected.
@@ -117,11 +129,13 @@ def _dinkelbach(g1, g2, s, r1_min, r2_min):
     if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
         raise EmptyPolytopeError("no feasible power fractions")
     lb = np.minimum(lb, 1.0)
+    hi, offset1, start1, offset2 = _edge_terms(g1, g2, s, eta, kappa, lb)
+    del p1, p2, eta, kappa  # the loop reads lb and the bound terms only; freed, a large batch peaks no higher
 
     def f(a1, a2):
         return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
 
-    a1 = np.minimum(eta + kappa * lb, 1.0)
+    a1 = np.minimum(start1, 1.0)
     a2 = lb
     gv = a1 + a2
     with np.errstate(invalid="ignore"):
@@ -130,7 +144,7 @@ def _dinkelbach(g1, g2, s, r1_min, r2_min):
     iterations = np.zeros(lam.shape, dtype=int)
     history = []
     for it in range(1, MAX_ITER + 1):
-        a1, a2 = _edge_step(lam, g1, g2, s, eta, kappa, lb)
+        a1, a2 = _edge_step(lam, lb, hi, offset1, start1, offset2)
         fv = f(a1, a2)
         gv = a1 + a2
         resid = fv - lam * gv
@@ -194,16 +208,17 @@ def dinkelbach_batch(
 def _eepa_kernel(g1, g2, r1_min, r2_min):
     """EEPA decisions, binding the criterion's threshold: Dinkelbach solves the pairs meeting
     it at s, one pair on its 0-d values (masking costs more than its solve); NOMA where
-    lambda* > 0, else OMA. On arrays, the inputs broadcast to the criterion's shape (for
-    instance s a column of deltas against a row of pairs) and one dinkelbach_batch call
-    solves every feasible one."""
+    lambda* > 0, else OMA. One pair the criterion rejects goes straight to OMA. On arrays,
+    the inputs broadcast to the criterion's shape (for instance s a column of deltas
+    against a row of pairs) and one dinkelbach_batch call solves every feasible one."""
     threshold = np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
 
     def decide(s):
         feasible = s >= threshold
         if np.ndim(feasible) == 0:
-            solution = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4] if feasible else (0.0, 0.0, 0.0, 0)
-            alpha1, alpha2, lam, iterations = solution
+            if not feasible:
+                return _oma(g1, g2, s)
+            alpha1, alpha2, lam, iterations = _dinkelbach(g1, g2, s, r1_min, r2_min)[:4]
         else:
             alpha1, alpha2, lam = np.zeros((3,) + feasible.shape)
             iterations = np.zeros(feasible.shape, dtype=int)

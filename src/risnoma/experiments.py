@@ -6,8 +6,9 @@ The two sweeps are built on arrays over their grid from the rate, bound
 and threshold formulas and one MPA kernel call (see pairing.KERNELS),
 after the input checks the one-pair API makes; only a delta upper bound,
 a bisection, is found row by row. The single-pair study uses only the
-one-pair API: TargetPolicy.resolve, run_scheme, and the delta upper
-bounds of pairing_criterion_mpa and pairing_criterion_eepa.
+one-pair API: TargetPolicy.resolve, once per study, then run_scheme and
+the delta upper bounds of pairing_criterion_mpa and pairing_criterion_eepa
+on the floors it gives.
 """
 
 import math
@@ -203,7 +204,7 @@ def pair_study_table(cfg: ExperimentConfig) -> Table:
     phase = PhaseModel.from_degrees(cfg.delta_deg[0])
     targets = cfg.targets_policy.resolve(csi1, csi2, phase)
     # run_scheme first: it rejects a degenerate pair before a criterion divides by its Gamma
-    decisions = [run_scheme(csi1, csi2, scheme, phase, cfg.targets_policy) for scheme in cfg.schemes]
+    decisions = [run_scheme(csi1, csi2, scheme, phase, targets) for scheme in cfg.schemes]
     criteria = {  # evaluated only for the schemes in the study
         Scheme.MPA: lambda: pairing_criterion_mpa(targets, csi1, phase),
         Scheme.EEPA: lambda: pairing_criterion_eepa(targets, csi1, csi2, phase),

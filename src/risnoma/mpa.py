@@ -262,13 +262,15 @@ def _or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
     """The given NOMA decisions where noma holds, the OMA fallback elsewhere.
 
     Two cases, both for speed: one pair (a 0-d noma) picks a whole tuple in
-    Python, which costs less than any np.where on 0-d values; arrays take one
-    np.where per output, 3-4x faster on thousands of pairs than one np.where
-    over the stacked outputs, which broadcasts noma across the stack."""
-    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma(g1, g2, s)
-    nomas, omas = (alpha1, alpha2, r1, r2, ee, iterations), (1.0, 1.0, r1_oma, r2_oma, ee_oma, 0)
+    Python, which costs less than any np.where on 0-d values, and computes
+    the OMA fallback only when it takes it; arrays take one np.where per
+    output, 3-4x faster on thousands of pairs than one np.where over the
+    stacked outputs, which broadcasts noma across the stack."""
+    nomas = (alpha1, alpha2, r1, r2, ee, iterations)
     if np.ndim(noma) == 0:
-        return (noma, *(nomas if noma else omas))
+        return (noma, *(nomas if noma else _oma(g1, g2, s)[1:]))
+    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma(g1, g2, s)
+    omas = (1.0, 1.0, r1_oma, r2_oma, ee_oma, 0)
     return (noma, *(np.where(noma, x, oma) for x, oma in zip(nomas, omas)))
 
 

@@ -4,8 +4,10 @@ scheme with OMA fallback, plus the phase-oblivious SRM baseline.
 
 Pair, then decide. The pairing rule is written once on arrays,
 cell_pairs, for every cell of a drop at a time (one cell is
-cell_pairs(key, np.zeros(n, int), 1)); run_scheme decides the one
-(strong, weak) pair it is given.
+cell_pairs(key, np.zeros(n, int), 1)); run_scheme(csi1, csi2, scheme,
+phase, targets) decides the one (strong, weak) pair it is given, under
+the floors its caller resolved (TargetPolicy.resolve), as the other
+one-pair functions take them.
 
 Each scheme's decision is one array kernel, bound, then decided:
 KERNELS[scheme](g1, g2, r1_min, r2_min) computes once what does not
@@ -22,7 +24,7 @@ import numpy as np
 
 from .channel import EffectiveCsi, PhaseModel
 from .eepa import _eepa_kernel
-from .mpa import PairDecision, TargetPolicy, _check_channel, _mpa_kernel, _oma_kernel, _srm_kernel
+from .mpa import PairDecision, RateTargets, _check_channel, _mpa_kernel, _oma_kernel, _srm_kernel
 
 __all__ = ["Scheme", "KERNELS", "cell_pairs", "run_scheme"]
 
@@ -57,20 +59,17 @@ def cell_pairs(key: np.ndarray, cell: np.ndarray, n_cells: int):
 
 
 def run_scheme(
-    csi1: EffectiveCsi,
-    csi2: EffectiveCsi,
-    scheme: Scheme,
-    phase: PhaseModel,
-    targets_policy: TargetPolicy = TargetPolicy(),
+    csi1: EffectiveCsi, csi2: EffectiveCsi, scheme: Scheme, phase: PhaseModel, targets: RateTargets
 ) -> PairDecision:
-    """Decide one (strong, weak) pair with the scheme's kernel. The
-    kernels assume Gamma1 >= Gamma2, so a pair given weak user first is
-    rejected; every scheme but OMA needs Gamma2 * sinc^2(delta) > 0."""
+    """Decide one (strong, weak) pair with the scheme's kernel, under the
+    pair's resolved floors (TargetPolicy.resolve). The kernels assume
+    Gamma1 >= Gamma2, so a pair given weak user first is rejected; every
+    scheme but OMA needs Gamma2 * sinc^2(delta) > 0."""
     if scheme not in KERNELS:
         raise ValueError(f"unknown scheme {scheme}")
     if csi1.gamma < csi2.gamma:
         raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
     if scheme is not Scheme.OMA:
         _check_channel(csi2, phase, 2)
-    g1, g2, s = float(csi1.gamma), float(csi2.gamma), phase.degradation
-    return PairDecision.from_kernel(KERNELS[scheme](g1, g2, *targets_policy.rates(g1, g2, s))(s))
+    decide = KERNELS[scheme](float(csi1.gamma), float(csi2.gamma), targets.r1_min, targets.r2_min)
+    return PairDecision.from_kernel(decide(phase.degradation))

@@ -3,7 +3,7 @@
 A `Table` has one constructor: a mapping from column name to a sequence
 (a list, or an array such as the CDF's sorted ASR samples), whose keys in
 order are the columns, so a builder writes each name once. Rendering
-formats a column once per distinct value, then joins rows from the
+formats a float column once per distinct value, then joins rows from the
 formatted columns; no per-row dict is made. The CDF repeats much: its
 levels ``i/n`` recur once per scheme, MPA and SRM often share ASR
 samples, and ``scheme`` holds three or four strings.
@@ -15,7 +15,10 @@ chunk's text, not the whole table's. The distinct values of a float
 column, or of a list column of ``str`` values only (the CDF's
 ``scheme``), are formatted over the whole column, once; each chunk
 gathers and joins only its own rows. A table of at most ``CHUNK_ROWS``
-rows is one chunk, rendered without slicing.
+rows is one chunk, rendered without slicing. Other columns, and every
+list column of a one-chunk table, are formatted one cell per value,
+except that a ``str`` array (sweep-delta's ``mode``) is formatted once
+per distinct string in each chunk.
 
 Float arrays are keyed on their float64 bit patterns, so ``0.0`` and
 ``-0.0`` (and NaNs of different payloads) stay apart, where ``==`` would
@@ -23,9 +26,7 @@ merge the zeros and never match a NaN. Fewer than 1024 distinct values
 are formatted by ``repr`` (or the JSON cell), one call each; more,
 ``CHUNK_ROWS`` at a time by one numpy kernel that writes ``repr``'s
 bytes (`floattext.shortest_texts`), and a value it cannot certify goes
-to ``repr`` (or the JSON cell) itself. List columns memoise only their
-``str`` cells: as dict keys ``0.0 == -0.0 == False`` and
-``1 == 1.0 == True``, yet each is written differently.
+to ``repr`` (or the JSON cell) itself.
 
 - CSV: metadata as leading ``# key: value`` lines, then the header and
   rows with CRLF line ends and the csv module's minimal quoting (a field
@@ -41,6 +42,7 @@ read a table row by row; rendering does not use it.
 
 import json
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping
 
 import numpy as np
@@ -120,16 +122,16 @@ def _column_texts(
     col: Sequence, float_text: Callable[[float], str], cell: Callable[[object], str]
 ) -> List[str]:
     """The text of each value: float_text once per distinct float64 bit
-    pattern of a float array, else cell once per distinct string and once
-    per other value."""
+    pattern of a float array, cell once per distinct string of a str array
+    (sweep-delta's mode), else cell once per value."""
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         texts, inverse = _float_texts(col, float_text)
         return texts[inverse].tolist()
-    memo: Dict[str, str] = {}
-    return [
-        (memo[v] if v in memo else memo.setdefault(v, cell(v))) if type(v) is str else cell(v)
-        for v in _values(col)
-    ]
+    values = _values(col)
+    if isinstance(col, np.ndarray) and col.dtype.kind == "U":
+        text = {v: cell(v) for v in set(values)}
+        return list(map(text.__getitem__, values))
+    return list(map(cell, values))
 
 
 def _chunks(
@@ -199,6 +201,8 @@ def _json_cell(value) -> str:
     if type(value) is float:  # not a subclass: np.float64's repr is not float.__repr__
         text = repr(value)
         return _JSON_NONFINITE.get(text, text)
+    if isinstance(value, str):  # json.dumps's own str encoder, without its dispatch
+        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 

@@ -5,17 +5,22 @@ weak user's floor, the KKT candidate enumeration behind the MPA
 optimality checks, the OMA decision the MPA fallback must equal, the
 one-delta-at-a-time campaign sweep the blocked one must equal, the
 strongest-weakest pairing of one cell written with sorted(), which
-cell_pairs must equal cell by cell, and the grid candidate search over
-one squares x BS array, which the sliced one must equal."""
+cell_pairs must equal cell by cell, the grid candidate search over one
+squares x BS array, which the sliced one must equal, and the Dinkelbach
+loop that rebuilds every edge-step term at each iteration, which the
+solver, binding the lambda-free terms once, must equal bit for bit.
+run_scheme_under decides one pair under a TargetPolicy."""
 
 import math
 
 import numpy as np
 
 from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma, sinc_sq
-from risnoma.eepa import EmptyPolytopeError
-from risnoma.mpa import EPS, Mode, PairDecision, RateTargets, alpha2_lower, eta_kappa
-from risnoma.pairing import KERNELS
+from risnoma.eepa import MAX_ITER, TOL, ConvergenceError, EmptyPolytopeError
+from risnoma.mpa import (
+    EPS, Mode, PairDecision, RateTargets, TargetPolicy, _alpha2_lb, _eta_kappa, alpha2_lower, eta_kappa,
+)
+from risnoma.pairing import KERNELS, Scheme, run_scheme
 from risnoma.syslevel import MetricsTable, _torus_dist, campaign_pairs
 
 
@@ -238,3 +243,58 @@ def grid_candidates_dense(users, bss, radio, side):
     cand = np.where(np.arange(cand.shape[1]) < counts[:, None], cand, cand[:, :1])
     square = np.floor(users / w).astype(np.int64) % g
     return cand, square[:, 0] * g + square[:, 1]
+
+
+def run_scheme_under(csi1: EffectiveCsi, csi2: EffectiveCsi, scheme: Scheme, phase: PhaseModel,
+                     policy: TargetPolicy = TargetPolicy()) -> PairDecision:
+    """run_scheme on the pair's floors under the policy (TargetPolicy.resolve)."""
+    return run_scheme(csi1, csi2, scheme, phase, policy.resolve(csi1, csi2, phase))
+
+
+def edge_step_unbound(lam, g1, g2, s, eta, kappa, lb):
+    """The edge step with every term built from the polygon at each call."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
+        peak = np.divide(1.0, lam * math.log(2.0))
+        a1 = np.fmin(np.fmax(peak - (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb), 1.0)
+        a2 = np.fmin(np.fmax(peak - (1.0 + g1 * s) / (g2 * s), lb), hi)
+    return a1, np.where(a1 == 1.0, a2, lb)
+
+
+def dinkelbach_unbound(g1, g2, s, r1_min, r2_min):
+    """eepa._dinkelbach's iteration with edge_step_unbound at each step:
+    (alpha1, alpha2, lambda_star, iterations, residual, history)."""
+    if np.any(g1 < g2):
+        raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    eta, kappa = _eta_kappa(g1, g2, s, p1)
+    lb = _alpha2_lb(g2, s, p2)
+    if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
+        raise EmptyPolytopeError("no feasible power fractions")
+    lb = np.minimum(lb, 1.0)
+
+    def f(a1, a2):
+        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
+
+    a1 = np.minimum(eta + kappa * lb, 1.0)
+    a2 = lb
+    gv = a1 + a2
+    with np.errstate(invalid="ignore"):
+        lam = np.where(gv > 0.0, f(a1, a2) / gv, 0.0)
+    done = np.zeros(lam.shape, dtype=bool)
+    iterations = np.zeros(lam.shape, dtype=int)
+    history = []
+    for it in range(1, MAX_ITER + 1):
+        a1, a2 = edge_step_unbound(lam, g1, g2, s, eta, kappa, lb)
+        fv = f(a1, a2)
+        gv = a1 + a2
+        resid = fv - lam * gv
+        history.append((lam, resid))
+        iterations = np.where(done, iterations, it)
+        done = done | (resid <= TOL)
+        with np.errstate(invalid="ignore"):
+            ratio = fv / gv  # gv = 0 only at f = 0, where resid = 0 and lam stays
+        if done.all():
+            return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
+        lam = np.where(done, lam, ratio)
+    raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {TOL:.1e} after {MAX_ITER} iterations")

@@ -197,6 +197,8 @@ class TestColumnarOutput:
             }
         )
         self.check(arrays, columns, rows)
+        # a str array, as sweep-delta's mode is, formatted once per distinct string
+        self.check(Table({**arrays.data, "scheme": np.array(arrays.data["scheme"])}), columns, rows)
 
     @pytest.mark.parametrize("values", [["", "a", ""], [""], ["a,b", "", 'x"']])
     def test_one_column_with_empty_field(self, values):

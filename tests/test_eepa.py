@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from risnoma.eepa import (
     EmptyPolytopeError,
+    _dinkelbach,
     _edge_step,
+    _edge_terms,
     _eepa_kernel,
     _eepa_thresholds,
     dinkelbach_allocate,
@@ -17,14 +19,19 @@ from risnoma.eepa import (
     pairing_criterion_eepa,
 )
 from risnoma.mpa import (
+    EPS,
     RateTargets,
     TargetPolicy,
     _alpha2_lb,
+    _eta_kappa,
     allocate_mpa,
     alpha2_lower,
     eta_kappa,
 )
-from oracles import floor_edge_ee, floor_edge_u, grid_oracle_ee, grid_oracle_ee_rows
+from risnoma.syslevel import DeploymentConfig, RadioConfig, campaign_pairs
+from oracles import (
+    dinkelbach_unbound, edge_step_unbound, floor_edge_ee, floor_edge_u, grid_oracle_ee, grid_oracle_ee_rows,
+)
 
 P0 = PhaseModel(0.0)
 POLICY = TargetPolicy.oma_at_reference(0.0)
@@ -97,8 +104,9 @@ class TestCriterion:
 
 
 def edge_step(lam, eta, kappa, lb, g1, g2, s):
-    """The solver's inner maximizer on one instance, as floats."""
-    a1, a2 = _edge_step(lam, g1, g2, s, np.float64(eta), np.float64(kappa), lb)
+    """The solver's inner maximizer on one instance, as floats, through
+    the terms the solver binds once per solve."""
+    a1, a2 = _edge_step(lam, lb, *_edge_terms(g1, g2, s, np.float64(eta), np.float64(kappa), lb))
     return float(a1), float(a2)
 
 
@@ -423,3 +431,145 @@ class TestGridOracleRows:
     def test_empty(self):
         with pytest.raises(EmptyPolytopeError):
             grid_oracle_ee_rows(RateTargets(5.0, 3.0), EffectiveCsi(2.0), EffectiveCsi(1.0), P0)
+
+
+def same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_solves_as_unbound(g1, g2, s, r1_min, r2_min):
+    """The solver and the reference rebuilding every edge-step term at each
+    iteration give the same bytes: alpha1, alpha2, lambda*, iterations,
+    residual and the per-iteration history. Returns the solver's result."""
+    bound, unbound = _dinkelbach(g1, g2, s, r1_min, r2_min), dinkelbach_unbound(g1, g2, s, r1_min, r2_min)
+    for x, y in zip(bound[:5], unbound[:5]):
+        assert same_bytes(x, y)
+    assert len(bound[5]) == len(unbound[5])
+    for (lam, f), (lam_ref, f_ref) in zip(bound[5], unbound[5]):
+        assert same_bytes(lam, lam_ref) and same_bytes(f, f_ref)
+    return bound
+
+
+def eepa_feasible(g1, g2, s, r1_min, r2_min):
+    return s >= np.maximum(*_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
+
+
+class TestBoundEdgeStep:
+    """Binding the edge step's lambda-free terms once per solve leaves every
+    iterate bit for bit as rebuilding them at each iteration makes it."""
+
+    def test_edge_step_at_any_lambda(self):
+        # the edge step alone, at lambdas the iteration never visits too:
+        # both legs' interiors, their clips, and lambda = 0
+        rng = np.random.default_rng(30)
+        n = 20000
+        g1 = 10.0 ** rng.uniform(-3.0, 4.0, n)
+        g2 = g1 * 10.0 ** -rng.uniform(0.0, 3.0, n)
+        s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 3.1, n)])
+        p1 = 1.0 + g1 * s * rng.uniform(0.0, 0.3, n) * (rng.uniform(size=n) < 0.8)
+        eta, kappa = _eta_kappa(g1, g2, s, p1)
+        lb = np.minimum(rng.uniform(0.0, 1.0, n) * (1.0 - eta) / np.maximum(kappa, 1.0), 1.0)
+        terms = hi, offset1, start1, offset2 = _edge_terms(g1, g2, s, eta, kappa, lb)
+        # lambdas aimed inside each leg, at random and at 0
+        u = rng.uniform(size=n)
+        peak = np.choose(rng.integers(0, 3, n), [lb + (hi - lb) * u + offset2, start1 + (1.0 - start1) * u + offset1,
+                                                  10.0 ** rng.uniform(-2.0, 3.0, n)])
+        lam = np.where(u < 0.02, 0.0, 1.0 / (peak * math.log(2.0)))
+        a1, a2 = _edge_step(lam, lb, *terms)
+        a1_ref, a2_ref = edge_step_unbound(lam, g1, g2, s, eta, kappa, lb)
+        assert same_bytes(a1, a1_ref) and same_bytes(a2, a2_ref)
+        assert np.count_nonzero((a1 == 1.0) & (a2 > lb) & (a2 < hi)) > 1000  # the second leg's interior
+        assert np.count_nonzero((a1 > eta + kappa * lb) & (a1 < 1.0)) > 1000  # the first leg's
+
+    def test_campaign_instances(self):
+        # every feasible (delta, pair) of a 2-drop default campaign over the
+        # default 18-delta sweep, solved in one batch with s per instance
+        g1, g2, _, _ = campaign_pairs(DeploymentConfig(drops=2), RadioConfig())
+        parts = []
+        for delta in np.radians(np.arange(0.0, 171.0, 10.0)):
+            s = sinc_sq(delta)
+            r1, r2 = POLICY.rates(g1, g2, s)
+            f = eepa_feasible(g1, g2, s, r1, r2)
+            parts.append((g1[f], g2[f], np.full(np.count_nonzero(f), s), r1[f], r2[f]))
+        instances = [np.concatenate(column) for column in zip(*parts)]
+        assert len(instances[0]) > 10000
+        bound = assert_solves_as_unbound(*instances)
+        g1, g2, s, r1, r2 = instances
+        for x, y in zip(dinkelbach_batch(g1, g2, r1, r2, s), bound[:4]):
+            assert same_bytes(x, y)
+
+    def test_pair_study_draws(self):
+        # the pair-study draws (Gamma1 ~ U(0, 20) dB, Gamma2 ~ U(0, Gamma1)
+        # dB, delta ~ U(0, 90) degrees), each EEPA-feasible one solved on
+        # its 0-d values, history included
+        rng = np.random.default_rng(701)
+        g1_db = rng.uniform(0.0, 20.0, 2000)
+        g2_db = rng.uniform(0.0, 1.0, 2000) * g1_db
+        delta = rng.uniform(0.0, 90.0, 2000)
+        solved = 0
+        for a, b, d in zip(g1_db.tolist(), g2_db.tolist(), delta.tolist()):
+            csi1, csi2, phase = EffectiveCsi.from_db(a), EffectiveCsi.from_db(b), PhaseModel.from_degrees(d)
+            targets = POLICY.resolve(csi1, csi2, phase)
+            if not pairing_criterion_eepa(targets, csi1, csi2, phase).feasible:
+                continue
+            res = dinkelbach_allocate(targets, csi1, csi2, phase)
+            a1, a2, lam, iterations, resid, history = assert_solves_as_unbound(
+                csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min
+            )
+            assert same_bytes((res.alpha1, res.alpha2, res.lambda_star, res.residual), (a1, a2, lam, resid))
+            assert res.iterations == iterations
+            assert same_bytes(res.history, history)
+            solved += 1
+        assert solved > 500
+
+    def test_zero_floors(self):
+        # p1 = p2 = 1: eta = kappa = lb = 0, the unit box
+        rng = np.random.default_rng(31)
+        g1 = 10.0 ** rng.uniform(-3.0, 4.0, 4000)
+        g2 = g1 * 10.0 ** -rng.uniform(0.0, 4.0, 4000)
+        s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 3.1, 4000)])
+        zeros = np.zeros(4000)
+        assert_solves_as_unbound(g1, g2, s, zeros, zeros)
+        for k in range(0, 4000, 400):
+            assert_solves_as_unbound(float(g1[k]), float(g2[k]), float(s[k]), 0.0, 0.0)
+
+    def test_first_leg_ends_at_full_power(self):
+        # weak Gamma and a weak-user floor near alpha2 = 1: along the first
+        # leg the EE rises up to alpha1 = 1, where the path turns onto the second leg
+        rng = np.random.default_rng(32)
+        g1 = 10.0 ** rng.uniform(-1.0, 0.7, 4000)
+        g2 = g1 * 10.0 ** -rng.uniform(0.0, 2.0, 4000)
+        s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 1.5, 4000)])
+        r1 = np.log2(1.0 + g1 * s * rng.uniform(0.0, 0.2, 4000))
+        r2 = np.log2(1.0 + g2 * s * rng.uniform(0.5, 1.0, 4000))
+        a1, a2, *_ = assert_solves_as_unbound(g1, g2, s, r1, r2)
+        assert np.count_nonzero(a1 == 1.0) > 100 and np.any(a1 < 1.0)
+
+    def test_floor_clipped_to_one(self):
+        # the weak user's floor needs alpha2_lb in (1, 1 + EPS], clipped to 1
+        # (EEPA's criterion rejects these pairs; the solvers take them)
+        rng = np.random.default_rng(33)
+        g1 = 10.0 ** rng.uniform(0.0, 3.0, 4000)
+        g2 = g1 * 10.0 ** -rng.uniform(0.0, 2.0, 4000)
+        s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 1.5, 4000)])
+        r2 = np.log2(1.0 + g2 * s * (1.0 + rng.uniform(0.0, 1.0, 4000) * EPS))
+        r1 = np.log2(1.0 + g1 * s * rng.uniform(0.0, 1e-3, 4000))
+        lb = _alpha2_lb(g2, s, np.power(2.0, r2))
+        eta, kappa = _eta_kappa(g1, g2, s, np.power(2.0, r1))
+        keep = (lb > 1.0) & (lb <= 1.0 + EPS) & (eta + kappa * lb <= 1.0 + EPS)
+        assert np.count_nonzero(keep) > 100
+        _, a2, *_ = assert_solves_as_unbound(*(x[keep] for x in (g1, g2, s, r1, r2)))
+        assert np.all(a2 == 1.0)
+
+    def test_subnormal_weak_gamma(self):
+        # Gamma2 * s subnormal: the second leg's offset overflows to +inf,
+        # with numpy's overflow warning on both sides for array inputs
+        g2 = np.array([5e-324, 1e-320, 2.2e-308])
+        g1 = np.array([2.0, 10.0, 1e3])
+        zeros = np.zeros(3)
+        with np.errstate(over="ignore"):
+            assert_solves_as_unbound(g1, g2, 1.0, zeros, zeros)
+            assert_solves_as_unbound(g1, g2, 1.0, np.full(3, 0.5), zeros)
+        for a, b in zip(g1.tolist(), g2.tolist()):  # floats: the division overflows to +inf silently
+            assert_solves_as_unbound(a, b, 1.0, 0.0, 0.0)

@@ -110,3 +110,22 @@ def test_decisions_meet_their_floors_up_to_the_gamma_bound():
                             assert row["r1"] >= targets.r1_min - 1e-9, (policy, gammas, row)
                             assert row["r2"] >= targets.r2_min - 1e-9, (policy, gammas, row)
     assert min(noma.values()) > 0  # NOMA decisions near the bound were checked
+
+
+def test_pair_study_resolves_floors_once(monkeypatch):
+    # one TargetPolicy.rates call per study, whatever the policy and schemes
+    calls = []
+    rates = TargetPolicy.rates
+
+    def counted(self, *args):
+        calls.append(args)
+        return rates(self, *args)
+
+    monkeypatch.setattr(TargetPolicy, "rates", counted)
+    for policy in POLICIES:
+        for gammas, delta in (((15.0, 5.0), 0.0), ((8.0, 5.0), 60.0), ((20.0, 3.0), 30.0)):
+            calls.clear()
+            cfg = ex.ExperimentConfig(kind=ex.ExperimentKind.PAIR_STUDY, gammas_db=gammas, delta_deg=(delta,),
+                                      targets_policy=policy)
+            assert len(ex.pair_study_table(cfg)) == 4
+            assert len(calls) == 1

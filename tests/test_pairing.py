@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_pairs
+from oracles import build_pairs, run_scheme_under
 from risnoma.channel import EffectiveCsi, PhaseModel, rate_oma
 from risnoma.mpa import Mode, TargetPolicy
-from risnoma.pairing import Scheme, cell_pairs, run_scheme
+from risnoma.pairing import Scheme, cell_pairs
 
 
 def one_cell(key):
@@ -98,7 +98,7 @@ class TestCellPairs:
 class TestRunScheme:
     def test_oma_scheme(self):
         phase = PhaseModel(0.3)
-        d = run_scheme(*csi_from_db(8, 5), Scheme.OMA, phase)
+        d = run_scheme_under(*csi_from_db(8, 5), Scheme.OMA, phase)
         assert d.mode is Mode.OMA
         assert d.rates.strong == pytest.approx(rate_oma(EffectiveCsi.from_db(8), phase))
         assert d.rates.weak == pytest.approx(rate_oma(EffectiveCsi.from_db(5), phase))
@@ -109,31 +109,31 @@ class TestRunScheme:
         csi1, csi2 = EffectiveCsi(2.0), EffectiveCsi(0.0)
         for scheme in (Scheme.MPA, Scheme.SRM, Scheme.EEPA):
             with pytest.raises(ValueError, match="degenerate channel"):
-                run_scheme(csi1, csi2, scheme, PhaseModel(0.0))
-        d = run_scheme(csi1, csi2, Scheme.OMA, PhaseModel(0.0))
+                run_scheme_under(csi1, csi2, scheme, PhaseModel(0.0))
+        d = run_scheme_under(csi1, csi2, Scheme.OMA, PhaseModel(0.0))
         assert (d.mode, d.rates.weak) == (Mode.OMA, 0.0)
 
     def test_weak_user_first_rejected(self):
         # the kernels assume Gamma1 >= Gamma2; a tie is a valid pair
         for scheme in Scheme:
             with pytest.raises(ValueError, match="strong user"):
-                run_scheme(*csi_from_db(5, 8), scheme, PhaseModel(0.0))
-            run_scheme(*csi_from_db(5, 5), scheme, PhaseModel(0.0))
+                run_scheme_under(*csi_from_db(5, 8), scheme, PhaseModel(0.0))
+            run_scheme_under(*csi_from_db(5, 5), scheme, PhaseModel(0.0))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            run_scheme(*csi_from_db(8, 5), "mpa", PhaseModel(0.0))
+            run_scheme_under(*csi_from_db(8, 5), "mpa", PhaseModel(0.0))
 
     def test_mpa_figure_pair(self):
-        d = run_scheme(*csi_from_db(8, 5), Scheme.MPA, PhaseModel(0.0))
+        d = run_scheme_under(*csi_from_db(8, 5), Scheme.MPA, PhaseModel(0.0))
         assert d.mode is Mode.NOMA
         assert d.alpha1 == 1.0
         assert d.alpha2 == pytest.approx(0.85497, abs=1e-4)
 
     def test_mpa_falls_back_at_large_delta(self):
         phase = PhaseModel.from_degrees(80.0)
-        mpa = run_scheme(*csi_from_db(8, 5), Scheme.MPA, phase)
-        oma = run_scheme(*csi_from_db(8, 5), Scheme.OMA, phase)
+        mpa = run_scheme_under(*csi_from_db(8, 5), Scheme.MPA, phase)
+        oma = run_scheme_under(*csi_from_db(8, 5), Scheme.OMA, phase)
         assert mpa.mode is Mode.OMA
         assert mpa == oma
 
@@ -142,30 +142,30 @@ class TestRunScheme:
         for _ in range(30):
             p0 = PhaseModel(0.0)
             for csi1, csi2 in population(rng, -2, 20, int(rng.integers(2, 12))):
-                a = run_scheme(csi1, csi2, Scheme.SRM, p0)
-                b = run_scheme(csi1, csi2, Scheme.MPA, p0)
+                a = run_scheme_under(csi1, csi2, Scheme.SRM, p0)
+                b = run_scheme_under(csi1, csi2, Scheme.MPA, p0)
                 assert a.alpha1 == pytest.approx(b.alpha1, abs=1e-12)
                 assert a.alpha2 == pytest.approx(b.alpha2, abs=1e-12)
                 assert a.asr == pytest.approx(b.asr, abs=1e-9)
 
     def test_srm_never_falls_back(self):
-        d = run_scheme(*csi_from_db(8, 5), Scheme.SRM, PhaseModel.from_degrees(80.0))
+        d = run_scheme_under(*csi_from_db(8, 5), Scheme.SRM, PhaseModel.from_degrees(80.0))
         assert d.mode is Mode.NOMA
 
     def test_srm_keeps_zero_delta_allocation(self):
-        d0 = run_scheme(*csi_from_db(8, 5), Scheme.SRM, PhaseModel(0.0))
-        d1 = run_scheme(*csi_from_db(8, 5), Scheme.SRM, PhaseModel.from_degrees(60.0))
+        d0 = run_scheme_under(*csi_from_db(8, 5), Scheme.SRM, PhaseModel(0.0))
+        d1 = run_scheme_under(*csi_from_db(8, 5), Scheme.SRM, PhaseModel.from_degrees(60.0))
         assert d0.alpha2 == d1.alpha2
         assert d1.asr < d0.asr
 
     def test_eepa_falls_back_for_close_pair(self):
         # Gamma=[8,5] dB with OMA-at-0 targets fails the worst-case
         # criterion even at delta=0
-        d = run_scheme(*csi_from_db(8, 5), Scheme.EEPA, PhaseModel(0.0))
+        d = run_scheme_under(*csi_from_db(8, 5), Scheme.EEPA, PhaseModel(0.0))
         assert d.mode is Mode.OMA
 
     def test_eepa_noma_for_separated_pair(self):
-        d = run_scheme(*csi_from_db(15, 5), Scheme.EEPA, PhaseModel(0.0))
+        d = run_scheme_under(*csi_from_db(15, 5), Scheme.EEPA, PhaseModel(0.0))
         assert d.mode is Mode.NOMA
         assert d.alpha1 == pytest.approx(0.30397, abs=1e-4)
         assert d.alpha2 == pytest.approx(0.32893, abs=1e-4)
@@ -175,7 +175,7 @@ class TestRunScheme:
     def test_eepa_falls_back_at_zero_ee(self):
         # -400/-500 dB: the targets and every rate underflow to 0, so the
         # Dinkelbach optimum lambda* = 0 and NOMA gains nothing
-        d = run_scheme(*csi_from_db(-400, -500), Scheme.EEPA, PhaseModel(0.0))
+        d = run_scheme_under(*csi_from_db(-400, -500), Scheme.EEPA, PhaseModel(0.0))
         assert d.mode is Mode.OMA
         assert (d.ee, d.iterations) == (0.0, None)
 
@@ -183,14 +183,14 @@ class TestRunScheme:
         # when EEPA pairs, its EE dominates the full-power MPA allocation
         csi = csi_from_db(15, 5)
         phase = PhaseModel(0.5)
-        eepa = run_scheme(*csi, Scheme.EEPA, phase)
-        mpa = run_scheme(*csi, Scheme.MPA, phase)
+        eepa = run_scheme_under(*csi, Scheme.EEPA, phase)
+        mpa = run_scheme_under(*csi, Scheme.MPA, phase)
         assert eepa.mode is Mode.NOMA
         assert eepa.ee >= mpa.ee - 1e-8
 
     def test_explicit_policy_respected(self):
         policy = TargetPolicy.explicit(0.5, 0.25)
-        d = run_scheme(*csi_from_db(8, 5), Scheme.MPA, PhaseModel(0.1), policy)
+        d = run_scheme_under(*csi_from_db(8, 5), Scheme.MPA, PhaseModel(0.1), policy)
         assert d.mode is Mode.NOMA
         assert d.rates.strong >= 0.5 - 1e-9
         assert d.rates.weak >= 0.25 - 1e-9
@@ -203,7 +203,7 @@ class TestRunScheme:
             phase = PhaseModel(rng.uniform(0, 1.2))
             for scheme in (Scheme.MPA, Scheme.EEPA):
                 for strong, weak in pairs:
-                    d = run_scheme(strong, weak, scheme, phase, policy)
+                    d = run_scheme_under(strong, weak, scheme, phase, policy)
                     if d.mode is not Mode.NOMA:
                         continue
                     targets = policy.resolve(strong, weak, phase)
@@ -226,7 +226,7 @@ class TestRunScheme:
         phase = PhaseModel(delta)
         targets = policy.resolve(csi1, csi2, phase)
         for scheme in (Scheme.MPA, Scheme.EEPA):
-            d = run_scheme(csi1, csi2, scheme, phase, policy)
+            d = run_scheme_under(csi1, csi2, scheme, phase, policy)
             if d.mode is Mode.NOMA:
                 assert d.rates.strong >= targets.r1_min - 1e-9
                 assert d.rates.weak >= targets.r2_min - 1e-9

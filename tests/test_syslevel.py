@@ -10,7 +10,7 @@ from risnoma import syslevel
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
 from risnoma.mpa import PairDecision, PolicyKind, TargetPolicy
-from risnoma.pairing import KERNELS, Scheme, run_scheme
+from risnoma.pairing import KERNELS, Scheme
 from risnoma.syslevel import (
     BLOCK_INSTANCES,
     DeploymentConfig,
@@ -21,7 +21,7 @@ from risnoma.syslevel import (
     path_gain,
     run_campaign,
 )
-from oracles import grid_candidates_dense, run_campaign_per_delta
+from oracles import grid_candidates_dense, run_campaign_per_delta, run_scheme_under
 
 RADIO = RadioConfig()
 
@@ -583,7 +583,7 @@ class TestSchemeArrays:
                 one = KERNELS[scheme](g1[k], g2[k], r1_min[k], r2_min[k])(s)
                 assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
                 csi = EffectiveCsi(g1[k]), EffectiveCsi(g2[k])
-                assert run_scheme(*csi, scheme, phase, policy) == PairDecision.from_kernel(one)
+                assert run_scheme_under(*csi, scheme, phase, policy) == PairDecision.from_kernel(one)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_delta_grid_matches_per_delta_calls(self, scheme):
@@ -729,7 +729,7 @@ class TestRunCampaign:
         for stats in table.means.values():
             assert all(math.isfinite(v) for values in stats.values() for v in values)
         phase = PhaseModel(0.5)
-        srm = [run_scheme(EffectiveCsi(a), EffectiveCsi(b), Scheme.SRM, phase) for a, b in zip(g1, g2)]
+        srm = [run_scheme_under(EffectiveCsi(a), EffectiveCsi(b), Scheme.SRM, phase) for a, b in zip(g1, g2)]
         assert all(d.alpha2 == 1.0 for d in srm)
         for key, values in (
             ("mean_r1", [d.rates.strong for d in srm]),
