@@ -2,9 +2,9 @@
 
 Everything downstream works on the effective per-user CSI (a scalar
 SNR-like quantity, linear scale) and the phase-error degradation factor
-sinc^2(delta). The effective CSI and the OMA and NOMA rates are each one
-numpy formula on floats or arrays, shared by the functions below and the
-schemes' array kernels.
+sinc^2(delta), through their product, the effective SNR x. The effective
+CSI and the OMA and NOMA rates on x are each one numpy formula on floats
+or arrays, shared by the functions below and the schemes' array kernels.
 """
 
 import math
@@ -129,23 +129,23 @@ def _link_gamma(transmit_power, composite_gain, ris_elements, bs_antennas, inter
     return transmit_power * composite_gain * ris_elements**2 * bs_antennas / (interference + noise_power)
 
 
-def _oma_rate(gamma, s):
-    """OMA rate 0.5 * log2(1 + Gamma * s) on floats or arrays; the half
-    accounts for the orthogonal resource split."""
-    return 0.5 * np.log2(1.0 + gamma * s)
+def _oma_rate(x):
+    """OMA rate 0.5 * log2(1 + x) at effective SNR x, on floats or arrays;
+    the half accounts for the orthogonal resource split."""
+    return 0.5 * np.log2(1.0 + x)
 
 
-def _noma_rates(alpha1, alpha2, gamma1, gamma2, s):
-    """NOMA rates (strong, weak) on floats or arrays: SIC decodes the
-    strong user first, with the weak user's signal as interference, then
-    the weak user interference-free."""
-    weak = alpha2 * gamma2 * s
-    return np.log2(1.0 + alpha1 * gamma1 * s / (1.0 + weak)), np.log2(1.0 + weak)
+def _noma_rates(alpha1, alpha2, x1, x2):
+    """NOMA rates (strong, weak) at effective SNRs x1, x2, on floats or
+    arrays: SIC decodes the strong user first, with the weak user's
+    signal as interference, then the weak user interference-free."""
+    weak = 1.0 + alpha2 * x2
+    return np.log2(1.0 + alpha1 * x1 / weak), np.log2(weak)
 
 
 def rate_oma(csi: EffectiveCsi, phase: PhaseModel) -> float:
     """OMA rate 0.5 * log2(1 + Gamma * sinc^2(delta))."""
-    return float(_oma_rate(csi.gamma, phase.degradation))
+    return float(_oma_rate(csi.gamma * phase.degradation))
 
 
 def rate_noma(
@@ -159,5 +159,6 @@ def rate_noma(
     for a in (alpha1, alpha2):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"power fractions must lie in [0, 1], got {a}")
-    strong, weak = _noma_rates(alpha1, alpha2, csi1.gamma, csi2.gamma, phase.degradation)
+    s = phase.degradation
+    strong, weak = _noma_rates(alpha1, alpha2, csi1.gamma * s, csi2.gamma * s)
     return RatePair(float(strong), float(weak))

@@ -2,13 +2,13 @@
 phase-error sweeps, single-pair studies, the system-level campaign, and
 the Monte-Carlo validation of the sinc^2 approximation.
 
-The two sweeps are built on arrays over their grid from the rate, bound
-and threshold formulas and one MPA kernel call (see pairing.KERNELS),
-after the input checks the one-pair API makes; only a delta upper bound,
-a bisection, is found row by row. The single-pair study uses only the
-one-pair API: TargetPolicy.resolve, once per study, then run_scheme and
-the delta upper bounds of pairing_criterion_mpa and pairing_criterion_eepa
-on the floors it gives.
+The two sweeps are built on arrays of the pair's effective SNRs over
+their grid from the rate, bound and threshold formulas and one MPA kernel
+call (see pairing.KERNELS), after the input checks the one-pair API makes;
+only a delta upper bound, a bisection, is found row by row. The
+single-pair study uses only the one-pair API: TargetPolicy.resolve, once
+per study, then run_scheme and the delta upper bounds of
+pairing_criterion_mpa and pairing_criterion_eepa on the floors it gives.
 """
 
 import math
@@ -23,7 +23,9 @@ from .channel import (
     phase_error_gain_mc, sinc_sq,
 )
 from .eepa import pairing_criterion_eepa
-from .mpa import Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold, pairing_criterion_mpa
+from .mpa import (
+    Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold, _oma, _or_oma, pairing_criterion_mpa,
+)
 from .pairing import KERNELS, Scheme, run_scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
@@ -132,39 +134,40 @@ def parse_float_list(text: str) -> Tuple[float, ...]:
 
 
 def _pair_on_grid(cfg: ExperimentConfig):
-    """The pair's Gamma1 and Gamma2 and sinc^2(delta) at each delta of the
-    grid, as arrays over the grid. Rejects, as the one-pair API does, a
-    Gamma1 of 0 and a Gamma2 * sinc^2 of 0 at any delta."""
+    """The pair's Gamma1 and Gamma2, sinc^2(delta) and the effective SNRs
+    x1 and x2 at each delta of the grid, as arrays over the grid. Rejects,
+    as the one-pair API does, a Gamma1 of 0 and an x2 of 0 at any delta."""
     s = np.array([sinc_sq(math.radians(d)) for d in cfg.delta_deg])
     g1, g2 = (np.full_like(s, db_to_linear(g)) for g in cfg.gammas_db)
+    x1, x2 = g1 * s, g2 * s
     if not g1[0] > 0.0:
         raise ValueError("Gamma1 must be positive")
-    if not np.all(g2 * s > 0.0):
+    if not np.all(x2 > 0.0):
         raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0")
-    return g1, g2, s
+    return g1, g2, s, x1, x2
 
 
 def sweep_alpha2_table(cfg: ExperimentConfig) -> Table:
     """Rates versus the weak user's power fraction at alpha1=1, one block
     per configured delta, with OMA references and both alpha2 bounds."""
-    g1, g2, s = (x[:, None] for x in _pair_on_grid(cfg))  # a row per delta, a column per alpha2
+    g1, g2, s, x1, x2 = (x[:, None] for x in _pair_on_grid(cfg))  # a row per delta, a column per alpha2
     n = round(1.0 / cfg.alpha2_step)
     alpha2 = np.arange(n + 1) / n
     r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
     p1, p2 = np.power(2.0, (r1_min, r2_min))
-    r1, r2 = _noma_rates(1.0, alpha2, g1, g2, s)
+    r1, r2 = _noma_rates(1.0, alpha2, x1, x2)
     columns = {
         "delta_deg": np.array(cfg.delta_deg, dtype=float)[:, None],
         "alpha2": alpha2,
         "r1": r1,
         "r2": r2,
         "asr": r1 + r2,
-        "r1_oma": _oma_rate(g1, s),
-        "r2_oma": _oma_rate(g2, s),
+        "r1_oma": _oma_rate(x1),
+        "r2_oma": _oma_rate(x2),
         "r1_target": r1_min,
         "r2_target": r2_min,
-        "alpha2_lb": _alpha2_lb(g2, s, p2),
-        "alpha2_ub": _alpha2_ub(g1, g2, s, p1),
+        "alpha2_lb": _alpha2_lb(x2, p2),
+        "alpha2_ub": _alpha2_ub(x1, x2, p1),
     }
     return Table({c: np.broadcast_to(v, r1.shape).ravel() for c, v in columns.items()})
 
@@ -177,10 +180,11 @@ def _degrees(delta_ub):
 def sweep_delta_table(cfg: ExperimentConfig) -> Table:
     """Single-pair MPA decision versus phase imperfection, with the OMA
     reference rates and the criterion's delta upper bound."""
-    g1, g2, s = _pair_on_grid(cfg)
+    g1, g2, s, x1, x2 = _pair_on_grid(cfg)
     r1_min, r2_min = cfg.targets_policy.rates(g1, g2, s)
-    noma, _, alpha2, r1, r2, _, _ = KERNELS[Scheme.MPA](g1, g2, r1_min, r2_min)(s)
-    r1_oma, r2_oma = _oma_rate(g1, s), _oma_rate(g2, s)
+    noma, _, *nomas, _, _ = KERNELS[Scheme.MPA](g1, g2, r1_min, r2_min)(x1, x2)
+    oma = _oma(x1, x2)
+    alpha2, r1, r2, asr = _or_oma(noma, nomas, oma[2:6])
     thresholds = _mpa_threshold(g1, *np.power(2.0, (r1_min, r2_min)))
     columns = {
         "delta_deg": np.array(cfg.delta_deg, dtype=float),
@@ -188,10 +192,10 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
         "alpha2": alpha2,
         "r1": r1,
         "r2": r2,
-        "asr": r1 + r2,
-        "r1_oma": r1_oma,
-        "r2_oma": r2_oma,
-        "asr_oma": r1_oma + r2_oma,
+        "asr": asr,
+        "r1_oma": oma[3],
+        "r2_oma": oma[4],
+        "asr_oma": oma[5],
         "delta_ub_deg": [_degrees(_delta_ub(float(t))) for t in thresholds],
     }
     return Table(columns)

@@ -1,18 +1,19 @@
 """Maximum-sum-rate pairing: power-fraction bounds, the pairing criterion
 on phase imperfection, and the closed-form allocation.
 
-Each bound and threshold is one numpy formula on floats or arrays; the
-OMA, MPA and SRM decisions are each one array kernel, bound to the pairs
-and floors and then decided at s (see pairing.KERNELS), with the OMA
-fallback applied in _or_oma. The object-based functions
-(alpha2_lower, alpha2_upper, eta_kappa, pairing_criterion_mpa and
-allocate_mpa) validate one pair and evaluate the same formulas and
-kernels on it; the CLI's tables and the campaign call the formulas and
-kernels on arrays directly.
+Each bound and threshold is one numpy formula on floats or arrays of the
+effective SNRs x = Gamma * sinc^2(delta); the OMA, MPA and SRM decisions
+are each one array kernel, bound to the pairs and floors and then decided
+at (x1, x2) (see pairing.KERNELS), with the OMA fallback applied in
+_or_oma. The object-based functions (alpha2_lower, alpha2_upper,
+eta_kappa, pairing_criterion_mpa and allocate_mpa) validate one pair and
+evaluate the same formulas and kernels on it; the CLI's tables and the
+campaign call the formulas and kernels on arrays directly.
 
 Both pairing rules, MPA's here and EEPA's (eepa.pairing_criterion_eepa),
 pair when sinc^2(delta) reaches a threshold; each returns a Criterion,
-whose delta_ub is the largest delta meeting it.
+whose delta_ub is the largest delta meeting it. The kernels test it on
+x1 = Gamma1 * sinc^2(delta).
 """
 
 import math
@@ -87,7 +88,7 @@ class TargetPolicy:
             return np.full(shape, self.r1_min, dtype=float), np.full(shape, self.r2_min, dtype=float)
         if self.kind is PolicyKind.OMA_AT_REFERENCE:
             s = sinc_sq(self.delta_ref)
-        return _oma_rate(g1, s), _oma_rate(g2, s)
+        return _oma_rate(g1 * s), _oma_rate(g2 * s)
 
     def resolve(self, csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> "RateTargets":
         """The floors of one pair."""
@@ -130,13 +131,18 @@ class PairDecision:
     iterations: Optional[int] = None  # Dinkelbach iterations, EEPA NOMA only
 
     @classmethod
-    def from_kernel(cls, decision) -> "PairDecision":
-        """One pair's kernel output (noma, alpha1, alpha2, r1, r2, ee,
-        iterations) as a decision; 0 iterations (no solve) read as None."""
-        noma, alpha1, alpha2, r1, r2, ee, iterations = decision
-        rates = RatePair(float(r1), float(r2))
-        return cls(Mode.NOMA if noma else Mode.OMA, float(alpha1), float(alpha2), rates,
-                   rates.strong + rates.weak, float(ee), int(iterations) or None)
+    def from_kernel(cls, kernel, targets: RateTargets, csi1: EffectiveCsi, csi2: EffectiveCsi,
+                    phase: PhaseModel) -> "PairDecision":
+        """One pair's decision by a scheme's kernel, bound to the pair and
+        its floors and decided at its effective SNRs; the OMA decision is
+        computed only when it is the fallback. 0 iterations (no solve)
+        read as None."""
+        g1, g2, s = float(csi1.gamma), float(csi2.gamma), phase.degradation
+        x1, x2 = g1 * s, g2 * s
+        decision = kernel(g1, g2, targets.r1_min, targets.r2_min)(x1, x2)
+        noma, alpha1, alpha2, r1, r2, asr, ee, iterations = decision if decision[0] else _oma(x1, x2)
+        return cls(Mode.NOMA if noma else Mode.OMA, float(alpha1), float(alpha2), RatePair(float(r1), float(r2)),
+                   float(asr), float(ee), int(iterations) or None)
 
 
 @dataclass(frozen=True)
@@ -152,32 +158,33 @@ class Criterion:
         return _delta_ub(self.sinc_sq_threshold)
 
 
-# Formulas on floats or arrays. They take the rate floors as p = 2^r_min,
-# the form every bound uses them in.
+# Formulas on floats or arrays of effective SNRs x = Gamma * s. They take
+# the rate floors as p = 2^r_min, the form every bound uses them in.
 
 
-@np.errstate(over="ignore")  # subnormal Gamma2: +inf
-def _alpha2_lb(g2, s, p2):
+@np.errstate(over="ignore")  # subnormal x2: +inf
+def _alpha2_lb(x2, p2):
     """Smallest weak-user power fraction meeting its floor."""
-    return (p2 - 1.0) / (g2 * s)
+    return (p2 - 1.0) / x2
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p1 = 1: +inf or nan; subnormal Gamma2: +inf
-def _alpha2_ub(g1, g2, s, p1):
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p1 = 1: +inf or nan; subnormal x2: +inf
+def _alpha2_ub(x1, x2, p1):
     """Largest weak-user power fraction keeping the strong user, at
     alpha1 = 1, on its floor; unbounded (+inf) for a zero floor, or one
     below float resolution (p1 = 1)."""
-    return np.where(p1 == 1.0, np.inf, (g1 * s + 1.0 - p1) / (g2 * s * (p1 - 1.0)))
+    return np.where(p1 == 1.0, np.inf, (x1 + 1.0 - p1) / (x2 * (p1 - 1.0)))
 
 
-def _eta_kappa(g1, g2, s, p1):
+def _eta_kappa(x1, x2, p1):
     """Coefficients of the strong-user constraint alpha1 >= kappa*alpha2 + eta."""
-    return (p1 - 1.0) / (g1 * s), (p1 - 1.0) * g2 / g1
+    return (p1 - 1.0) / x1, (p1 - 1.0) * x2 / x1
 
 
 @np.errstate(over="ignore")  # floors near 1024 bits: +inf, which no sinc^2 meets
 def _mpa_threshold(g1, p1, p2):
-    """The MPA criterion's bound on sinc^2(delta)."""
+    """The MPA criterion's bound on sinc^2(delta); at Gamma1 = 1, exactly
+    its bound p2 * (p1 - 1) on x1."""
     return p2 * (p1 - 1.0) / g1
 
 
@@ -190,7 +197,7 @@ def alpha2_lower(targets: RateTargets, csi2: EffectiveCsi, phase: PhaseModel) ->
     """Smallest weak-user power fraction meeting its rate floor; may
     exceed 1, which signals infeasibility handled by the caller."""
     _check_channel(csi2, phase, 2)
-    return float(_alpha2_lb(csi2.gamma, phase.degradation, np.power(2.0, targets.r2_min)))
+    return float(_alpha2_lb(csi2.gamma * phase.degradation, np.power(2.0, targets.r2_min)))
 
 
 def alpha2_upper(
@@ -200,8 +207,8 @@ def alpha2_upper(
     alpha1=1) at or above its rate floor. Unbounded when r1_min=0; may be
     negative (pair infeasible) or exceed 1 (clamped by the allocation)."""
     _check_channel(csi2, phase, 2)
-    p1 = np.power(2.0, targets.r1_min)
-    return float(_alpha2_ub(csi1.gamma, csi2.gamma, phase.degradation, p1))
+    s = phase.degradation
+    return float(_alpha2_ub(csi1.gamma * s, csi2.gamma * s, np.power(2.0, targets.r1_min)))
 
 
 def eta_kappa(
@@ -209,8 +216,8 @@ def eta_kappa(
 ) -> tuple:
     """Coefficients of the strong-user constraint alpha1 >= kappa*alpha2 + eta."""
     _check_channel(csi1, phase, 1)
-    p1 = np.power(2.0, targets.r1_min)
-    return tuple(map(float, _eta_kappa(csi1.gamma, csi2.gamma, phase.degradation, p1)))
+    s = phase.degradation
+    return tuple(map(float, _eta_kappa(csi1.gamma * s, csi2.gamma * s, np.power(2.0, targets.r1_min))))
 
 
 def _delta_ub(threshold: float) -> Optional[float]:
@@ -247,68 +254,74 @@ def pairing_criterion_mpa(
     return Criterion(phase.degradation >= threshold, threshold)
 
 
-def _oma(g1, g2, s):
-    """The OMA decisions: both users at full power on orthogonal resources."""
-    r1, r2 = _oma_rate(g1, s), _oma_rate(g2, s)
-    return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0, 0
+def _oma(x1, x2):
+    """The OMA decisions (noma, alpha1, alpha2, r1, r2, asr, ee,
+    iterations) at effective SNRs x1, x2: both users at full power on
+    orthogonal resources."""
+    r1, r2 = _oma_rate(x1), _oma_rate(x2)
+    asr = r1 + r2
+    return False, 1.0, 1.0, r1, r2, asr, asr / 2.0, 0
 
 
 def _oma_kernel(g1, g2, r1_min=None, r2_min=None):
-    """OMA, whatever the floors: nothing to bind."""
-    return lambda s: _oma(g1, g2, s)
+    """OMA, whatever the floors: no pair takes NOMA, so every output is
+    the caller's OMA decision."""
+    return lambda x1, x2: (False,) * 8
 
 
-def _or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
-    """The given NOMA decisions where noma holds, the OMA fallback elsewhere.
+def _or_oma(noma, nomas, omas):
+    """The outputs nomas where noma holds, the OMA outputs omas elsewhere.
 
-    Two cases, both for speed: one pair (a 0-d noma) picks a whole tuple in
-    Python, which costs less than any np.where on 0-d values, and computes
-    the OMA fallback only when it takes it; arrays take one np.where per
-    output, 3-4x faster on thousands of pairs than one np.where over the
-    stacked outputs, which broadcasts noma across the stack."""
-    nomas = (alpha1, alpha2, r1, r2, ee, iterations)
+    A shape-() noma picks one tuple. On arrays the OMA values are copied
+    into each NOMA array where noma fails, in place; an output a kernel
+    gives as one value (MPA's alpha1 = 1 and 0 iterations) is the same
+    on both branches and is left as it is."""
     if np.ndim(noma) == 0:
-        return (noma, *(nomas if noma else _oma(g1, g2, s)[1:]))
-    _, _, _, r1_oma, r2_oma, ee_oma, _ = _oma(g1, g2, s)
-    omas = (1.0, 1.0, r1_oma, r2_oma, ee_oma, 0)
-    return (noma, *(np.where(noma, x, oma) for x, oma in zip(nomas, omas)))
+        return tuple(nomas if noma else omas)
+    oma = ~noma
+    for x, y in zip(nomas, omas):
+        if np.ndim(x):
+            np.copyto(x, y, where=oma)
+    return tuple(nomas)
 
 
-def _sum_rate_alpha2(g1, g2, s, p1):
+def _sum_rate_alpha2(x1, x2, p1):
     """The sum-rate optimum's alpha2 at alpha1 = 1: the largest alpha2 in
     [0, 1] keeping the strong user on its floor p1 (1 for a zero floor)."""
-    return np.fmax(np.fmin(_alpha2_ub(g1, g2, s, p1), 1.0), 0.0)
+    alpha2 = _alpha2_ub(x1, x2, p1)
+    return np.fmax(np.fmin(alpha2, 1.0, out=alpha2), 0.0, out=alpha2)
 
 
-def _full_power_noma(g1, g2, s, alpha2):
+def _full_power_noma(x1, x2, alpha2):
     """NOMA decisions at alpha1 = 1 and the given alpha2."""
-    r1, r2 = _noma_rates(1.0, alpha2, g1, g2, s)
-    return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2), 0
+    r1, r2 = _noma_rates(1.0, alpha2, x1, x2)
+    asr = r1 + r2
+    return True, 1.0, alpha2, r1, r2, asr, asr / (1.0 + alpha2), 0
 
 
 def _mpa_kernel(g1, g2, r1_min, r2_min):
-    """MPA: the sum-rate optimum where the criterion holds, the weak
-    user's floor fits (alpha2_lb <= 1) and the sum rate is positive (the
-    rates can underflow to 0); OMA elsewhere. Binds 2^floors and the
-    criterion's threshold."""
+    """MPA: the sum-rate optimum where the criterion holds (x1 >=
+    p2 * (p1 - 1)), the weak user's floor fits (alpha2_lb <= 1) and the
+    sum rate is positive (the rates can underflow to 0). Binds 2^floors
+    and the criterion's bound."""
     p1, p2 = np.power(2.0, (r1_min, r2_min))
-    threshold = _mpa_threshold(g1, p1, p2)
+    bound = _mpa_threshold(1.0, p1, p2)
 
-    def decide(s):
-        _, alpha1, alpha2, r1, r2, ee, _ = _full_power_noma(g1, g2, s, _sum_rate_alpha2(g1, g2, s, p1))
-        noma = (s >= threshold) & (_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
-        return _or_oma(noma, alpha1, alpha2, r1, r2, ee, 0, g1, g2, s)
+    def decide(x1, x2):
+        _, alpha1, alpha2, r1, r2, asr, ee, _ = _full_power_noma(x1, x2, _sum_rate_alpha2(x1, x2, p1))
+        noma = (x1 >= bound) & (_alpha2_lb(x2, p2) <= 1.0 + EPS) & (asr > 0.0)
+        return noma, alpha1, alpha2, r1, r2, asr, ee, 0
 
     return decide
 
 
 def _srm_kernel(g1, g2, r1_min=None, r2_min=None):
     """SRM baseline: the sum-rate optimum for delta = 0 under OMA floors
-    at delta = 0, evaluated at the true delta. Phase-oblivious by design,
-    it ignores the given floors and never falls back to OMA, not even
-    when every rate underflows to 0. Binds the whole allocation."""
-    alpha2 = _sum_rate_alpha2(g1, g2, 1.0, np.power(2.0, _oma_rate(g1, 1.0)))
-    return lambda s: _full_power_noma(g1, g2, s, alpha2)
+    at delta = 0 (x = Gamma), evaluated at the true delta. Phase-oblivious
+    by design, it ignores the given floors and never falls back to OMA,
+    not even when every rate underflows to 0. Binds the whole allocation."""
+    alpha2 = _sum_rate_alpha2(g1, g2, np.power(2.0, _oma_rate(g1)))
+    return lambda x1, x2: _full_power_noma(x1, x2, alpha2)
 
 
 def allocate_mpa(
@@ -327,5 +340,4 @@ def allocate_mpa(
     """
     _check_channel(csi1, phase, 1)
     _check_channel(csi2, phase, 2)
-    decision = _mpa_kernel(csi1.gamma, csi2.gamma, targets.r1_min, targets.r2_min)(phase.degradation)
-    return PairDecision.from_kernel(decision)
+    return PairDecision.from_kernel(_mpa_kernel, targets, csi1, csi2, phase)

@@ -11,11 +11,14 @@ one-pair functions take them.
 
 Each scheme's decision is one array kernel, bound, then decided:
 KERNELS[scheme](g1, g2, r1_min, r2_min) computes once what does not
-depend on delta (2^floors, MPA's and EEPA's thresholds, SRM's allocation)
-and returns decide(s) -> (noma, alpha1, alpha2, r1, r2, ee, iterations),
+depend on delta (2^floors, MPA's and EEPA's thresholds, SRM's allocation
+at x = Gamma) and returns decide(x1, x2) -> (noma, alpha1, alpha2, r1,
+r2, asr, ee, iterations) at the effective SNRs x = Gamma * sinc^2(delta),
 on arrays of pairs or shape-() values; iterations are Dinkelbach's where
-EEPA chose NOMA, else 0. run_campaign and run_scheme decide every pair
-through them.
+EEPA chose NOMA, else 0. Where noma fails the decision is OMA's (mpa._oma),
+which the caller makes once and applies with mpa._or_oma, and one pair
+only when it falls back; OMA's own kernel pairs none. run_campaign and
+run_scheme decide every pair through them.
 """
 
 from enum import Enum
@@ -48,7 +51,8 @@ def cell_pairs(key: np.ndarray, cell: np.ndarray, n_cells: int):
     median user unpaired. Returns (strong, weak, first): the pairs' user
     indices, cell by cell, and first[c] the index of cell c's first pair.
     """
-    order = np.lexsort((-key, cell))  # stable: ties by index
+    order = np.argsort(-key, kind="stable")  # ties by index; then by cell, a radix sort on small ints
+    order = order[np.argsort(cell[order].astype(np.min_scalar_type(n_cells)), kind="stable")]
     counts = np.bincount(cell, minlength=n_cells)
     half = counts // 2
     first = np.cumsum(half) - half
@@ -71,5 +75,4 @@ def run_scheme(
         raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
     if scheme is not Scheme.OMA:
         _check_channel(csi2, phase, 2)
-    decide = KERNELS[scheme](float(csi1.gamma), float(csi2.gamma), targets.r1_min, targets.r2_min)
-    return PairDecision.from_kernel(decide(phase.degradation))
+    return PairDecision.from_kernel(KERNELS[scheme], targets, csi1, csi2, phase)

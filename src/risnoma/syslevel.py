@@ -25,8 +25,11 @@ come from the schemes' array kernels (pairing.KERNELS), the same kernels
 that pairing.run_scheme evaluates on one pair at a time. run_campaign
 binds each kernel to every pair and its floors once per campaign (once
 per block under oma-current, whose floors follow delta), then decides a
-block of consecutive deltas at a time, sinc^2(delta) a column against
-the pairs, and reduces each output along the pair axis once per block: a
+block of consecutive deltas at a time: it forms the block's effective
+SNRs x = Gamma * sinc^2(delta) once, a row per delta, on which every
+kernel decides, makes the block's OMA decision once, which is OMA's
+output and every other scheme's fallback, and reduces each output along
+the pair axis with one sum for both its mean and its standard error. A
 sweep is then a few array calls, not one small call per (scheme, delta).
 Blocks hold max(1, BLOCK_INSTANCES // pairs) deltas, which bounds each
 call's arrays; a whole 200-drop sweep in one call would hold about 3.6M
@@ -42,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .channel import MAX_GAMMA_DB, _link_gamma, db_to_linear, sinc_sq
-from .mpa import PolicyKind, TargetPolicy
+from .mpa import PolicyKind, TargetPolicy, _oma, _or_oma
 from .pairing import KERNELS, Scheme, cell_pairs
 
 __all__ = [
@@ -352,6 +355,20 @@ def campaign_pairs(deploy: DeploymentConfig, radio: RadioConfig):
     return g1, g2, deploy.drops - len(pairs), lone
 
 
+def _mean_se(arr: np.ndarray):
+    """Each row's mean and standard error, std(ddof=1) / sqrt(n), from one
+    sum: numpy's own mean and variance steps, bit for bit, with the
+    variance taking the mean from the first sum, not a second. One
+    value per row (n = 1) has standard error 0."""
+    n = arr.shape[1]
+    mean = np.add.reduce(arr, axis=1, keepdims=True) / n
+    if n == 1:
+        return mean[:, 0], np.zeros(len(arr))
+    dev = arr - mean
+    dev *= dev
+    return mean[:, 0], np.sqrt(np.add.reduce(dev, axis=1) / (n - 1)) / math.sqrt(n)
+
+
 def run_campaign(
     deploy: DeploymentConfig,
     radio: RadioConfig,
@@ -381,23 +398,32 @@ def run_campaign(
 
     g1, g2, skipped, lone = campaign_pairs(deploy, radio)
     n = len(g1)
-    table = MetricsTable(cdf_delta=cdf_delta, n_pairs=n, skipped_drops=skipped, lone_users=lone)
+    names = [scheme.value for scheme in schemes]  # the tables' keys in the schemes' order, whatever the deciding order
+    table = MetricsTable({name: {} for name in names}, dict.fromkeys(names), cdf_delta, n, skipped, lone)
     step = max(1, BLOCK_INSTANCES // n)
     floors_follow_delta = targets_policy.kind is PolicyKind.OMA_AT_CURRENT
+    # EEPA first, so its solve runs before the block's OMA decision is made
+    order = sorted(schemes, key=lambda scheme: scheme is not Scheme.EEPA)
     decide = {}
     for start in range(0, len(delta_sweep), step):
         s = np.array([sinc_sq(float(d)) for d in delta_sweep[start : start + step]])[:, None]  # a row per delta
         if not decide or floors_follow_delta:  # bind once, or once per block
             floors = targets_policy.rates(g1, g2, s)
             decide = {scheme: KERNELS[scheme](g1, g2, *floors) for scheme in schemes}
-        for scheme in schemes:
-            _, _, _, r1, r2, ee, _ = decide[scheme](s)
-            asr = r1 + r2
-            stats = table.means.setdefault(scheme.value, {})
+        x1, x2 = g1 * s, g2 * s
+        oma = None
+        for scheme in order:
+            noma, _, _, *outputs, _ = decide[scheme](x1, x2)
+            if oma is None:
+                oma = _oma(x1, x2)[3:7]
+            r1, r2, asr, ee = _or_oma(noma, outputs, oma)
+            stats = table.means[scheme.value]
             for name, arr in (("r1", r1), ("r2", r2), ("asr", asr), ("ee", ee)):
-                se = arr.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(s))
-                stats.setdefault(f"mean_{name}", []).extend(arr.mean(axis=1).tolist())
+                mean, se = _mean_se(arr)
+                stats.setdefault(f"mean_{name}", []).extend(mean.tolist())
                 stats.setdefault(f"se_{name}", []).extend(se.tolist())
             if start <= cdf_index < start + step:
                 table.cdf[scheme.value] = np.sort(asr[cdf_index - start])
+            del noma, outputs, r1, r2, asr, ee, arr  # freed before the next scheme decides
+        del x1, x2, oma  # and before the next block forms its own
     return table

@@ -9,7 +9,11 @@ cell_pairs must equal cell by cell, the grid candidate search over one
 squares x BS array, which the sliced one must equal, and the Dinkelbach
 loop that rebuilds every edge-step term at each iteration, which the
 solver, binding the lambda-free terms once, must equal bit for bit.
-run_scheme_under decides one pair under a TargetPolicy."""
+run_scheme_under decides one pair under a TargetPolicy, and
+kernel_decision decides arrays of pairs with every output in place. The
+schemes' kernels as they were written on (Gamma, s), before they decided
+on the effective SNRs x = Gamma * s, are kept verbatim as PARENT_KERNELS,
+the reference the kernels on x must match."""
 
 import math
 
@@ -18,7 +22,8 @@ import numpy as np
 from risnoma.channel import EffectiveCsi, PhaseModel, RatePair, rate_oma, sinc_sq
 from risnoma.eepa import MAX_ITER, TOL, ConvergenceError, EmptyPolytopeError
 from risnoma.mpa import (
-    EPS, Mode, PairDecision, RateTargets, TargetPolicy, _alpha2_lb, _eta_kappa, alpha2_lower, eta_kappa,
+    EPS, Mode, PairDecision, RateTargets, TargetPolicy, _alpha2_lb, _eta_kappa, _oma, _or_oma, alpha2_lower,
+    eta_kappa,
 )
 from risnoma.pairing import KERNELS, Scheme, run_scheme
 from risnoma.syslevel import MetricsTable, _torus_dist, campaign_pairs
@@ -205,18 +210,31 @@ def oma_decision(csi1: EffectiveCsi, csi2: EffectiveCsi, phase: PhaseModel) -> P
     return PairDecision(Mode.OMA, 1.0, 1.0, rates, asr, asr / 2.0)
 
 
-def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta):
+def kernel_decision(scheme, g1, g2, r1_min, r2_min, s):
+    """KERNELS[scheme] bound to the pairs and floors, decided at the pairs'
+    x = Gamma * s: every output (noma, alpha1, alpha2, r1, r2, asr, ee,
+    iterations), OMA's where the kernel does not pair."""
+    x1, x2 = g1 * s, g2 * s
+    noma, *nomas = KERNELS[scheme](g1, g2, r1_min, r2_min)(x1, x2)
+    return (noma, *_or_oma(noma, nomas, _oma(x1, x2)[1:]))
+
+
+def run_campaign_per_delta(deploy, radio, schemes, delta_sweep, targets_policy, cdf_delta, parent=False):
     """run_campaign's table on campaign_pairs' pairs, deciding the sweep
     one delta at a time: each scheme's kernel bound to the 1-D pair arrays
     and that delta's floors, then decided at that delta, and each delta's
-    means and standard errors from 1-D reductions."""
+    means and standard errors from 1-D mean and std(ddof=1) calls. With
+    parent, the kernels are PARENT_KERNELS, on (Gamma, s)."""
     g1, g2, _, _ = campaign_pairs(deploy, radio)
     table = MetricsTable(cdf_delta=cdf_delta, n_pairs=len(g1))
     for delta in delta_sweep:
         s = sinc_sq(float(delta))
         floors = targets_policy.rates(g1, g2, s)
         for scheme in schemes:
-            _, _, _, r1, r2, ee, _ = KERNELS[scheme](g1, g2, *floors)(s)
+            if parent:
+                _, _, _, r1, r2, ee, _ = PARENT_KERNELS[scheme](g1, g2, *floors)(s)
+            else:
+                _, _, _, r1, r2, _, ee, _ = kernel_decision(scheme, g1, g2, *floors, s)
             asr = r1 + r2
             n = len(asr)
             stats = table.means.setdefault(scheme.value, {})
@@ -251,30 +269,30 @@ def run_scheme_under(csi1: EffectiveCsi, csi2: EffectiveCsi, scheme: Scheme, pha
     return run_scheme(csi1, csi2, scheme, phase, policy.resolve(csi1, csi2, phase))
 
 
-def edge_step_unbound(lam, g1, g2, s, eta, kappa, lb):
+def edge_step_unbound(lam, x1, x2, eta, kappa, lb):
     """The edge step with every term built from the polygon at each call."""
     with np.errstate(divide="ignore", invalid="ignore"):
         hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
         peak = np.divide(1.0, lam * math.log(2.0))
-        a1 = np.fmin(np.fmax(peak - (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb), 1.0)
-        a2 = np.fmin(np.fmax(peak - (1.0 + g1 * s) / (g2 * s), lb), hi)
+        a1 = np.fmin(np.fmax(peak - (1.0 + lb * x2) / x1, eta + kappa * lb), 1.0)
+        a2 = np.fmin(np.fmax(peak - (1.0 + x1) / x2, lb), hi)
     return a1, np.where(a1 == 1.0, a2, lb)
 
 
-def dinkelbach_unbound(g1, g2, s, r1_min, r2_min):
+def dinkelbach_unbound(x1, x2, r1_min, r2_min):
     """eepa._dinkelbach's iteration with edge_step_unbound at each step:
     (alpha1, alpha2, lambda_star, iterations, residual, history)."""
-    if np.any(g1 < g2):
+    if np.any(x1 < x2):
         raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
     p1, p2 = np.power(2.0, (r1_min, r2_min))
-    eta, kappa = _eta_kappa(g1, g2, s, p1)
-    lb = _alpha2_lb(g2, s, p2)
+    eta, kappa = _eta_kappa(x1, x2, p1)
+    lb = _alpha2_lb(x2, p2)
     if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
         raise EmptyPolytopeError("no feasible power fractions")
     lb = np.minimum(lb, 1.0)
 
     def f(a1, a2):
-        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
+        return np.log2(1.0 + (a1 * x1 + a2 * x2))
 
     a1 = np.minimum(eta + kappa * lb, 1.0)
     a2 = lb
@@ -285,7 +303,7 @@ def dinkelbach_unbound(g1, g2, s, r1_min, r2_min):
     iterations = np.zeros(lam.shape, dtype=int)
     history = []
     for it in range(1, MAX_ITER + 1):
-        a1, a2 = edge_step_unbound(lam, g1, g2, s, eta, kappa, lb)
+        a1, a2 = edge_step_unbound(lam, x1, x2, eta, kappa, lb)
         fv = f(a1, a2)
         gv = a1 + a2
         resid = fv - lam * gv
@@ -298,3 +316,171 @@ def dinkelbach_unbound(g1, g2, s, r1_min, r2_min):
             return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
         lam = np.where(done, lam, ratio)
     raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {TOL:.1e} after {MAX_ITER} iterations")
+
+
+# The schemes' kernels on (Gamma, s), verbatim as they were before the
+# kernels decided on x = Gamma * s, with the formulas they call; only the
+# names carry a gs_ prefix. KERNELS[scheme](g1, g2, r1_min, r2_min)(s)
+# gave (noma, alpha1, alpha2, r1, r2, ee, iterations), OMA's fallback
+# applied.
+
+
+def gs_oma_rate(gamma, s):
+    return 0.5 * np.log2(1.0 + gamma * s)
+
+
+def gs_noma_rates(alpha1, alpha2, gamma1, gamma2, s):
+    weak = alpha2 * gamma2 * s
+    return np.log2(1.0 + alpha1 * gamma1 * s / (1.0 + weak)), np.log2(1.0 + weak)
+
+
+@np.errstate(over="ignore")
+def gs_alpha2_lb(g2, s, p2):
+    return (p2 - 1.0) / (g2 * s)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def gs_alpha2_ub(g1, g2, s, p1):
+    return np.where(p1 == 1.0, np.inf, (g1 * s + 1.0 - p1) / (g2 * s * (p1 - 1.0)))
+
+
+def gs_eta_kappa(g1, g2, s, p1):
+    return (p1 - 1.0) / (g1 * s), (p1 - 1.0) * g2 / g1
+
+
+@np.errstate(over="ignore")
+def gs_mpa_threshold(g1, p1, p2):
+    return p2 * (p1 - 1.0) / g1
+
+
+def gs_oma(g1, g2, s):
+    r1, r2 = gs_oma_rate(g1, s), gs_oma_rate(g2, s)
+    return False, 1.0, 1.0, r1, r2, (r1 + r2) / 2.0, 0
+
+
+def gs_oma_kernel(g1, g2, r1_min=None, r2_min=None):
+    return lambda s: gs_oma(g1, g2, s)
+
+
+def gs_or_oma(noma, alpha1, alpha2, r1, r2, ee, iterations, g1, g2, s):
+    nomas = (alpha1, alpha2, r1, r2, ee, iterations)
+    if np.ndim(noma) == 0:
+        return (noma, *(nomas if noma else gs_oma(g1, g2, s)[1:]))
+    _, _, _, r1_oma, r2_oma, ee_oma, _ = gs_oma(g1, g2, s)
+    omas = (1.0, 1.0, r1_oma, r2_oma, ee_oma, 0)
+    return (noma, *(np.where(noma, x, oma) for x, oma in zip(nomas, omas)))
+
+
+def gs_sum_rate_alpha2(g1, g2, s, p1):
+    return np.fmax(np.fmin(gs_alpha2_ub(g1, g2, s, p1), 1.0), 0.0)
+
+
+def gs_full_power_noma(g1, g2, s, alpha2):
+    r1, r2 = gs_noma_rates(1.0, alpha2, g1, g2, s)
+    return True, 1.0, alpha2, r1, r2, (r1 + r2) / (1.0 + alpha2), 0
+
+
+def gs_mpa_kernel(g1, g2, r1_min, r2_min):
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    threshold = gs_mpa_threshold(g1, p1, p2)
+
+    def decide(s):
+        _, alpha1, alpha2, r1, r2, ee, _ = gs_full_power_noma(g1, g2, s, gs_sum_rate_alpha2(g1, g2, s, p1))
+        noma = (s >= threshold) & (gs_alpha2_lb(g2, s, p2) <= 1.0 + EPS) & (r1 + r2 > 0.0)
+        return gs_or_oma(noma, alpha1, alpha2, r1, r2, ee, 0, g1, g2, s)
+
+    return decide
+
+
+def gs_srm_kernel(g1, g2, r1_min=None, r2_min=None):
+    alpha2 = gs_sum_rate_alpha2(g1, g2, 1.0, np.power(2.0, gs_oma_rate(g1, 1.0)))
+    return lambda s: gs_full_power_noma(g1, g2, s, alpha2)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def gs_eepa_thresholds(g1, g2, p1, p2):
+    return 1.0 / np.fmax(g1 / (p1 - 1.0) - g2, 0.0), (p2 - 1.0) / g2
+
+
+def gs_edge_terms(g1, g2, s, eta, kappa, lb):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)
+        return hi, (1.0 + lb * g2 * s) / (g1 * s), eta + kappa * lb, (1.0 + g1 * s) / (g2 * s)
+
+
+def gs_edge_step(lam, lb, hi, offset1, start1, offset2):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.divide(1.0, lam * math.log(2.0))
+        a1 = np.fmin(np.fmax(peak - offset1, start1), 1.0)
+        a2 = np.fmin(np.fmax(peak - offset2, lb), hi)
+    return a1, np.where(a1 == 1.0, a2, lb)
+
+
+def gs_dinkelbach(g1, g2, s, r1_min, r2_min):
+    if np.any(g1 < g2):
+        raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    eta, kappa = gs_eta_kappa(g1, g2, s, p1)
+    lb = gs_alpha2_lb(g2, s, p2)
+    if np.any(lb > 1.0 + EPS) or np.any(eta + kappa * lb > 1.0 + EPS):
+        raise EmptyPolytopeError("no feasible power fractions")
+    lb = np.minimum(lb, 1.0)
+    hi, offset1, start1, offset2 = gs_edge_terms(g1, g2, s, eta, kappa, lb)
+    del p1, p2, eta, kappa
+
+    def f(a1, a2):
+        return np.log2(1.0 + (a1 * g1 + a2 * g2) * s)
+
+    a1 = np.minimum(start1, 1.0)
+    a2 = lb
+    gv = a1 + a2
+    with np.errstate(invalid="ignore"):
+        lam = np.where(gv > 0.0, f(a1, a2) / gv, 0.0)
+    done = np.zeros(lam.shape, dtype=bool)
+    iterations = np.zeros(lam.shape, dtype=int)
+    history = []
+    for it in range(1, MAX_ITER + 1):
+        a1, a2 = gs_edge_step(lam, lb, hi, offset1, start1, offset2)
+        fv = f(a1, a2)
+        gv = a1 + a2
+        resid = fv - lam * gv
+        history.append((lam, resid))
+        iterations = np.where(done, iterations, it)
+        done = done | (resid <= TOL)
+        with np.errstate(invalid="ignore"):
+            ratio = fv / gv
+        if done.all():
+            return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
+        lam = np.where(done, lam, ratio)
+    raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {TOL:.1e} after {MAX_ITER} iterations")
+
+
+def gs_dinkelbach_batch(gamma1, gamma2, r1_min, r2_min, s):
+    g1, g2, r1, r2 = (np.asarray(x, dtype=float) for x in (gamma1, gamma2, r1_min, r2_min))
+    return gs_dinkelbach(g1, g2, s, r1, r2)[:4]
+
+
+def gs_eepa_kernel(g1, g2, r1_min, r2_min):
+    threshold = np.maximum(*gs_eepa_thresholds(g1, g2, *np.power(2.0, (r1_min, r2_min))))
+
+    def decide(s):
+        feasible = s >= threshold
+        if np.ndim(feasible) == 0:
+            if not feasible:
+                return gs_oma(g1, g2, s)
+            alpha1, alpha2, lam, iterations = gs_dinkelbach(g1, g2, s, r1_min, r2_min)[:4]
+        else:
+            alpha1, alpha2, lam = np.zeros((3,) + feasible.shape)
+            iterations = np.zeros(feasible.shape, dtype=int)
+            if feasible.any():
+                alpha1[feasible], alpha2[feasible], lam[feasible], iterations[feasible] = gs_dinkelbach_batch(
+                    *(np.broadcast_to(x, feasible.shape)[feasible] for x in (g1, g2, r1_min, r2_min, s))
+                )
+        r1, r2 = gs_noma_rates(alpha1, alpha2, g1, g2, s)
+        return gs_or_oma(lam > 0.0, alpha1, alpha2, r1, r2, lam, iterations, g1, g2, s)
+
+    return decide
+
+
+PARENT_KERNELS = {Scheme.MPA: gs_mpa_kernel, Scheme.EEPA: gs_eepa_kernel, Scheme.SRM: gs_srm_kernel,
+                  Scheme.OMA: gs_oma_kernel}

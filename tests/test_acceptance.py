@@ -26,9 +26,9 @@ from risnoma.mpa import (
     eta_kappa,
     pairing_criterion_mpa,
 )
-from risnoma.pairing import KERNELS, Scheme
+from risnoma.pairing import Scheme
 from risnoma.syslevel import DeploymentConfig, RadioConfig, campaign_pairs, run_campaign
-from oracles import best_kkt_candidate, grid_oracle_ee_rows, kkt_candidates, oma_decision
+from oracles import best_kkt_candidate, grid_oracle_ee_rows, kernel_decision, kkt_candidates, oma_decision
 
 POLICY = TargetPolicy.oma_at_reference(0.0)
 P0 = PhaseModel(0.0)
@@ -282,7 +282,7 @@ def test_acceptance_8_system_level_shape(request):
     for d in sweep:
         s = sinc_sq(d)
         targets = POLICY.rates(g1, g2, s)
-        r2 = {sch: KERNELS[sch](g1, g2, *targets)(s)[4] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
+        r2 = {sch: kernel_decision(sch, g1, g2, *targets, s)[4] for sch in (Scheme.OMA, Scheme.SRM, Scheme.MPA)}
         for sch, arr in r2.items():
             if abs(arr.mean() - get(sch.value, d, "mean_r2")) > 1e-12:
                 problems.append(f"(b) {sch.value} pairs differ from the campaign at {math.degrees(d):.0f} deg")

@@ -141,7 +141,8 @@ class TestRates:
     def test_ee_full_power(self):
         # at alpha1 = alpha2 = 1 the EE is the sum rate over a total power of 2
         csi1, csi2, phase = EffectiveCsi.from_db(8), EffectiveCsi.from_db(5), PhaseModel(0.3)
-        *_, ee, _ = _full_power_noma(csi1.gamma, csi2.gamma, phase.degradation, 1.0)
+        s = phase.degradation
+        *_, ee, _ = _full_power_noma(csi1.gamma * s, csi2.gamma * s, 1.0)
         rates = rate_noma(1.0, 1.0, csi1, csi2, phase)
         assert ee == pytest.approx((rates.strong + rates.weak) / 2)
 

@@ -106,7 +106,7 @@ class TestCriterion:
 def edge_step(lam, eta, kappa, lb, g1, g2, s):
     """The solver's inner maximizer on one instance, as floats, through
     the terms the solver binds once per solve."""
-    a1, a2 = _edge_step(lam, lb, *_edge_terms(g1, g2, s, np.float64(eta), np.float64(kappa), lb))
+    a1, a2 = _edge_step(lam, lb, *_edge_terms(g1 * s, g2 * s, np.float64(eta), np.float64(kappa), lb))
     return float(a1), float(a2)
 
 
@@ -322,8 +322,9 @@ class TestBatch:
         r2 = np.array([i[0].r2_min for i in insts])
         # group by identical degradation is impossible here, so run per-instance
         for k, (targets, csi1, csi2, phase) in enumerate(insts):
+            s = phase.degradation
             a1, a2, lam, iterations = dinkelbach_batch(
-                g1[k : k + 1], g2[k : k + 1], r1[k : k + 1], r2[k : k + 1], phase.degradation
+                g1[k : k + 1] * s, g2[k : k + 1] * s, r1[k : k + 1], r2[k : k + 1]
             )
             res = dinkelbach_allocate(targets, csi1, csi2, phase)
             assert lam[0] == pytest.approx(res.lambda_star, abs=1e-7)
@@ -345,16 +346,15 @@ class TestBatch:
         g2 = np.array([r[2].gamma for r in rows])
         r1 = np.array([r[0].r1_min for r in rows])
         r2 = np.array([r[0].r2_min for r in rows])
-        a1, a2, lam, _ = dinkelbach_batch(g1, g2, r1, r2, phase.degradation)
+        s = phase.degradation
+        a1, a2, lam, _ = dinkelbach_batch(g1 * s, g2 * s, r1, r2)
         for k, (targets, csi1, csi2) in enumerate(rows):
             res = dinkelbach_allocate(targets, csi1, csi2, phase)
             assert lam[k] == pytest.approx(res.lambda_star, abs=1e-7)
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
-            dinkelbach_batch(
-                np.array([2.0]), np.array([1.9]), np.array([2.0]), np.array([2.0]), 1.0
-            )
+            dinkelbach_batch(np.array([2.0]), np.array([1.9]), np.array([2.0]), np.array([2.0]))
 
 
 class TestWeakUserFirst:
@@ -366,9 +366,9 @@ class TestWeakUserFirst:
         g1, g2, r = np.array([10.0, 1.0]), np.array([1.0, 10.0]), np.full(2, 0.1)
         for solve in (
             lambda: dinkelbach_allocate(targets, csi1, csi2, P0),
-            lambda: dinkelbach_batch(g1, g2, r, r, 1.0),
-            lambda: _eepa_kernel(g1, g2, r, r)(1.0),
-            lambda: _eepa_kernel(1.0, 10.0, 0.1, 0.1)(1.0),
+            lambda: dinkelbach_batch(g1, g2, r, r),
+            lambda: _eepa_kernel(g1, g2, r, r)(g1, g2),
+            lambda: _eepa_kernel(1.0, 10.0, 0.1, 0.1)(1.0, 10.0),
         ):
             with pytest.raises(ValueError, match="strong user"):
                 solve()
@@ -414,8 +414,8 @@ class TestWeakUserFloor:
             for delta in np.radians(np.arange(0.0, 171.0, 10.0)):
                 s = sinc_sq(delta)
                 r1, r2 = policy.rates(g1, g2, s)
-                noma, _, alpha2, *_ = _eepa_kernel(g1, g2, r1, r2)(s)
-                floor = np.minimum(_alpha2_lb(g2, s, np.power(2.0, r2)), 1.0)
+                noma, _, alpha2, *_ = _eepa_kernel(g1, g2, r1, r2)(g1 * s, g2 * s)
+                floor = np.minimum(_alpha2_lb(g2 * s, np.power(2.0, r2)), 1.0)
                 assert np.array_equal(alpha2[noma], floor[noma])
                 decisions += np.count_nonzero(noma)
         assert decisions > 10000
@@ -438,11 +438,11 @@ def same_bytes(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def assert_solves_as_unbound(g1, g2, s, r1_min, r2_min):
+def assert_solves_as_unbound(x1, x2, r1_min, r2_min):
     """The solver and the reference rebuilding every edge-step term at each
     iteration give the same bytes: alpha1, alpha2, lambda*, iterations,
     residual and the per-iteration history. Returns the solver's result."""
-    bound, unbound = _dinkelbach(g1, g2, s, r1_min, r2_min), dinkelbach_unbound(g1, g2, s, r1_min, r2_min)
+    bound, unbound = _dinkelbach(x1, x2, r1_min, r2_min), dinkelbach_unbound(x1, x2, r1_min, r2_min)
     for x, y in zip(bound[:5], unbound[:5]):
         assert same_bytes(x, y)
     assert len(bound[5]) == len(unbound[5])
@@ -467,36 +467,36 @@ class TestBoundEdgeStep:
         g1 = 10.0 ** rng.uniform(-3.0, 4.0, n)
         g2 = g1 * 10.0 ** -rng.uniform(0.0, 3.0, n)
         s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 3.1, n)])
-        p1 = 1.0 + g1 * s * rng.uniform(0.0, 0.3, n) * (rng.uniform(size=n) < 0.8)
-        eta, kappa = _eta_kappa(g1, g2, s, p1)
+        x1, x2 = g1 * s, g2 * s
+        p1 = 1.0 + x1 * rng.uniform(0.0, 0.3, n) * (rng.uniform(size=n) < 0.8)
+        eta, kappa = _eta_kappa(x1, x2, p1)
         lb = np.minimum(rng.uniform(0.0, 1.0, n) * (1.0 - eta) / np.maximum(kappa, 1.0), 1.0)
-        terms = hi, offset1, start1, offset2 = _edge_terms(g1, g2, s, eta, kappa, lb)
+        terms = hi, offset1, start1, offset2 = _edge_terms(x1, x2, eta, kappa, lb)
         # lambdas aimed inside each leg, at random and at 0
         u = rng.uniform(size=n)
         peak = np.choose(rng.integers(0, 3, n), [lb + (hi - lb) * u + offset2, start1 + (1.0 - start1) * u + offset1,
                                                   10.0 ** rng.uniform(-2.0, 3.0, n)])
         lam = np.where(u < 0.02, 0.0, 1.0 / (peak * math.log(2.0)))
         a1, a2 = _edge_step(lam, lb, *terms)
-        a1_ref, a2_ref = edge_step_unbound(lam, g1, g2, s, eta, kappa, lb)
+        a1_ref, a2_ref = edge_step_unbound(lam, x1, x2, eta, kappa, lb)
         assert same_bytes(a1, a1_ref) and same_bytes(a2, a2_ref)
         assert np.count_nonzero((a1 == 1.0) & (a2 > lb) & (a2 < hi)) > 1000  # the second leg's interior
         assert np.count_nonzero((a1 > eta + kappa * lb) & (a1 < 1.0)) > 1000  # the first leg's
 
     def test_campaign_instances(self):
         # every feasible (delta, pair) of a 2-drop default campaign over the
-        # default 18-delta sweep, solved in one batch with s per instance
+        # default 18-delta sweep, solved in one batch
         g1, g2, _, _ = campaign_pairs(DeploymentConfig(drops=2), RadioConfig())
         parts = []
         for delta in np.radians(np.arange(0.0, 171.0, 10.0)):
             s = sinc_sq(delta)
             r1, r2 = POLICY.rates(g1, g2, s)
             f = eepa_feasible(g1, g2, s, r1, r2)
-            parts.append((g1[f], g2[f], np.full(np.count_nonzero(f), s), r1[f], r2[f]))
+            parts.append((g1[f] * s, g2[f] * s, r1[f], r2[f]))
         instances = [np.concatenate(column) for column in zip(*parts)]
         assert len(instances[0]) > 10000
         bound = assert_solves_as_unbound(*instances)
-        g1, g2, s, r1, r2 = instances
-        for x, y in zip(dinkelbach_batch(g1, g2, r1, r2, s), bound[:4]):
+        for x, y in zip(dinkelbach_batch(*instances), bound[:4]):
             assert same_bytes(x, y)
 
     def test_pair_study_draws(self):
@@ -514,8 +514,9 @@ class TestBoundEdgeStep:
             if not pairing_criterion_eepa(targets, csi1, csi2, phase).feasible:
                 continue
             res = dinkelbach_allocate(targets, csi1, csi2, phase)
+            s = phase.degradation
             a1, a2, lam, iterations, resid, history = assert_solves_as_unbound(
-                csi1.gamma, csi2.gamma, phase.degradation, targets.r1_min, targets.r2_min
+                csi1.gamma * s, csi2.gamma * s, targets.r1_min, targets.r2_min
             )
             assert same_bytes((res.alpha1, res.alpha2, res.lambda_star, res.residual), (a1, a2, lam, resid))
             assert res.iterations == iterations
@@ -530,9 +531,10 @@ class TestBoundEdgeStep:
         g2 = g1 * 10.0 ** -rng.uniform(0.0, 4.0, 4000)
         s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 3.1, 4000)])
         zeros = np.zeros(4000)
-        assert_solves_as_unbound(g1, g2, s, zeros, zeros)
+        x1, x2 = g1 * s, g2 * s
+        assert_solves_as_unbound(x1, x2, zeros, zeros)
         for k in range(0, 4000, 400):
-            assert_solves_as_unbound(float(g1[k]), float(g2[k]), float(s[k]), 0.0, 0.0)
+            assert_solves_as_unbound(float(x1[k]), float(x2[k]), 0.0, 0.0)
 
     def test_first_leg_ends_at_full_power(self):
         # weak Gamma and a weak-user floor near alpha2 = 1: along the first
@@ -543,7 +545,7 @@ class TestBoundEdgeStep:
         s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 1.5, 4000)])
         r1 = np.log2(1.0 + g1 * s * rng.uniform(0.0, 0.2, 4000))
         r2 = np.log2(1.0 + g2 * s * rng.uniform(0.5, 1.0, 4000))
-        a1, a2, *_ = assert_solves_as_unbound(g1, g2, s, r1, r2)
+        a1, a2, *_ = assert_solves_as_unbound(g1 * s, g2 * s, r1, r2)
         assert np.count_nonzero(a1 == 1.0) > 100 and np.any(a1 < 1.0)
 
     def test_floor_clipped_to_one(self):
@@ -555,21 +557,22 @@ class TestBoundEdgeStep:
         s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 1.5, 4000)])
         r2 = np.log2(1.0 + g2 * s * (1.0 + rng.uniform(0.0, 1.0, 4000) * EPS))
         r1 = np.log2(1.0 + g1 * s * rng.uniform(0.0, 1e-3, 4000))
-        lb = _alpha2_lb(g2, s, np.power(2.0, r2))
-        eta, kappa = _eta_kappa(g1, g2, s, np.power(2.0, r1))
+        x1, x2 = g1 * s, g2 * s
+        lb = _alpha2_lb(x2, np.power(2.0, r2))
+        eta, kappa = _eta_kappa(x1, x2, np.power(2.0, r1))
         keep = (lb > 1.0) & (lb <= 1.0 + EPS) & (eta + kappa * lb <= 1.0 + EPS)
         assert np.count_nonzero(keep) > 100
-        _, a2, *_ = assert_solves_as_unbound(*(x[keep] for x in (g1, g2, s, r1, r2)))
+        _, a2, *_ = assert_solves_as_unbound(*(x[keep] for x in (x1, x2, r1, r2)))
         assert np.all(a2 == 1.0)
 
     def test_subnormal_weak_gamma(self):
-        # Gamma2 * s subnormal: the second leg's offset overflows to +inf,
-        # with numpy's overflow warning on both sides for array inputs
-        g2 = np.array([5e-324, 1e-320, 2.2e-308])
-        g1 = np.array([2.0, 10.0, 1e3])
+        # x2 = Gamma2 * s subnormal: the second leg's offset overflows to
+        # +inf, with numpy's overflow warning on both sides for array inputs
+        x2 = np.array([5e-324, 1e-320, 2.2e-308])
+        x1 = np.array([2.0, 10.0, 1e3])
         zeros = np.zeros(3)
         with np.errstate(over="ignore"):
-            assert_solves_as_unbound(g1, g2, 1.0, zeros, zeros)
-            assert_solves_as_unbound(g1, g2, 1.0, np.full(3, 0.5), zeros)
-        for a, b in zip(g1.tolist(), g2.tolist()):  # floats: the division overflows to +inf silently
-            assert_solves_as_unbound(a, b, 1.0, 0.0, 0.0)
+            assert_solves_as_unbound(x1, x2, zeros, zeros)
+            assert_solves_as_unbound(x1, x2, np.full(3, 0.5), zeros)
+        for a, b in zip(x1.tolist(), x2.tolist()):  # floats: the division overflows to +inf silently
+            assert_solves_as_unbound(a, b, 0.0, 0.0)

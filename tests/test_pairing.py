@@ -94,6 +94,28 @@ class TestCellPairs:
         assert list(zip(strong.tolist(), weak.tolist())) == expected
         assert first.tolist() == starts
 
+    @pytest.mark.parametrize("n_cells", [1, 2, 3000])
+    def test_order_matches_lexsort(self, n_cells):
+        # the two stable sorts (by key, then by cell as a small int) order
+        # users as np.lexsort((-key, cell)) does, ties by index: every
+        # cell's users ranked largest key first, paired first with last
+        rng = np.random.default_rng(n_cells)
+        n = 20 * n_cells + 1
+        cell = rng.integers(0, n_cells, n)
+        key = np.where(rng.uniform(size=n) < 0.5, rng.integers(0, 4, n).astype(float), rng.uniform(0.0, 4.0, n))
+        strong, weak, first = cell_pairs(key, cell, n_cells)
+        order = np.lexsort((-key, cell))
+        counts = np.bincount(cell, minlength=n_cells)
+        want, starts, start = [], [], 0
+        for c in range(n_cells):
+            ranked = order[start : start + counts[c]].tolist()
+            starts.append(len(want))
+            want += [(ranked[k], ranked[-1 - k]) for k in range(counts[c] // 2)]
+            start += counts[c]
+        assert list(zip(strong.tolist(), weak.tolist())) == want
+        assert first.tolist() == starts
+        assert len(np.unique(key)) < n  # tied keys
+
 
 class TestRunScheme:
     def test_oma_scheme(self):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from risnoma import syslevel
 from risnoma.channel import EffectiveCsi, PhaseModel, sinc_sq
 from risnoma.experiments import ExperimentConfig, ExperimentKind, syslevel_tables
-from risnoma.mpa import PairDecision, PolicyKind, TargetPolicy
+from risnoma.mpa import Mode, PolicyKind, TargetPolicy
 from risnoma.pairing import KERNELS, Scheme
 from risnoma.syslevel import (
     BLOCK_INSTANCES,
+    _mean_se,
     DeploymentConfig,
     RadioConfig,
     associate_and_budget,
@@ -21,7 +22,7 @@ from risnoma.syslevel import (
     path_gain,
     run_campaign,
 )
-from oracles import grid_candidates_dense, run_campaign_per_delta, run_scheme_under
+from oracles import grid_candidates_dense, kernel_decision, run_campaign_per_delta, run_scheme_under
 
 RADIO = RadioConfig()
 
@@ -558,7 +559,7 @@ POLICIES = (
 
 def kernel_arrays(scheme, g1, g2, s, policy=TargetPolicy.oma_at_reference(0.0)):
     """A scheme's kernel on every pair, each output broadcast to the pairs."""
-    out = KERNELS[scheme](g1, g2, *policy.rates(g1, g2, s))(s)
+    out = kernel_decision(scheme, g1, g2, *policy.rates(g1, g2, s), s)
     return [np.broadcast_to(x, np.shape(g1)) for x in out]
 
 
@@ -580,29 +581,32 @@ class TestSchemeArrays:
             r1_min, r2_min = policy.rates(g1, g2, s)
             batch = np.array(kernel_arrays(scheme, g1, g2, s, policy), dtype=float)
             for k in range(len(g1)):
-                one = KERNELS[scheme](g1[k], g2[k], r1_min[k], r2_min[k])(s)
+                one = kernel_decision(scheme, g1[k], g2[k], r1_min[k], r2_min[k], s)
                 assert np.array(one, dtype=float).tobytes() == batch[:, k].tobytes()
                 csi = EffectiveCsi(g1[k]), EffectiveCsi(g2[k])
-                assert run_scheme_under(*csi, scheme, phase, policy) == PairDecision.from_kernel(one)
+                d = run_scheme_under(*csi, scheme, phase, policy)
+                fields = [d.mode is Mode.NOMA, d.alpha1, d.alpha2, d.rates.strong, d.rates.weak, d.asr, d.ee,
+                          d.iterations or 0]
+                assert np.array(fields, dtype=float).tobytes() == batch[:, k].tobytes()
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_delta_grid_matches_per_delta_calls(self, scheme):
-        # under each target policy, the kernel on a (delta x pair) grid, s a
-        # column against the pairs, equals its 1-D call at each delta bit for
-        # bit, all seven outputs; on the grid EEPA hands dinkelbach_batch one
-        # s per instance, solving at several deltas in one call
+        # under each target policy, the kernel on a (delta x pair) grid, x a
+        # row per delta, equals its 1-D call at each delta bit for bit, all
+        # eight outputs; on the grid EEPA hands dinkelbach_batch the
+        # instances of several deltas in one call
         rng = np.random.default_rng(23)
         g1 = 10 ** (rng.uniform(0, 25, 60) / 10)
         g2 = g1 * 10 ** (-rng.uniform(0.5, 15, 60) / 10)
         s = np.array([sinc_sq(d) for d in (0.0, 0.4, 0.9, 1.2, 2.0, 2.9)])[:, None]
         for policy in POLICIES:
-            out = KERNELS[scheme](g1, g2, *policy.rates(g1, g2, s))(s)
+            out = kernel_decision(scheme, g1, g2, *policy.rates(g1, g2, s), s)
             grid = [np.broadcast_to(x, (len(s), len(g1))) for x in out]
             for i in range(len(s)):
                 for got, want in zip(grid, kernel_arrays(scheme, g1, g2, float(s[i, 0]), policy)):
                     assert got[i].dtype == want.dtype and got[i].tobytes() == want.tobytes()
             if scheme is Scheme.EEPA:
-                assert (grid[6] > 0).any(axis=1).sum() >= 2
+                assert (grid[7] > 0).any(axis=1).sum() >= 2
 
     def test_eepa_zero_ee_falls_back_to_oma(self, monkeypatch):
         # every other feasible pair gets lambda* = 0 from the solver: those
@@ -623,7 +627,7 @@ class TestSchemeArrays:
         oma = kernel_arrays(Scheme.OMA, g1, g2, s)
         monkeypatch.setattr(eepa, "dinkelbach_batch", zero_every_other)
         patched = kernel_arrays(Scheme.EEPA, g1, g2, s)
-        assert np.all(real[0]) and np.all(real[5] != oma[5])  # eight EEPA NOMA pairs
+        assert np.all(real[0]) and np.all(real[6] != oma[6])  # eight EEPA NOMA pairs
         for got, want, ref in zip(patched, real, oma):
             np.testing.assert_array_equal(got[::2], ref[::2])
             np.testing.assert_array_equal(got[1::2], want[1::2])
@@ -645,6 +649,21 @@ class TestSchemeArrays:
         below = r2_srm < r2_oma
         assert np.array_equal(below[decisive], margin[decisive] > 0)
         assert below.any() == (delta > 0) and not below.all()
+
+
+@pytest.mark.parametrize("rows", [1, 18])
+@pytest.mark.parametrize("n", [1, 2, 3, 1003, 19927])
+def test_mean_se_from_one_sum(rows, n):
+    # the mean and std(ddof=1) / sqrt(n) numpy's own calls give, bit for
+    # bit, rows of rates spread over decades and a constant row; one value
+    # a row has standard error 0
+    rng = np.random.default_rng(n)
+    arr = 10.0 ** rng.uniform(-6.0, 1.0, (rows, n))
+    arr[-1] = 0.1
+    mean, se = _mean_se(arr)
+    assert mean.tobytes() == arr.mean(axis=1).tobytes()
+    want = arr.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(rows)
+    assert se.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +759,9 @@ class TestRunCampaign:
 
 
 DELTAS_18 = [math.radians(d) for d in range(0, 171, 10)]
+# the order run_campaign decides the schemes in, within each block: EEPA
+# first, before the block's OMA decision is made
+DECISION_ORDER = [Scheme.EEPA, Scheme.MPA, Scheme.SRM, Scheme.OMA]
 
 
 def record_kernel_calls(monkeypatch, binds=None):
@@ -754,9 +776,9 @@ def record_kernel_calls(monkeypatch, binds=None):
                 binds.append(scheme)
             decide = kernel(g1, g2, *floors)
 
-            def recorded(s):
-                calls.append((scheme, np.shape(s)[0], np.broadcast(g1, g2, s).size))
-                return decide(s)
+            def recorded(x1, x2):
+                calls.append((scheme, np.shape(x1)[0], np.broadcast(g1, g2, x1, x2).size))
+                return decide(x1, x2)
 
             return recorded
 
@@ -808,7 +830,7 @@ class TestCampaignBlocks:
         run_campaign(self.DEPLOY, RADIO, list(Scheme), DELTAS_18, policy)
         per_block = policy.kind is PolicyKind.OMA_AT_CURRENT
         assert binds == list(Scheme) * (len(blocks) if per_block else 1)
-        assert [scheme for scheme, _, _ in calls] == list(Scheme) * len(blocks)
+        assert [scheme for scheme, _, _ in calls] == DECISION_ORDER * len(blocks)
 
     def test_calls_hold_at_most_one_block(self, monkeypatch):
         # a one-drop campaign makes one call per scheme; no call holds more
@@ -816,7 +838,7 @@ class TestCampaignBlocks:
         # alone exceed the bound (all 18 at once peaked near 1 GiB at 200 drops)
         calls = record_kernel_calls(monkeypatch)
         one = run_campaign(self.DEPLOY, RADIO, list(Scheme), DELTAS_18)
-        assert [scheme for scheme, _, _ in calls] == list(Scheme)
+        assert [scheme for scheme, _, _ in calls] == DECISION_ORDER
         assert [deltas for _, deltas, _ in calls] == [18] * len(Scheme)
         calls.clear()
         four = run_campaign(DeploymentConfig(drops=4), RADIO, list(Scheme), DELTAS_18)
@@ -896,7 +918,8 @@ class TestSyslevelTables:
             part = slice(k * n, (k + 1) * n)
             assert cdf.data["scheme"][part] == [scheme.value] * n
             assert np.array_equal(cdf.data["cdf"][part].view(np.int64), levels.view(np.int64))
-            _, _, _, r1, r2, _, _ = kernel_arrays(scheme, g1, g2, s)
+            _, _, _, r1, r2, asr, _, _ = kernel_arrays(scheme, g1, g2, s)
+            assert np.array_equal(asr, r1 + r2)
             assert np.array_equal(cdf.data["asr"][part], np.sort(r1 + r2))
 
     def test_means_laid_out_by_delta_then_scheme(self, monkeypatch):
