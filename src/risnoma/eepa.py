@@ -2,19 +2,15 @@
 Dinkelbach solver for the pseudo-concave ratio program.
 
 Everything here works on the effective SNRs x1 = Gamma1 * s and x2 =
-Gamma2 * s, s = sinc^2(delta). The feasible power fractions form the
-polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1} with hi = min(1,
-(1-eta)/kappa). Each Dinkelbach subproblem maximizes the concave
-log2(1 + a1*x1 + a2*x2) - lam*(a1 + a2) over it. Every pair has x1 >= x2,
-so moving power from the weak user to the strong one never lowers the
-objective: a maximizer lies on the path a2 = lb (the weak user at its
-rate floor), then a1 = 1, and along each of the two legs the maximum is
-a clipped closed form (the edge step). The EE optimum itself keeps the
-weak user at its floor. One array-valued Dinkelbach loop serves the
-scalar solver, the batch solver and the EEPA decision. Each solve binds
-the edge step's lambda-free terms (hi, the first leg's start and each
-leg's offset, _edge_terms) once, before the loop, so an iteration
-computes only what depends on lambda.
+Gamma2 * s. The rate floors leave the polygon {lb <= a2, kappa*a2 + eta
+<= a1 <= 1} of power fractions. Every pair has x1 >= x2, so Dinkelbach's
+method maximizes the pair's EE on the weak user's floor leg {a2 = lb,
+eta + kappa*lb <= a1 <= 1} alone: at every lambda it visits, a
+subproblem's maximizer over the polygon lies on that leg (the lemma in
+_dinkelbach), where it is a clipped closed form (the edge step). One
+array-valued Dinkelbach loop serves the scalar solver, the batch solver
+and the EEPA decision; each solve binds the leg's lambda-free terms
+(_edge_terms) once, before the loop.
 
 The pairing criterion has MPA's form (a mpa.Criterion): pair when
 sinc^2(delta) reaches the larger of two conservative thresholds. The
@@ -86,43 +82,41 @@ def pairing_criterion_eepa(
 
 
 def _edge_terms(x1, x2, eta, kappa, lb):
-    """The edge step's lambda-free terms, bound once per solve: (hi, the
-    first leg's offset, the first leg's start, the second leg's offset)."""
+    """The edge step's lambda-free terms, bound once per solve: the floor
+    leg's offset (1 + lb*x2)/x1 and its start eta + kappa*lb."""
+    return (1.0 + lb * x2) / x1, eta + kappa * lb
+
+
+def _edge_step(lam, offset, start):
+    """Maximizer a1 of log2(1 + a1*x1 + lb*x2) - lam*(a1 + lb) on the floor
+    leg {a2 = lb, start <= a1 <= 1}, given its _edge_terms: the concave
+    objective's stationary point 1/(lam*ln2) - offset, clipped to the leg.
+    From lam2 up (_dinkelbach) it is the maximizer over the whole polygon.
+    fmax/fmin map the nan of inf - inf (lam = 0, offset = inf) to start."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.minimum(np.maximum(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb), 1.0)
-        return hi, (1.0 + lb * x2) / x1, eta + kappa * lb, (1.0 + x1) / x2
-
-
-def _edge_step(lam, lb, hi, offset1, start1, offset2):
-    """Maximizer (a1, a2) of log2(1 + a1*x1 + a2*x2) - lam*(a1 + a2)
-    over the nonempty polygon {lb <= a2 <= hi, kappa*a2 + eta <= a1 <= 1},
-    given the polygon's _edge_terms.
-
-    With x1 >= x2 a maximizer lies on the path a2 = lb, then a1 = 1.
-    Along each leg the objective is concave, with its stationary point
-    at 1/(lam*ln2) minus the leg's offset: the first leg's clipped point
-    is the maximizer unless it ends at a1 = 1, and then the second leg's
-    is. fmax/fmin map the nan of inf - inf (lam = 0, x = 0) to a leg's start.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peak = np.divide(1.0, lam * math.log(2.0))
-        a1 = np.fmin(np.fmax(peak - offset1, start1), 1.0)
-        a2 = np.fmin(np.fmax(peak - offset2, lb), hi)
-    return a1, np.where(a1 == 1.0, a2, lb)
+        return np.fmin(np.fmax(np.divide(1.0, lam * math.log(2.0)) - offset, start), 1.0)
 
 
 def _dinkelbach(x1, x2, r1_min, r2_min):
     """Dinkelbach iteration on arrays of instances (0-d for one pair) at
-    effective SNRs x1, x2.
+    effective SNRs x1, x2, on the weak user's floor leg a2 = lb. lambda
+    starts at the EE of the minimal-power vertex and is updated to f/g at
+    each subproblem maximizer until the subtractive optimum F(lambda)
+    drops to TOL; converged instances keep their lambda, so the edge step
+    repeats their maximizer bit for bit. Returns (alpha1, alpha2,
+    lambda_star, iterations, residual, history) with history the
+    per-iteration (lambda, F(lambda)) arrays.
 
-    lambda starts at the EE of the minimal-power vertex and is updated
-    to f/g at each subproblem maximizer until the subtractive optimum
-    F(lambda) drops to TOL; converged instances keep their lambda, so
-    the edge step repeats their maximizer bit for bit. The edge step's
-    lambda-free terms are bound once, before the loop. Returns
-    (alpha1, alpha2, lambda_star, iterations, residual, history) with
-    history the per-iteration (lambda, F(lambda)) arrays. The edge step
-    assumes x1 >= x2, so an instance given weak user first is rejected.
+    The lemma: with x1 >= x2 (an instance given weak user first is
+    rejected) moving power from a2 to a1 never lowers a subproblem's
+    objective, so its maximizer over the polygon lies on the floor leg or
+    on the leg a1 = 1, which beats the point (1, lb) only when lam < lam2
+    = x2 / ((1 + x1 + lb*x2) ln2). Each lambda is the EE of a floor point
+    (a1, lb) with y = a1*x1 + lb*x2 > 0, and lam*ln2 = ln(1 + y)/(a1 + lb)
+    > y/((1 + y)(a1 + lb)) >= x2/(1 + y) >= x2/(1 + x1 + lb*x2) by x1 >= x2
+    and a1 <= 1: lam > lam2. Two zero floors are the one exception: the
+    vertex (0, 0) starts lambda at 0, the first step is (1, 0), and the EE
+    has no maximizer, only its supremum x1/ln2 as the power falls to 0.
     """
     if np.count_nonzero(x1 < x2):
         raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
@@ -132,31 +126,31 @@ def _dinkelbach(x1, x2, r1_min, r2_min):
     if np.count_nonzero((lb > 1.0 + EPS) | (eta + kappa * lb > 1.0 + EPS)):
         raise EmptyPolytopeError("no feasible power fractions")
     lb = np.minimum(lb, 1.0)
-    hi, offset1, start1, offset2 = _edge_terms(x1, x2, eta, kappa, lb)
+    offset, start = _edge_terms(x1, x2, eta, kappa, lb)
     del p1, p2, eta, kappa  # the loop reads lb and the bound terms only; freed, a large batch peaks no higher
+    y2 = lb * x2
 
-    def f(a1, a2):
-        return np.log2(1.0 + (a1 * x1 + a2 * x2))
+    def f(a1):
+        return np.log2(1.0 + (a1 * x1 + y2))
 
-    a1 = np.minimum(start1, 1.0)
-    a2 = lb
-    gv = a1 + a2
+    a1 = np.minimum(start, 1.0)
+    gv = a1 + lb
     with np.errstate(invalid="ignore"):  # gv = 0 only at f = 0: the ratio is nan, and lam stays
-        lam = np.where(gv > 0.0, f(a1, a2) / gv, 0.0)
+        lam = np.where(gv > 0.0, f(a1) / gv, 0.0)
         done = np.zeros(lam.shape, dtype=bool)
         iterations = np.zeros(lam.shape, dtype=int)
         history = []
         for it in range(1, MAX_ITER + 1):
-            a1, a2 = _edge_step(lam, lb, hi, offset1, start1, offset2)
-            fv = f(a1, a2)
-            gv = a1 + a2
+            a1 = _edge_step(lam, offset, start)
+            fv = f(a1)
+            gv = a1 + lb
             resid = fv - lam * gv
             history.append((lam, resid))
             iterations = np.where(done, iterations, it)
             done = done | (resid <= TOL)
             ratio = fv / gv
             if done.all():
-                return a1, a2, np.where(gv > 0.0, ratio, lam), iterations, resid, history
+                return a1, lb, np.where(gv > 0.0, ratio, lam), iterations, resid, history
             lam = np.where(done, lam, ratio)
     raise ConvergenceError(f"Dinkelbach residual {np.max(resid):.3e} > {TOL:.1e} after {MAX_ITER} iterations")
 
@@ -194,11 +188,16 @@ def dinkelbach_batch(x1: np.ndarray, x2: np.ndarray, r1_min: np.ndarray, r2_min:
     dinkelbach_allocate. Each instance's result is independent of the
     others in the batch, bit for bit.
 
-    Returns (alpha1, alpha2, lambda_star, iterations) arrays. Raises
-    EmptyPolytopeError if any instance has no feasible power fractions
-    and ConvergenceError if any instance fails to converge.
+    Returns (alpha1, alpha2, lambda_star, iterations) arrays of the
+    instances' broadcast shape. Raises ValueError if any x is 0, negative
+    or not finite, EmptyPolytopeError if any instance has no feasible
+    power fractions and ConvergenceError if any instance fails to converge.
     """
-    return _dinkelbach(*(np.asarray(v, dtype=float) for v in (x1, x2, r1_min, r2_min)))[:4]
+    x1, x2, r1_min, r2_min = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, x2, r1_min, r2_min)))
+    for user, x in ((1, x1), (2, x2)):
+        if not np.all((x > 0.0) & (x < np.inf)):
+            raise ValueError(f"degenerate channel: Gamma{user} * sinc^2 not in (0, inf)")
+    return _dinkelbach(x1, x2, r1_min, r2_min)[:4]
 
 
 def _eepa_kernel(g1, g2, r1_min, r2_min):

@@ -136,7 +136,10 @@ class PairDecision:
         """One pair's decision by a scheme's kernel, bound to the pair and
         its floors and decided at its effective SNRs; the OMA decision is
         computed only when it is the fallback. 0 iterations (no solve)
-        read as None."""
+        read as None. The kernels assume Gamma1 >= Gamma2, so a pair given
+        weak user first is rejected."""
+        if csi1.gamma < csi2.gamma:
+            raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
         g1, g2, s = float(csi1.gamma), float(csi2.gamma), phase.degradation
         x1, x2 = g1 * s, g2 * s
         decision = kernel(g1, g2, targets.r1_min, targets.r2_min)(x1, x2)

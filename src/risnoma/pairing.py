@@ -66,13 +66,11 @@ def run_scheme(
     csi1: EffectiveCsi, csi2: EffectiveCsi, scheme: Scheme, phase: PhaseModel, targets: RateTargets
 ) -> PairDecision:
     """Decide one (strong, weak) pair with the scheme's kernel, under the
-    pair's resolved floors (TargetPolicy.resolve). The kernels assume
-    Gamma1 >= Gamma2, so a pair given weak user first is rejected; every
-    scheme but OMA needs Gamma2 * sinc^2(delta) > 0."""
+    pair's resolved floors (TargetPolicy.resolve). A pair given weak
+    user first is rejected (PairDecision.from_kernel); every scheme but
+    OMA needs Gamma2 * sinc^2(delta) > 0."""
     if scheme not in KERNELS:
         raise ValueError(f"unknown scheme {scheme}")
-    if csi1.gamma < csi2.gamma:
-        raise ValueError("the strong user (Gamma1 >= Gamma2) must come first")
     if scheme is not Scheme.OMA:
         _check_channel(csi2, phase, 2)
     return PairDecision.from_kernel(KERNELS[scheme], targets, csi1, csi2, phase)

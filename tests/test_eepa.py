@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risnoma.eepa import (
+    MAX_ITER,
+    TOL,
     EmptyPolytopeError,
     _dinkelbach,
     _edge_step,
@@ -104,10 +106,26 @@ class TestCriterion:
 
 
 def edge_step(lam, eta, kappa, lb, g1, g2, s):
-    """The solver's inner maximizer on one instance, as floats, through
-    the terms the solver binds once per solve."""
-    a1, a2 = _edge_step(lam, lb, *_edge_terms(g1 * s, g2 * s, np.float64(eta), np.float64(kappa), lb))
+    """The solver's inner maximizer (a1, lb) on one instance's floor leg,
+    as floats, through the terms the solver binds once per solve."""
+    return float(_edge_step(lam, *_edge_terms(g1 * s, g2 * s, np.float64(eta), np.float64(kappa), lb))), float(lb)
+
+
+def edge_step_ref(lam, eta, kappa, lb, g1, g2, s):
+    """The reference's maximizer over the whole polygon, as floats."""
+    a1, a2 = edge_step_unbound(lam, g1 * s, g2 * s, np.float64(eta), np.float64(kappa), np.float64(lb))
     return float(a1), float(a2)
+
+
+def leg_lambda2(x1, x2, lb):
+    """The lambda below which a subproblem's maximizer over the polygon
+    leaves the floor leg for the leg a1 = 1: its slope in a2 at (1, lb)."""
+    return x2 / ((1.0 + x1 + lb * x2) * math.log(2.0))
+
+
+def floor_ee(x1, x2, a1, lb):
+    """The EE of the floor-leg point (a1, lb): a lambda the iteration visits."""
+    return np.log2(1.0 + (a1 * x1 + lb * x2)) / (a1 + lb)
 
 
 def instance_polygon(targets, csi1, csi2, phase):
@@ -128,17 +146,23 @@ NON_BOX = (RateTargets(math.log2(5.0), math.log2(1.5)), EffectiveCsi(10.0), Effe
 class TestPolytope:
     def test_box_vertices(self):
         # zero floors make the unit box; with Gamma1 > Gamma2 the strong
-        # fraction fills first, so the maximizer walks (0,0) -> (1,0) ->
-        # (1,1) as lam falls past the slopes at those vertices
+        # fraction fills first, so the polygon's maximizer walks (0,0) ->
+        # (1,0) -> (1,1) as lam falls past the slopes at those vertices.
+        # The floor leg a2 = 0 holds the first two; the third needs lam
+        # below lambda2, which the reference reaches and no iterate visits
         g1, g2 = 10.0, 2.0
         ln2 = math.log(2.0)
         cases = [
             (1.01 * g1 / ln2, (0.0, 0.0)),
             (0.5 * (g1 + g2) / ((1 + g1) * ln2), (1.0, 0.0)),
-            (0.99 * g2 / ((1 + g1 + g2) * ln2), (1.0, 1.0)),
+            (1.01 * leg_lambda2(g1, g2, 0.0), (1.0, 0.0)),
         ]
         for lam, vertex in cases:
             assert edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0) == pytest.approx(vertex, abs=1e-12)
+            assert edge_step_ref(lam, 0.0, 0.0, 0.0, g1, g2, 1.0) == edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0)
+        lam = 0.99 * g2 / ((1 + g1 + g2) * ln2)  # below the slope at (1, 1), itself below lambda2
+        assert edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0) == (1.0, 0.0)
+        assert edge_step_ref(lam, 0.0, 0.0, 0.0, g1, g2, 1.0) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_empty(self):
         # eta > 1 pushes the strong-user line above the box
@@ -146,7 +170,8 @@ class TestPolytope:
             dinkelbach_allocate(RateTargets(5.0, 0.5), EffectiveCsi(10.0), EffectiveCsi(2.0), P0)
 
     def test_degenerate_point(self):
-        # lb = 1 and eta + kappa = 1 collapse the polygon to the corner (1, 1)
+        # lb = 1 and eta + kappa = 1 collapse the polygon, and its floor
+        # leg, to the corner (1, 1), which every lambda picks
         for lam in (0.0, 0.3, 50.0):
             assert edge_step(lam, 0.5, 0.5, 1.0, 4.0, 2.0, 1.0) == pytest.approx((1.0, 1.0))
         # floors 2^r - 1 = 4/3 and 2 at Gamma = 4, 2: eta = 1/3, kappa = 2/3, lb = 1
@@ -158,23 +183,35 @@ class TestPolytope:
 
 class TestEdgeStep:
     def test_interior_maximum(self):
-        # on a1 = 1 (zero floors) the stationary point of
-        # log2(1 + g1 + a2*g2) - lam*(1 + a2) is a2 = 1/(lam ln2) - (1 + g1)/g2
-        g1, g2, a2_star = 4.0, 3.0, 0.4
-        lam = 1.0 / (math.log(2.0) * (a2_star + (1.0 + g1) / g2))
-        a1, a2 = edge_step(lam, 0.0, 0.0, 0.0, g1, g2, 1.0)
-        assert (a1, a2) == pytest.approx((1.0, a2_star), abs=1e-12)
+        # on the floor leg a2 = lb the stationary point of
+        # log2(1 + a1*g1 + lb*g2) - lam*(a1 + lb) is a1 = 1/(lam ln2) - (1 + lb*g2)/g1;
+        # a lambda putting it inside the leg is above lambda2, as the polygon's maximizer
+        g1, g2, eta, kappa, lb, a1_star = 4.0, 3.0, 0.1, 0.2, 0.25, 0.4
+        lam = 1.0 / (math.log(2.0) * (a1_star + (1.0 + lb * g2) / g1))
+        assert lam > leg_lambda2(g1, g2, lb)
+        assert edge_step(lam, eta, kappa, lb, g1, g2, 1.0) == pytest.approx((a1_star, lb), abs=1e-12)
+        assert edge_step_ref(lam, eta, kappa, lb, g1, g2, 1.0) == edge_step(lam, eta, kappa, lb, g1, g2, 1.0)
 
     def test_endpoint_maximum(self):
-        # past the clip, the stationary point lies beyond a2 = 1: the edge
-        # maximum sits at its endpoint
-        assert edge_step(0.1, 0.0, 0.0, 0.0, 4.0, 3.0, 1.0) == (1.0, 1.0)
+        # past either clip the leg's maximum sits at that endpoint: its
+        # start eta + kappa*lb when power is dear, (1, lb) from lambda2 up
+        # to the lambda whose stationary point is a1 = 1
+        g1, g2, eta, kappa, lb = 4.0, 3.0, 0.1, 0.2, 0.25
+        assert edge_step(50.0, eta, kappa, lb, g1, g2, 1.0) == pytest.approx((eta + kappa * lb, lb), abs=1e-15)
+        for lam in (leg_lambda2(g1, g2, lb), 1.01 * leg_lambda2(g1, g2, lb)):
+            assert edge_step(lam, eta, kappa, lb, g1, g2, 1.0) == (1.0, lb)
+            assert edge_step_ref(lam, eta, kappa, lb, g1, g2, 1.0) == (1.0, lb)
 
     def test_degenerate_segment(self):
-        # the non-box polygon's edge a2 = hi is the single point (1, hi);
-        # with the power nearly free that corner is the maximizer
+        # the non-box polygon's upper edge a2 = hi is the single point (1, hi);
+        # the reference reaches that corner only with the power nearly free,
+        # far below lambda2, where the floor leg's maximizer is (1, lb)
         eta, kappa, lb = instance_polygon(*NON_BOX)
-        assert edge_step(1e-6, eta, kappa, lb, 10.0, 2.0, 1.0) == pytest.approx((1.0, 0.75), abs=1e-12)
+        lam2 = leg_lambda2(10.0, 2.0, lb)
+        assert edge_step_ref(1e-6, eta, kappa, lb, 10.0, 2.0, 1.0) == pytest.approx((1.0, 0.75), abs=1e-12)
+        assert edge_step(1e-6, eta, kappa, lb, 10.0, 2.0, 1.0) == (1.0, lb)
+        for lam in lam2 * np.geomspace(1.0, 100.0, 50):
+            assert edge_step_ref(lam, eta, kappa, lb, 10.0, 2.0, 1.0) == edge_step(lam, eta, kappa, lb, 10.0, 2.0, 1.0)
 
 
 class TestInnerMaximize:
@@ -182,8 +219,14 @@ class TestInnerMaximize:
         targets, csi1, csi2, phase = sample_feasible(np.random.default_rng(1))
         eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
         a1, a2 = edge_step(0.0, eta, kappa, lb, csi1.gamma, csi2.gamma, phase.degradation)
-        # with no power penalty the maximizer saturates both fractions
-        assert (a1, a2) == (1.0, 1.0)
+        # with no power penalty the floor leg's maximizer is its full-power
+        # end; the reference, over the whole polygon, saturates both fractions.
+        # Only two zero floors start an iteration at lambda = 0
+        assert (a1, a2) == (1.0, lb)
+        assert edge_step_ref(0.0, eta, kappa, lb, csi1.gamma, csi2.gamma, phase.degradation) == (1.0, 1.0)
+        x1, x2 = 10.0, 2.0
+        history = _dinkelbach(x1, x2, 0.0, 0.0)[5]
+        assert history[0][0] == 0.0 and history[1][0] == np.log2(1.0 + x1)  # the first step: (1, 0)
 
     def test_large_lambda_minimizes_power(self):
         targets, csi1, csi2, phase = sample_feasible(np.random.default_rng(2))
@@ -194,12 +237,14 @@ class TestInnerMaximize:
 
     def test_symmetric_instance(self):
         # Gamma1 = Gamma2: the objective depends on a1 + a2 only, and the
-        # best total power is 1/ln2 - 1/g
-        g = EffectiveCsi.from_db(10).gamma
-        a1, a2 = edge_step(1.0, 0.0, 0.0, 0.0, g, g, 1.0)
-        obj = lambda x, y: math.log2(1 + (x + y) * g) - (x + y)
+        # best total power is 1/(lam ln2) - 1/g, which at lam = 2 > lambda2
+        # lies inside the floor leg
+        g, lam = EffectiveCsi.from_db(10).gamma, 2.0
+        assert lam > leg_lambda2(g, g, 0.0)
+        a1, a2 = edge_step(lam, 0.0, 0.0, 0.0, g, g, 1.0)
+        obj = lambda x, y: math.log2(1 + (x + y) * g) - lam * (x + y)
         assert obj(a1, a2) == pytest.approx(obj(a2, a1), abs=1e-12)
-        assert a1 + a2 == pytest.approx(1.0 / math.log(2.0) - 1.0 / g, abs=1e-12)
+        assert a1 + a2 == pytest.approx(1.0 / (lam * math.log(2.0)) - 1.0 / g, abs=1e-12)
 
     def test_empty_polytope(self):
         # the weak user's floor needs alpha2 > 1
@@ -214,7 +259,8 @@ class TestInnerMaximize:
             targets, csi1, csi2, phase = sample_feasible(rng)
             eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
             g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
-            lam = rng.uniform(0.0, 8.0)
+            lam2 = leg_lambda2(g1 * s, g2 * s, lb)
+            lam = rng.uniform(lam2, max(8.0, 2.0 * lam2))
             obj = inner_objective(lam, g1, g2, s)
             a1, a2 = edge_step(lam, eta, kappa, lb, g1, g2, s)
             feas = (x >= kappa * y + eta) & (y >= lb)
@@ -240,6 +286,7 @@ class TestInnerMaximize:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_beats_random_feasible_points(self, g1_db, gap_db, delta_frac, lam, seed):
+        # lam from lambda2 up, where the floor leg holds the polygon's maximizer
         csi1, csi2 = EffectiveCsi.from_db(g1_db), EffectiveCsi.from_db(g1_db - gap_db)
         targets = POLICY.resolve(csi1, csi2, P0)
         crit = pairing_criterion_eepa(targets, csi1, csi2, P0)
@@ -247,6 +294,7 @@ class TestInnerMaximize:
         phase = PhaseModel(delta_frac * crit.delta_ub)
         eta, kappa, lb = instance_polygon(targets, csi1, csi2, phase)
         g1, g2, s = csi1.gamma, csi2.gamma, phase.degradation
+        lam += leg_lambda2(g1 * s, g2 * s, lb)
         obj = inner_objective(lam, g1, g2, s)
         a1, a2 = edge_step(lam, eta, kappa, lb, g1, g2, s)
         # random points of the polygon: a2 in [lb, 1], a1 above the strong-user line
@@ -356,11 +404,31 @@ class TestBatch:
         with pytest.raises(ValueError):
             dinkelbach_batch(np.array([2.0]), np.array([1.9]), np.array([2.0]), np.array([2.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_names_degenerate_instances(self, bad):
+        # named before any arithmetic, so no RuntimeWarning (an error in
+        # tier-1) is raised on the way: a 0, nan or inf once ran 100 nan
+        # iterations, x2 = 0 divided by zero, and x2 = -1 returned (1, 1)
+        r = np.full(3, 0.5)
+        for user in (1, 2):
+            x1, x2 = np.array([10.0, 8.0, 6.0]), np.array([1.0, 2.0, 3.0])
+            (x1 if user == 1 else x2)[1] = bad
+            with pytest.raises(ValueError, match=f"degenerate channel: Gamma{user}"):
+                dinkelbach_batch(x1, x2, r, r)
+
+    def test_broadcast_shape(self):
+        # every output takes the instances' broadcast shape, a2 = lb too
+        a1, a2, lam, iterations = dinkelbach_batch(np.array([10.0, 20.0]), 2.0, 0.5, 0.5)
+        assert a1.shape == a2.shape == lam.shape == iterations.shape == (2,)
+        assert a2[0] == a2[1] == _alpha2_lb(2.0, math.sqrt(2.0))
+
 
 class TestWeakUserFirst:
     def test_rejected_by_every_solver(self):
         # the edge step assumes Gamma1 >= Gamma2: given (1, 10) it stopped at
-        # lambda* = 2.378, where the grid oracle finds EE 4.534 at (0.133, 0.085)
+        # lambda* = 2.378, where the grid oracle finds EE 4.534 at (0.133, 0.085).
+        # MPA's kernel assumes it too: given (5, 8) dB at 10 degrees it paired
+        # with alpha2 = 0.322 and ASR 2.618, against 0.852 and 3.309 in order
         targets, csi1, csi2 = RateTargets(0.1, 0.1), EffectiveCsi(1.0), EffectiveCsi(10.0)
         assert grid_oracle_ee(targets, csi1, csi2, P0, step=1e-2)[2] > 4.5
         g1, g2, r = np.array([10.0, 1.0]), np.array([1.0, 10.0]), np.full(2, 0.1)
@@ -369,9 +437,62 @@ class TestWeakUserFirst:
             lambda: dinkelbach_batch(g1, g2, r, r),
             lambda: _eepa_kernel(g1, g2, r, r)(g1, g2),
             lambda: _eepa_kernel(1.0, 10.0, 0.1, 0.1)(1.0, 10.0),
+            lambda: allocate_mpa(targets, csi1, csi2, P0),
         ):
             with pytest.raises(ValueError, match="strong user"):
                 solve()
+
+
+FLOOR_POLICIES = st.one_of(
+    st.just(POLICY),
+    st.just(TargetPolicy.oma_at_current()),
+    st.builds(TargetPolicy.explicit, st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 4.0),
+              st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 2.0)),
+)
+GRID = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 401), indexing="ij")
+
+
+class TestFloorLeg:
+    """The lemma that lets Dinkelbach walk the weak user's floor leg alone:
+    at the EE of any floor-leg point, the lambdas the iteration visits, the
+    subproblem's maximizer over the whole polygon lies on that leg."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        g1_db=st.floats(-30.0, 40.0),
+        gap_db=st.floats(0.0, 40.0),
+        delta=st.floats(0.0, 3.1),
+        policy=FLOOR_POLICIES,
+        u=st.floats(0.0, 1.0),
+    )
+    def test_visited_lambda_stays_on_the_leg(self, g1_db, gap_db, delta, policy, u):
+        g1, g2 = 10.0 ** (g1_db / 10.0), 10.0 ** ((g1_db - gap_db) / 10.0)
+        s = sinc_sq(delta)
+        x1, x2 = np.float64(g1 * s), np.float64(g2 * s)
+        p1, p2 = np.power(2.0, policy.rates(g1, g2, s))
+        eta, kappa = _eta_kappa(x1, x2, p1)
+        lb = _alpha2_lb(x2, p2)
+        assume(lb <= 1.0 and eta + kappa * lb <= 1.0)
+        offset, start = _edge_terms(x1, x2, eta, kappa, lb)
+        point = start + u * (1.0 - start)
+        # y > 0 is the lemma's premise; its margin is y/2 relative, which
+        # rounding erases near y = 1e-16 (iterates have y >= p1*p2 - 1, or,
+        # for two zero floors, about the final relative gap, 1e-5 or more)
+        assume(point * x1 + lb * x2 > 1e-9)
+        lam = floor_ee(x1, x2, point, lb)
+        a1 = _edge_step(lam, offset, start)
+        a1_ref, a2_ref = edge_step_unbound(lam, x1, x2, eta, kappa, lb)
+        assert same_bytes(a1, a1_ref) and a2_ref == lb
+        # the floor leg's maximizer is the polygon's: no grid point beats it
+        x, y = GRID
+        obj = lambda a, b: np.log2(1.0 + (a * x1 + b * x2)) - lam * (a + b)
+        feasible = (y >= lb) & (x >= kappa * y + eta)
+        assert obj(a1, lb) >= np.where(feasible, obj(x, y), -np.inf).max() - 1e-12
+        # and lambda2 is where it stops being so: just below it the reference
+        # leaves the leg wherever the polygon's upper edge lies above lb
+        hi = min(1.0, (1.0 - eta) / kappa) if eta + kappa > 1.0 else 1.0
+        a1_ref, a2_ref = edge_step_unbound(0.99 * leg_lambda2(x1, x2, lb), x1, x2, eta, kappa, lb)
+        assert a1_ref == 1.0 and (a2_ref > lb if hi > lb else a2_ref == lb)
 
 
 class TestWeakUserFloor:
@@ -456,12 +577,16 @@ def eepa_feasible(g1, g2, s, r1_min, r2_min):
 
 
 class TestBoundEdgeStep:
-    """Binding the edge step's lambda-free terms once per solve leaves every
-    iterate bit for bit as rebuilding them at each iteration makes it."""
+    """Binding the edge step's lambda-free terms once per solve, on the
+    floor leg alone, leaves every iterate bit for bit as the reference,
+    which rebuilds every term of the two-leg polygon walk at each
+    iteration, makes it."""
 
     def test_edge_step_at_any_lambda(self):
         # the edge step alone, at lambdas the iteration never visits too:
-        # both legs' interiors, their clips, and lambda = 0
+        # the reference's two legs' interiors, their clips, and lambda = 0.
+        # a1 is the reference's at every lambda; a2 = lb is, except on the
+        # reference's second leg, which only lambda < lambda2 reaches
         rng = np.random.default_rng(30)
         n = 20000
         g1 = 10.0 ** rng.uniform(-3.0, 4.0, n)
@@ -471,17 +596,20 @@ class TestBoundEdgeStep:
         p1 = 1.0 + x1 * rng.uniform(0.0, 0.3, n) * (rng.uniform(size=n) < 0.8)
         eta, kappa = _eta_kappa(x1, x2, p1)
         lb = np.minimum(rng.uniform(0.0, 1.0, n) * (1.0 - eta) / np.maximum(kappa, 1.0), 1.0)
-        terms = hi, offset1, start1, offset2 = _edge_terms(x1, x2, eta, kappa, lb)
-        # lambdas aimed inside each leg, at random and at 0
+        offset, start = _edge_terms(x1, x2, eta, kappa, lb)
+        with np.errstate(divide="ignore"):  # a zero strong floor: kappa = 0
+            hi = np.clip(np.where(eta + kappa > 1.0, (1.0 - eta) / kappa, 1.0), lb, 1.0)  # the polygon's upper edge
+        # lambdas aimed inside each of the reference's legs, at random and at 0
         u = rng.uniform(size=n)
-        peak = np.choose(rng.integers(0, 3, n), [lb + (hi - lb) * u + offset2, start1 + (1.0 - start1) * u + offset1,
-                                                  10.0 ** rng.uniform(-2.0, 3.0, n)])
+        peak = np.choose(rng.integers(0, 3, n), [lb + (hi - lb) * u + (1.0 + x1) / x2,
+                                                  start + (1.0 - start) * u + offset, 10.0 ** rng.uniform(-2.0, 3.0, n)])
         lam = np.where(u < 0.02, 0.0, 1.0 / (peak * math.log(2.0)))
-        a1, a2 = _edge_step(lam, lb, *terms)
+        a1 = _edge_step(lam, offset, start)
         a1_ref, a2_ref = edge_step_unbound(lam, x1, x2, eta, kappa, lb)
-        assert same_bytes(a1, a1_ref) and same_bytes(a2, a2_ref)
-        assert np.count_nonzero((a1 == 1.0) & (a2 > lb) & (a2 < hi)) > 1000  # the second leg's interior
-        assert np.count_nonzero((a1 > eta + kappa * lb) & (a1 < 1.0)) > 1000  # the first leg's
+        assert same_bytes(a1, a1_ref)
+        assert np.all(hi > lb) and np.array_equal(a2_ref != lb, lam < leg_lambda2(x1, x2, lb))
+        assert np.count_nonzero((a2_ref > lb) & (a2_ref < hi)) > 1000  # the reference's second leg's interior
+        assert np.count_nonzero((a1 > start) & (a1 < 1.0)) > 1000  # the floor leg's
 
     def test_campaign_instances(self):
         # every feasible (delta, pair) of a 2-drop default campaign over the
@@ -525,20 +653,34 @@ class TestBoundEdgeStep:
         assert solved > 500
 
     def test_zero_floors(self):
-        # p1 = p2 = 1: eta = kappa = lb = 0, the unit box
+        # p1 = p2 = 1: eta = kappa = lb = 0, the unit box. The EE has no
+        # maximizer, only its supremum x1/ln2 as the power falls to 0, and
+        # lambda starts at 0 below lambda2: the first step is (1, 0), where
+        # the reference's is (1, 1), and the iterates differ from there on.
+        # At the stop F(lambda) <= TOL, and near the supremum F = gap^2 /
+        # (2 ln2) for the relative gap of lambda, so both solvers end within
+        # GAP of x1/ln2, hence of each other
+        gap = math.sqrt(2.0 * math.log(2.0) * TOL)  # 1.18e-4; measured at most 5.9e-5 on these draws
         rng = np.random.default_rng(31)
         g1 = 10.0 ** rng.uniform(-3.0, 4.0, 4000)
         g2 = g1 * 10.0 ** -rng.uniform(0.0, 4.0, 4000)
         s = np.array([sinc_sq(d) for d in rng.uniform(0.0, 3.1, 4000)])
         zeros = np.zeros(4000)
         x1, x2 = g1 * s, g2 * s
-        assert_solves_as_unbound(x1, x2, zeros, zeros)
-        for k in range(0, 4000, 400):
-            assert_solves_as_unbound(float(x1[k]), float(x2[k]), 0.0, 0.0)
+        scalars = [(float(x1[k]), float(x2[k]), 0.0, 0.0) for k in range(0, 4000, 400)]
+        for instance in [(x1, x2, zeros, zeros)] + scalars:
+            a1, a2, lam, iterations, _, history = _dinkelbach(*instance)
+            lam_ref = dinkelbach_unbound(*instance)[2]
+            sup = instance[0] / math.log(2.0)
+            assert np.all(lam < sup) and np.all(lam > sup * (1.0 - gap))
+            assert np.all(np.abs(lam - lam_ref) < sup * gap)
+            assert np.all(iterations <= MAX_ITER) and len(history) <= MAX_ITER
+            assert np.all(a2 == 0.0) and np.all(a1 > 0.0)
 
     def test_first_leg_ends_at_full_power(self):
-        # weak Gamma and a weak-user floor near alpha2 = 1: along the first
-        # leg the EE rises up to alpha1 = 1, where the path turns onto the second leg
+        # weak Gamma and a weak-user floor near alpha2 = 1: along the floor
+        # leg the EE rises up to alpha1 = 1, where the reference's path turns
+        # onto its second leg and, at every lambda visited, stops at a2 = lb
         rng = np.random.default_rng(32)
         g1 = 10.0 ** rng.uniform(-1.0, 0.7, 4000)
         g2 = g1 * 10.0 ** -rng.uniform(0.0, 2.0, 4000)
@@ -566,13 +708,13 @@ class TestBoundEdgeStep:
         assert np.all(a2 == 1.0)
 
     def test_subnormal_weak_gamma(self):
-        # x2 = Gamma2 * s subnormal: the second leg's offset overflows to
-        # +inf, with numpy's overflow warning on both sides for array inputs
+        # x2 = Gamma2 * s subnormal: the reference's second-leg offset
+        # overflows to +inf, with numpy's overflow warning for array inputs
         x2 = np.array([5e-324, 1e-320, 2.2e-308])
         x1 = np.array([2.0, 10.0, 1e3])
         zeros = np.zeros(3)
         with np.errstate(over="ignore"):
             assert_solves_as_unbound(x1, x2, zeros, zeros)
             assert_solves_as_unbound(x1, x2, np.full(3, 0.5), zeros)
-        for a, b in zip(x1.tolist(), x2.tolist()):  # floats: the division overflows to +inf silently
+        for a, b in zip(x1.tolist(), x2.tolist()):  # floats: the reference's division overflows to +inf silently
             assert_solves_as_unbound(a, b, 0.0, 0.0)
