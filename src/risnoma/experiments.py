@@ -5,10 +5,12 @@ the Monte-Carlo validation of the sinc^2 approximation.
 The two sweeps are built on arrays of the pair's effective SNRs over
 their grid from the rate, bound and threshold formulas and one MPA kernel
 call (see pairing.KERNELS), after the input checks the one-pair API makes;
-only a delta upper bound, a bisection, is found row by row. The
-single-pair study uses only the one-pair API: TargetPolicy.resolve, once
-per study, then run_scheme and the delta upper bounds of
-pairing_criterion_mpa and pairing_criterion_eepa on the floors it gives.
+only a delta upper bound, a Newton search, is found row by row. The
+single-pair study decides its pair on the same kernels, on floats, one
+call per scheme, with the floors, the channel check, 2^floors and the
+OMA decision made once per study; its rows equal run_scheme's decisions
+and its thresholds pairing_criterion_mpa's and pairing_criterion_eepa's,
+bit for bit.
 """
 
 import math
@@ -18,15 +20,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import (
-    MAX_GAMMA_DB, MC_CHUNK_VALUES, EffectiveCsi, PhaseModel, _noma_rates, _oma_rate, db_to_linear,
-    phase_error_gain_mc, sinc_sq,
-)
-from .eepa import pairing_criterion_eepa
+from .channel import MAX_GAMMA_DB, MC_CHUNK_VALUES, _noma_rates, _oma_rate, db_to_linear, phase_error_gain_mc, sinc_sq
+from .eepa import _eepa_thresholds
 from .mpa import (
-    Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _delta_ub, _mpa_threshold, _oma, _or_oma, pairing_criterion_mpa,
+    Mode, TargetPolicy, _alpha2_lb, _alpha2_ub, _check_floors, _delta_ub, _mpa_threshold, _oma, _or_oma,
 )
-from .pairing import KERNELS, Scheme, run_scheme
+from .pairing import KERNELS, Scheme
 from .syslevel import DeploymentConfig, RadioConfig, run_campaign
 from .tables import Table
 
@@ -203,30 +202,34 @@ def sweep_delta_table(cfg: ExperimentConfig) -> Table:
 
 def pair_study_table(cfg: ExperimentConfig) -> Table:
     """Full per-scheme decision dump for one pair at one delta, with the
-    MPA and EEPA criteria's delta upper bounds."""
-    csi1, csi2 = (EffectiveCsi.from_db(g) for g in cfg.gammas_db)
-    phase = PhaseModel.from_degrees(cfg.delta_deg[0])
-    targets = cfg.targets_policy.resolve(csi1, csi2, phase)
-    # run_scheme first: it rejects a degenerate pair before a criterion divides by its Gamma
-    decisions = [run_scheme(csi1, csi2, scheme, phase, targets) for scheme in cfg.schemes]
-    criteria = {  # evaluated only for the schemes in the study
-        Scheme.MPA: lambda: pairing_criterion_mpa(targets, csi1, phase),
-        Scheme.EEPA: lambda: pairing_criterion_eepa(targets, csi1, csi2, phase),
+    MPA and EEPA criteria's delta upper bounds. Each scheme's kernel
+    decides the pair on floats, bit for bit as run_scheme does, and the
+    thresholds are the criteria's (pairing_criterion_mpa and
+    pairing_criterion_eepa); the floors, the channel check, 2^floors and
+    the OMA decision are made once per study."""
+    g1, g2 = (db_to_linear(g) for g in cfg.gammas_db)
+    s = sinc_sq(math.radians(cfg.delta_deg[0]))
+    r1_min, r2_min = (float(r) for r in cfg.targets_policy.rates(g1, g2, s))
+    _check_floors(r1_min, r2_min)
+    x1, x2 = g1 * s, g2 * s
+    # as run_scheme checks; it also keeps Gamma1 >= Gamma2 > 0 for the criteria, which divide by them
+    if not x2 > 0.0 and any(scheme is not Scheme.OMA for scheme in cfg.schemes):
+        raise ValueError("degenerate channel: Gamma2 * sinc^2 = 0")
+    omas = _oma(x1, x2)[1:]
+    p1, p2 = np.power(2.0, (r1_min, r2_min))
+    thresholds = {  # evaluated only for the schemes in the study
+        Scheme.MPA: lambda: _mpa_threshold(g1, p1, p2),
+        Scheme.EEPA: lambda: max(_eepa_thresholds(g1, g2, p1, p2)),
     }
-    return Table(
-        {
-            "scheme": [scheme.value for scheme in cfg.schemes],
-            "mode": [dec.mode.value for dec in decisions],
-            "alpha1": [dec.alpha1 for dec in decisions],
-            "alpha2": [dec.alpha2 for dec in decisions],
-            "r1": [dec.rates.strong for dec in decisions],
-            "r2": [dec.rates.weak for dec in decisions],
-            "asr": [dec.asr for dec in decisions],
-            "ee": [dec.ee for dec in decisions],
-            "delta_ub_deg": [_degrees(criteria[s]().delta_ub) if s in criteria else "" for s in cfg.schemes],
-            "iterations": [dec.iterations if dec.iterations is not None else "" for dec in decisions],
-        }
-    )
+    rows = []
+    for scheme in cfg.schemes:
+        noma, *nomas = KERNELS[scheme](g1, g2, r1_min, r2_min)(x1, x2)
+        *values, iterations = _or_oma(noma, nomas, omas)
+        delta_ub = _degrees(_delta_ub(float(thresholds[scheme]()))) if scheme in thresholds else ""
+        mode = Mode.NOMA if noma else Mode.OMA
+        rows.append([scheme.value, mode.value, *map(float, values), delta_ub, int(iterations) or ""])
+    columns = ("scheme", "mode", "alpha1", "alpha2", "r1", "r2", "asr", "ee", "delta_ub_deg", "iterations")
+    return Table({c: list(v) for c, v in zip(columns, zip(*rows))})
 
 
 def syslevel_tables(cfg: ExperimentConfig):

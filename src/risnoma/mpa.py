@@ -227,22 +227,34 @@ def _delta_ub(threshold: float) -> Optional[float]:
     """Largest delta with sinc^2(delta) >= threshold; None when every
     delta passes (threshold <= 0) or none does (threshold > 1).
 
-    Bisection on sinc^2, strictly decreasing on (0, pi), to a bracket
-    below 1e-10. mid stays in (0, pi), so sinc^2 is computed inline,
-    without sinc_sq's domain check.
+    Newton's method on sin(delta)/delta = sqrt(threshold), strictly
+    decreasing on (0, pi), from a lower bound on the root (sin(d)/d is at
+    least 1 - d^2/6 and 1 - d/pi), to a step below 1e-12. Each iterate
+    narrows a bracket [lo, hi] of the root, and a step leaving it bisects
+    it instead; near delta = 0, where rounding in sin(delta)/delta can
+    flip the sign of the residual from step to step, the search ends at a
+    bracket below 1e-10. hi starts at the largest float below pi, so
+    delta stays in sinc_sq's domain, and sinc is computed inline.
     """
     if not 0.0 < threshold <= 1.0:
         return None
     if threshold == 1.0:
         return 0.0
-    lo, hi = 0.0, math.pi
+    root = math.sqrt(threshold)
+    lo, hi = 0.0, math.nextafter(math.pi, 0.0)
+    delta = min(max(math.sqrt(6.0 * (1.0 - root)), math.pi * (1.0 - root)), hi)
     while hi - lo >= 1e-10:
-        mid = 0.5 * (lo + hi)
-        if (math.sin(mid) / mid) ** 2 >= threshold:
-            lo = mid
+        sin = math.sin(delta)
+        f = sin / delta - root
+        if f > 0.0:
+            lo = delta
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = delta
+        step = f * delta / (math.cos(delta) - sin / delta)  # f / f'
+        if abs(step) < 1e-12:
+            return min(max(delta - step, lo), hi)
+        delta = delta - step if lo < delta - step < hi else 0.5 * (lo + hi)
+    return delta
 
 
 def pairing_criterion_mpa(

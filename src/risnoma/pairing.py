@@ -16,9 +16,10 @@ at x = Gamma) and returns decide(x1, x2) -> (noma, alpha1, alpha2, r1,
 r2, asr, ee, iterations) at the effective SNRs x = Gamma * sinc^2(delta),
 on arrays of pairs or shape-() values; iterations are Dinkelbach's where
 EEPA chose NOMA, else 0. Where noma fails the decision is OMA's (mpa._oma),
-which the caller makes once and applies with mpa._or_oma, and one pair
-only when it falls back; OMA's own kernel pairs none. run_campaign and
-run_scheme decide every pair through them.
+which the caller makes once and applies with mpa._or_oma, and run_scheme
+only when its pair falls back; OMA's own kernel pairs none. run_campaign,
+run_scheme, the sweep-delta table and the pair study
+(experiments.pair_study_table) decide every pair through them.
 """
 
 from enum import Enum

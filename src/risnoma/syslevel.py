@@ -20,21 +20,21 @@ Users are paired per cell by pairing.cell_pairs, strongest with weakest
 by composite gain, which within a cell ranks Gamma as well; the
 co-scheduled interferers are drawn from those pairs. campaign_pairs, the
 one drop stage, draws, associates and pairs every drop of a campaign and
-checks the pairs' Gamma once. Per-pair decisions
-come from the schemes' array kernels (pairing.KERNELS), the same kernels
-that pairing.run_scheme evaluates on one pair at a time. run_campaign
-binds each kernel to every pair and its floors once per campaign (once
-per block under oma-current, whose floors follow delta), then decides a
-block of consecutive deltas at a time: it forms the block's effective
-SNRs x = Gamma * sinc^2(delta) once, a row per delta, on which every
-kernel decides, makes the block's OMA decision once, which is OMA's
-output and every other scheme's fallback, and reduces each output along
-the pair axis with one sum for both its mean and its standard error. A
-sweep is then a few array calls, not one small call per (scheme, delta).
-Blocks hold max(1, BLOCK_INSTANCES // pairs) deltas, which bounds each
-call's arrays; a whole 200-drop sweep in one call would hold about 3.6M
-instances. The result holds one list per (scheme, statistic), a value
-per delta.
+checks the pairs' Gamma once. Per-pair decisions come from the schemes'
+array kernels (pairing.KERNELS), the same kernels that
+pairing.run_scheme and experiments.pair_study_table evaluate on one pair
+at a time. run_campaign binds each kernel to every pair and its floors
+once per campaign (once per block under oma-current, whose floors follow
+delta), then decides a block of consecutive deltas at a time: it forms
+the block's effective SNRs x = Gamma * sinc^2(delta) once, a row per
+delta, on which every kernel decides, makes the block's OMA decision
+once, which is OMA's output and every other scheme's fallback, and
+reduces each output along the pair axis with one sum for both its mean
+and its standard error. A sweep is then a few array calls, not one small
+call per (scheme, delta). Blocks hold max(1, BLOCK_INSTANCES // pairs)
+deltas, which bounds each call's arrays; a whole 200-drop sweep in one
+call would hold about 3.6M instances. The result holds one list per
+(scheme, statistic), a value per delta.
 """
 
 import math

@@ -1,17 +1,19 @@
-"""The CLI's pair-level tables, built on arrays, against the one-pair API
-they replace, bit for bit."""
+"""The CLI's pair-level tables, built on arrays or on the schemes'
+kernels, against the one-pair API they replace, bit for bit."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from risnoma import experiments as ex
 from risnoma.channel import EffectiveCsi, PhaseModel, rate_noma, rate_oma
 from risnoma.eepa import pairing_criterion_eepa
 from risnoma.mpa import TargetPolicy, allocate_mpa, alpha2_lower, alpha2_upper, pairing_criterion_mpa
-from risnoma.pairing import Scheme
+from risnoma.pairing import Scheme, run_scheme
 
 POLICIES = (
     TargetPolicy.oma_at_reference(0.0),
@@ -24,6 +26,22 @@ POLICIES = (
 
 def _degrees(delta_ub):
     return math.degrees(delta_ub) if delta_ub is not None else ""
+
+
+def _study_row(scheme, dec, delta_ub_deg=""):
+    """The pair study's row for one scheme's PairDecision."""
+    return {
+        "scheme": scheme.value,
+        "mode": dec.mode.value,
+        "alpha1": dec.alpha1,
+        "alpha2": dec.alpha2,
+        "r1": dec.rates.strong,
+        "r2": dec.rates.weak,
+        "asr": dec.asr,
+        "ee": dec.ee,
+        "delta_ub_deg": delta_ub_deg,
+        "iterations": dec.iterations if dec.iterations is not None else "",
+    }
 
 
 def test_pair_tables_equal_the_one_pair_api():
@@ -74,15 +92,39 @@ def test_pair_tables_equal_the_one_pair_api():
                 "asr_oma": r1_oma + r2_oma,
                 "delta_ub_deg": _degrees(pairing_criterion_mpa(targets, csi1, phase).delta_ub),
             }
-            study = {r["scheme"]: r["delta_ub_deg"] for r in table(
-                ex.ExperimentKind.PAIR_STUDY, ex.pair_study_table, delta_deg=(d,)
-            )}
-            assert study == {
-                Scheme.OMA.value: "",
-                Scheme.MPA.value: _degrees(pairing_criterion_mpa(targets, csi1, phase).delta_ub),
-                Scheme.EEPA.value: _degrees(pairing_criterion_eepa(targets, csi1, csi2, phase).delta_ub),
-                Scheme.SRM.value: "",
+            # every row is run_scheme's decision, bit for bit (repr keeps -0.0 apart from 0.0)
+            study = table(ex.ExperimentKind.PAIR_STUDY, ex.pair_study_table, delta_deg=(d,))
+            delta_ub_deg = {
+                Scheme.MPA: _degrees(pairing_criterion_mpa(targets, csi1, phase).delta_ub),
+                Scheme.EEPA: _degrees(pairing_criterion_eepa(targets, csi1, csi2, phase).delta_ub),
             }
+            expected = [
+                _study_row(s, run_scheme(csi1, csi2, s, phase, targets), delta_ub_deg.get(s, ""))
+                for s in ex.ExperimentConfig.schemes
+            ]
+            assert repr(list(study)) == repr(expected)
+
+    # Gamma2 * sinc^2 = 0: with any scheme but OMA the study fails with
+    # run_scheme's message; an OMA-only study decides the pair
+    gammas = (-400.0, -5000.0)
+    csi1, csi2 = (EffectiveCsi.from_db(g) for g in gammas)
+    phase = PhaseModel(0.0)
+    for policy in POLICIES:
+        targets = policy.resolve(csi1, csi2, phase)
+
+        def study(*schemes):
+            return ex.pair_study_table(ex.ExperimentConfig(
+                kind=ex.ExperimentKind.PAIR_STUDY, gammas_db=gammas, schemes=schemes, targets_policy=policy
+            ))
+
+        for scheme in (Scheme.MPA, Scheme.EEPA, Scheme.SRM):
+            with pytest.raises(ValueError) as one_pair:
+                run_scheme(csi1, csi2, scheme, phase, targets)
+            for schemes in ((scheme,), (Scheme.OMA, scheme), (scheme, Scheme.OMA)):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(one_pair.value))}$"):
+                    study(*schemes)
+        dec = run_scheme(csi1, csi2, Scheme.OMA, phase, targets)
+        assert repr(list(study(Scheme.OMA).rows)) == repr([_study_row(Scheme.OMA, dec)])
 
 
 def test_decisions_meet_their_floors_up_to_the_gamma_bound():
